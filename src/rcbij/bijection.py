@@ -20,10 +20,12 @@ from .crystal import EMPTY, wt_letter
 from .energy import local_hbar
 from .rc import (
     INF,
+    InvalidRC,
+    _strings_by_len,
+    box,
     cc2_total,
     complement,
     config_of,
-    enumerate_rc,
     normalized_sizes,
     validate_rc,
     vacancy2,
@@ -62,26 +64,14 @@ class DeltaTrace:
         return INF
 
 
-def _bylen(node):
-    out = {}
-    for ln, rg in node:
-        out.setdefault(ln, []).append(rg)
-    for v in out.values():
-        v.sort(reverse=True)
-    return out
-
-
 class _Scan:
     """Shared helpers for one delta run."""
 
-    def __init__(self, at, lam, L, rc):
+    def __init__(self, at, L, rc):
         self.at = at
-        self.lam = tuple(lam)
         self.L = L
-        self.rc = rc
         self.nu = config_of(rc)
-        self.by = [_bylen(node) for node in rc]
-        self.kd = kac_data(at)
+        self.by = [_strings_by_len(node) for node in rc]
 
     def vac(self, a, i2):
         return vacancy2(self.at, self.L, self.nu, a, i2)
@@ -91,12 +81,11 @@ class _Scan:
         return sum(1 for r in self.by[a - 1].get(i2, ()) if r == p2)
 
     def has_quasi(self, a, i2, off2):
-        """No singular rigging, but one sitting off2 (doubled) below the vacancy."""
-        p2 = self.vac(a, i2)
-        rigs = self.by[a - 1].get(i2, ())
-        if any(r == p2 for r in rigs):
-            return False
-        return any(r == p2 - off2 for r in rigs)
+        """A rigging sitting off2 (doubled) below the vacancy.
+
+        Callers ask only after finding no singular string of this length.
+        """
+        return self.vac(a, i2) - off2 in self.by[a - 1].get(i2, ())
 
     def min_sing(self, a, lo, need_two_at=None):
         """Minimal occupied length >= lo with a singular string.
@@ -124,11 +113,12 @@ def delta(at: AffineType, lam, L: int, rc):
         raise ValueError("delta needs L >= 1")
     n = at.n
     fam = at.family
-    sc = _Scan(at, lam, L, rc)
+    sc = _Scan(at, L, rc)
     ell: dict[int, int] = {}
     ellbar: dict[int, int] = {}
     cases: dict[int, str] = {}
-    # removals: (node, old_len2, rig_kind, shrink2, new_rig_kind)
+    # removals: (node, len2, old rigging's offset below the vacancy or None
+    # for the largest rigging of that length, shrink2, new rigging's offset)
     removals: list = []
     b = None
 
@@ -178,15 +168,14 @@ def delta(at: AffineType, lam, L: int, rc):
 
     ellbar_base = [INF]
 
+    # Each block scans and appends the removals at its last node or fork
+    # that the standard rule below does not describe.
     if fam == "A1":
         if fwd(n):
             b = n + 1
-        for a, i2 in ell.items():
-            removals.append((a, i2, "P", 2, "P"))
 
     elif fam == "D1":
-        alive = fwd(n - 2)
-        if alive:
+        if fwd(n - 2):
             prev = ell.get(n - 2, 0)
             i2 = sc.min_sing(n - 1, prev)
             j2 = sc.min_sing(n, prev)
@@ -202,14 +191,9 @@ def delta(at: AffineType, lam, L: int, rc):
                 ell[n - 1], ell[n] = i2, j2
                 ellbar_base[0] = max(i2, j2)
                 ret_twopart(n - 2)
-        for a, i2 in ell.items():
-            removals.append((a, i2, "P", 2, "P"))
-        for a, i2 in ellbar.items():
-            removals.append((a, i2, "P", 2, "P"))
 
-    elif fam in ("B1",):
-        alive = fwd(n - 1)
-        if alive:
+    elif fam == "B1":
+        if fwd(n - 1):
             prev = ell.get(n - 1, 0)
             lo = max(prev - 1, 1)
             found = kind = None
@@ -232,11 +216,12 @@ def delta(at: AffineType, lam, L: int, rc):
             elif kind == "S":
                 ellbar[n], ell[n] = found, found - 1
                 cases[n] = "S"
-                removals.append((n, found, "P", 2, "P"))
+                removals.append((n, found, 0, 2, 0))
                 ellbar_base[0] = found
                 ret_twopart(n - 1)
             else:
                 ell[n] = found
+                removals.append((n, found, None, 1, 0))
                 j2 = None
                 for c2 in sorted(sc.by[n - 1]):
                     if c2 > found and c2 >= prev and sc.sing_count(n, c2):
@@ -245,87 +230,59 @@ def delta(at: AffineType, lam, L: int, rc):
                 if j2 is None:
                     b = 0
                     cases[n] = "Q"
-                    removals.append((n, found, "max", 1, "P"))
                 else:
                     ellbar[n] = j2
                     cases[n] = "QS"
-                    removals.append((n, found, "max", 1, "P"))
-                    # new rigging of the second string decided after the
-                    # return scan (depends on ellbar at node n-1)
-                    removals.append((n, j2, "max", 1, "Qprime"))
                     ellbar_base[0] = j2
                     ret_twopart(n - 1)
-        for a, i2 in ell.items():
-            if a < n:
-                removals.append((a, i2, "P", 2, "P"))
-        for a, i2 in ellbar.items():
-            if a < n:
-                removals.append((a, i2, "P", 2, "P"))
+                    # the second string's new rigging is singular exactly
+                    # when the return scan selected its length at node n-1
+                    new_off = 0 if j2 == ellbar.get(n - 1) else 2
+                    removals.append((n, j2, None, 1, new_off))
 
     elif fam in ("C1", "A2"):
-        alive = fwd(n)
-        if alive:
+        if fwd(n):
             if fam == "A2" and ell[n] == 2:
                 b = EMPTY
                 cases[n] = "P"
-                for a, i2 in ell.items():
-                    removals.append((a, i2, "P", 2, "P"))
             else:
+                # two columns come off the selected string
                 cases[n] = "S"
                 ellbar[n] = ell[n]
                 ell[n] = ellbar[n] - 2
-                # two columns come off the selected string either way
-                removals.append((n, ellbar[n], "P", 4, "P"))
                 ellbar_base[0] = ellbar[n]
                 ret_merge(n - 1)
-                for a in range(1, n):
-                    if a in ell and cases.get(a) != "S":
-                        removals.append((a, ell[a], "P", 2, "P"))
-                    if a in ellbar:
-                        if cases.get(a) == "S":
-                            removals.append((a, ellbar[a], "P", 4, "P"))
-                        else:
-                            removals.append((a, ellbar[a], "P", 2, "P"))
-        else:
-            for a, i2 in ell.items():
-                removals.append((a, i2, "P", 2, "P"))
 
     elif fam == "A2odd":
-        alive = fwd(n)
-        if alive:
+        if fwd(n):
+            # one string, selected by both scans, loses one column
             ellbar[n] = ell[n]
+            removals.append((n, ell[n], 0, 2, 0))
             ellbar_base[0] = ellbar[n]
             ret_twopart(n - 1)
-        for a, i2 in ell.items():
-            removals.append((a, i2, "P", 2, "P"))
-        for a, i2 in ellbar.items():
-            if a < n:
-                removals.append((a, i2, "P", 2, "P"))
 
     elif fam in ("D2", "A2dag"):
-        alive = fwd(n - 1)
-        if alive:
+        if fwd(n - 1):
             prev = ell.get(n - 1, 0)
             found = kind = None
             for i2 in sorted(sc.by[n - 1]):
                 if i2 < prev:
                     continue
-                odd = (i2 // 2) % 2 == 1
                 if fam == "D2":
                     if sc.sing_count(n, i2):
                         found, kind = i2, ("P" if i2 == 2 else "S")
                         break
                     if sc.has_quasi(n, i2, 2):
-                        found, kind = i2, "Q"
+                        found, kind, off = i2, "Q", 2
                         break
-                else:  # A2dag: even lengths singular, odd quasi by half
-                    if not odd and sc.sing_count(n, i2):
-                        found, kind = i2, "S"
-                        break
-                    if odd and any(
-                        r == sc.vac(n, i2) - 1 for r in sc.by[n - 1].get(i2, ())
-                    ):
-                        found, kind = i2, "Q"
+                else:
+                    # A2dag: a rigging at the top of its box is singular
+                    # on an integer string and quasi on a half-odd one
+                    p2 = sc.vac(n, i2)
+                    bx = box(at, n, i2, p2)
+                    if bx and bx[-1] in sc.by[n - 1][i2]:
+                        found, off = i2, p2 - bx[-1]
+                        kind = "Q" if off else "S"
                         break
             if found is None:
                 b = n
@@ -333,59 +290,56 @@ def delta(at: AffineType, lam, L: int, rc):
                 ell[n] = found
                 cases[n] = "P"
                 b = EMPTY
-                removals.append((n, found, "P", 2, "P"))
             elif kind == "S":
                 ellbar[n], ell[n] = found, found - 2
                 cases[n] = "S"
-                removals.append((n, found, "P", 4, "P"))
                 ellbar_base[0] = found
                 ret_merge(n - 1)
             else:  # Q
                 ell[n] = found
-                off_old = 2 if fam == "D2" else 1
+                removals.append((n, found, off, 2, 0))
+                # half-odd strings of A2dag carry odd riggings and even
+                # vacancies, so they are never singular here
                 j2 = None
                 for c2 in sorted(sc.by[n - 1]):
-                    if c2 <= found:
-                        continue
-                    if fam == "A2dag" and (c2 // 2) % 2 == 1:
-                        continue
-                    if sc.sing_count(n, c2):
+                    if c2 > found and sc.sing_count(n, c2):
                         j2 = c2
                         break
                 if j2 is None:
                     b = 0
                     cases[n] = "Q"
-                    removals.append((n, found, "P-%d" % off_old, 2, "P"))
                 else:
                     ellbar[n] = j2
                     cases[n] = "QS"
-                    removals.append((n, found, "P-%d" % off_old, 2, "P"))
-                    removals.append((n, j2, "P", 2, "P-%d" % off_old))
+                    removals.append((n, j2, 0, 2, off))
                     ellbar_base[0] = j2
                     ret_merge(n - 1)
-            for a in range(1, n):
-                if a in ell and cases.get(a) != "S":
-                    removals.append((a, ell[a], "P", 2, "P"))
-                if a in ellbar:
-                    if cases.get(a) == "S":
-                        removals.append((a, ellbar[a], "P", 4, "P"))
-                    else:
-                        removals.append((a, ellbar[a], "P", 2, "P"))
-        else:
-            for a, i2 in ell.items():
-                removals.append((a, i2, "P", 2, "P"))
 
     else:
         raise ValueError(fam)
 
-    assert b is not None
+    # The standard rule at every other node: a selected string loses one
+    # column, or two under case S, where both scans selected the same
+    # string (ell one column below ellbar); it becomes singular.
+    own = {r[0] for r in removals}
+    for a in range(1, n + 1):
+        if a in own:
+            continue
+        if cases.get(a) == "S":
+            removals.append((a, ellbar[a], 0, 4, 0))
+            continue
+        if a in ell:
+            removals.append((a, ell[a], 0, 2, 0))
+        if a in ellbar:
+            removals.append((a, ellbar[a], 0, 2, 0))
+
     rho = _rank_weight(at, lam, b)
     if not is_dominant(at, rho):
-        raise AssertionError("rank letter does not keep the weight dominant")
-    if b == 0 and fam != "A1":
-        assert lam[n - 1] > 0, "zero letter extracted at lambda_n = 0"
+        raise InvalidRC("rank letter does not keep the weight dominant")
+    if b == 0 and fam != "A1" and lam[n - 1] <= 0:
+        raise InvalidRC("zero letter extracted at lambda_n = 0")
 
-    rc2 = _apply_removals(at, lam, L, rc, removals, ellbar)
+    rc2 = _apply_removals(at, L, rc, removals)
     validate_rc(at, rho, L - 1, rc2)
     trace = DeltaTrace(
         ell=tuple(ell.get(a, INF) for a in range(1, n + 1)),
@@ -396,58 +350,36 @@ def delta(at: AffineType, lam, L: int, rc):
     return b, rc2, trace
 
 
-def _apply_removals(at, lam, L, rc, removals, ellbar):
-    """Shorten the selected strings and assign the prescribed riggings."""
-    n = at.n
-    nu = config_of(rc)
-    nodes = [list(node) for node in rc]
-    pending = []  # (a, new_len2, new_kind)
-    for a, old_len2, sel, shrink2, new_kind in removals:
-        p2 = vacancy2(at, L, nu, a, old_len2)
-        if sel == "P":
-            want = p2
-        elif sel == "P-2":
-            want = p2 - 2
-        elif sel == "P-1":
-            want = p2 - 1
-        elif sel == "max":
-            want = max(r for ln, r in nodes[a - 1] if ln == old_len2)
-        else:
-            raise ValueError(sel)
-        nodes[a - 1].remove((old_len2, want))
-        new_len2 = old_len2 - shrink2
-        assert new_len2 >= 0
-        if new_len2 > 0:
-            pending.append((a, new_len2, new_kind))
-    nu2 = tuple(
+def _config_with(nodes, grown):
+    """Configuration of nodes (lists of pairs) plus the (a, len2, ...) in grown."""
+    return tuple(
         tuple(
             sorted(
-                [ln for ln, _ in nodes[a]] + [x for b_, x, _ in pending if b_ == a + 1],
+                [ln for ln, _ in node] + [g[1] for g in grown if g[0] == a],
                 reverse=True,
             )
         )
-        for a in range(n)
+        for a, node in enumerate(nodes, 1)
     )
-    for a, new_len2, new_kind in pending:
-        p2 = vacancy2(at, L - 1, nu2, a, new_len2)
-        if new_kind == "P":
-            rig = p2
-        elif new_kind == "P-2":
-            rig = p2 - 2
-        elif new_kind == "P-1":
-            rig = p2 - 1
-        elif new_kind == "Qprime":
-            t = new_len2 + 1  # the shortened string came from t = len + 1/2
-            rig = p2 if t == ellbar.get(at.n - 1, INF) else p2 - 2
+
+
+def _apply_removals(at, L, rc, removals):
+    """Shorten the selected strings and assign the prescribed riggings."""
+    nu = config_of(rc)
+    nodes = [list(node) for node in rc]
+    pending = []  # (a, new_len2, new rigging's offset)
+    for a, len2, old_off, shrink2, new_off in removals:
+        if old_off is None:
+            want = max(r for ln, r in nodes[a - 1] if ln == len2)
         else:
-            raise ValueError(new_kind)
-        nodes[a - 1].append((new_len2, rig))
+            want = vacancy2(at, L, nu, a, len2) - old_off
+        nodes[a - 1].remove((len2, want))
+        if len2 > shrink2:
+            pending.append((a, len2 - shrink2, new_off))
+    nu2 = _config_with(nodes, pending)
+    for a, len2, off in pending:
+        nodes[a - 1].append((len2, vacancy2(at, L - 1, nu2, a, len2) - off))
     return tuple(tuple(sorted(node, reverse=True)) for node in nodes)
-
-
-def rank_and_delta(at: AffineType, rc, lam, L: int):
-    """Alias taking the configuration first."""
-    return delta(at, lam, L, rc)
 
 
 def phi(at: AffineType, lam, L: int, rc):
@@ -485,15 +417,10 @@ def _letter_budget_moves(node_pairs, budget, up2):
         for p in choices:
             yield [(p, p[0] + 2 * up2)]
         yield [(None, 2 * up2)]
-        seen = set()
         for i, p in enumerate(choices):
             for q in choices[i:]:
                 if p == q and node_pairs.count(p) < 2:
                     continue
-                key = (p, q)
-                if key in seen:
-                    continue
-                seen.add(key)
                 yield [(p, p[0] + up2), (q, q[0] + up2)]
         yield from ([(p, p[0] + up2), (None, up2)] for p in choices)
         yield [(None, up2), (None, up2)]
@@ -502,16 +429,13 @@ def _letter_budget_moves(node_pairs, budget, up2):
 
 
 def _old_rig_values(at, a, len2, p2):
-    """Possible riggings of a string about to be selected by delta."""
-    n = at.n
-    fam = at.family
-    if fam in ("B1", "D2") and a == n:
-        vals = [p2, p2 - 2]
-    elif fam == "A2dag" and a == n:
-        vals = [p2 - 1] if (len2 // 2) % 2 == 1 else [p2]
-    else:
-        vals = [p2]
-    return [v for v in vals if v >= 0]
+    """Possible riggings of a string about to be selected by delta.
+
+    That is the top of its box, or for B1 and D2 at the last node, where
+    delta also selects quasi-singular strings, the top two values.
+    """
+    top = box(at, a, len2, p2)[::-1]
+    return list(top[:2] if at.family in ("B1", "D2") and a == at.n else top[:1])
 
 
 def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
@@ -550,29 +474,13 @@ def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
     for combo in product(*per_node):
         nodes = [list(rc_small[a]) for a in range(n)]
         grown = []  # (a, new_len2)
-        ok = True
         for a in range(n):
             for pair, new_len2 in combo[a]:
                 if pair is not None:
-                    if pair not in nodes[a]:
-                        ok = False
-                        break
                     nodes[a].remove(pair)
                 grown.append((a + 1, new_len2))
-            if not ok:
-                break
-        if not ok:
-            continue
-        nu_cand = tuple(
-            tuple(
-                sorted(
-                    [ln for ln, _ in nodes[a]]
-                    + [x for aa, x in grown if aa == a + 1],
-                    reverse=True,
-                )
-            )
-            for a in range(n)
-        )
+        ok = True
+        nu_cand = _config_with(nodes, grown)
         rig_options = []
         for a, new_len2 in grown:
             try:
@@ -599,27 +507,11 @@ def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
             seen.add(cand)
             try:
                 validate_rc(at, lam, L, cand)
-            except AssertionError:
+            except InvalidRC:
                 continue
             bb, out, _tr = delta(at, lam, L, cand)
             if bb == b and out == rc_small:
                 matches.append(cand)
-    if len(matches) != 1:
-        raise NoPreimage(
-            "expected exactly one preimage, found %d" % len(matches)
-        )
-    return matches[0]
-
-
-def delta_inverse_bruteforce(at: AffineType, b, rho, L_small: int, rc_small):
-    """Oracle: enumerate the whole target cell and filter by delta output."""
-    lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
-    L = L_small + 1
-    matches = [
-        rc
-        for rc in enumerate_rc(at, lam, L)
-        if delta(at, lam, L, rc)[:2] == (b, rc_small)
-    ]
     if len(matches) != 1:
         raise NoPreimage(
             "expected exactly one preimage, found %d" % len(matches)

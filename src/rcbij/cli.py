@@ -12,7 +12,14 @@ import json
 import sys
 import time
 
-from .bijection import delta, delta_inverse, phi, phi_inverse, phi_tilde
+from .bijection import (
+    NoPreimage,
+    delta,
+    delta_inverse,
+    phi,
+    phi_inverse,
+    phi_tilde,
+)
 from .cartan import (
     FAMILIES,
     AffineType,
@@ -22,13 +29,14 @@ from .cartan import (
 from .crystal import (
     dot_export,
     enumerate_highest,
-    letter_from_str,
     letter_str,
+    letters,
     wt_letter,
     wt_path,
 )
 from .energy import dbar, local_hbar, xbar
 from .rc import (
+    InvalidRC,
     cc2_total,
     complement,
     enumerate_rc,
@@ -70,6 +78,9 @@ def cmd_x(args) -> int:
             print("%s\t%s\t%d" % (letter_str(x), letter_str(y), h[(x, y)]))
         return 0
     lam = _weight_from_args(at, args)
+    if args.len is None:
+        print("error: --len is required here", file=sys.stderr)
+        return 2
     print(xbar(at, lam, args.len))
     return 0
 
@@ -122,7 +133,7 @@ def cmd_map(args) -> int:
         at, lam, L, rc = rc_from_json(data)
         try:
             validate_rc(at, lam, L, rc)
-        except AssertionError as exc:
+        except InvalidRC as exc:
             print("error: invalid rigged configuration: %s" % exc,
                   file=sys.stderr)
             return 2
@@ -142,10 +153,21 @@ def cmd_map(args) -> int:
         )
         return 0
     at = AffineType(data["type"], data["n"])
-    word = tuple(letter_from_str(s) for s in data["word"])
+    known = {letter_str(b): b for b in letters(at)}
+    unknown = [s for s in data["word"] if str(s) not in known]
+    if unknown:
+        print("error: %r is not a letter of %s" % (unknown[0], at),
+              file=sys.stderr)
+        return 2
+    word = tuple(known[str(s)] for s in data["word"])
     lam = wt_path(at, word)
     L = len(word)
-    rc = phi_inverse(at, lam, L, word)
+    try:
+        rc = phi_inverse(at, lam, L, word)
+    except NoPreimage as exc:
+        print("error: not a classically restricted path: %s" % exc,
+              file=sys.stderr)
+        return 2
     if args.tilde:
         rc = complement(at, L, rc)
     print(json.dumps(rc_to_json(at, lam, L, rc), sort_keys=True))
@@ -160,7 +182,7 @@ def _verify_cell(at: AffineType, lam, L: int):
     mb = rc_genfun(at, lam, L)
     ok = xb == mb and len(paths) == len(rcs)
     detail = None
-    if at.family != "A2dag" and fermionic_m(at, lam, L) != mb:
+    if fermionic_m(at, lam, L) != mb:
         ok = False
         detail = "fermionic sum disagrees with rigged enumeration"
     seen = {}
@@ -190,6 +212,14 @@ def _verify_cell(at: AffineType, lam, L: int):
             ok = False
             detail = "phi_inverse round trip failed"
     return ok, (len(rcs), len(paths), str(xb), str(mb)), detail
+
+
+def _run_cell(cell):
+    """_verify_cell on one (type, weight, L) cell, timed; picklable for --jobs."""
+    at, lam, L = cell
+    t0 = time.monotonic()
+    ok, row, detail = _verify_cell(at, lam, L)
+    return cell, ok, row, detail, time.monotonic() - t0
 
 
 def _cells_for(at: AffineType, max_len: int):
@@ -222,23 +252,13 @@ def cmd_verify(args) -> int:
                        ("A2odd", 2), ("D2", 2), ("D2", 3)):
             cells.extend(_cells_for(AffineType(fam, n), args.max_len))
 
-    def run(cell):
-        at, lam, L = cell
-        t0 = time.monotonic()
-        ok, row, detail = _verify_cell(at, lam, L)
-        return cell, ok, row, detail, time.monotonic() - t0
-
     if args.jobs > 1:
         import multiprocessing as mp
 
         with mp.Pool(args.jobs) as pool:
-            results = pool.map(_verify_cell_star, cells)
-        results = [
-            (cell, ok, row, detail, dt)
-            for cell, (ok, row, detail, dt) in zip(cells, results)
-        ]
+            results = pool.map(_run_cell, cells)
     else:
-        results = [run(cell) for cell in cells]
+        results = [_run_cell(cell) for cell in cells]
 
     failed = 0
     print("type\tn\tL\tlambda\t|RC|\t|P|\tXbar\tMbar\tequal" +
@@ -267,13 +287,6 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
     return 1 if failed else 0
-
-
-def _verify_cell_star(cell):
-    at, lam, L = cell
-    t0 = time.monotonic()
-    ok, row, detail = _verify_cell(at, lam, L)
-    return ok, row, detail, time.monotonic() - t0
 
 
 def cmd_graph(args) -> int:

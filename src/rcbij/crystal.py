@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import AffineType, is_dominant, simple_root_vectors
+from .cartan import AffineType, is_dominant
 
 EMPTY = 10 ** 6  # the letter usually written phi
 
@@ -158,23 +158,6 @@ def wt_path(at: AffineType, word) -> tuple:
     return tuple(v)
 
 
-def eps_word(at: AffineType, i: int, word) -> int:
-    """eps_i of a tensor word, by the two-factor composition rule."""
-    ev, pv = 0, 0
-    for b in reversed(word):  # fold right to left: x tensor (rest)
-        eb, pb = eps_letter(at, i, b), phi_letter(at, i, b)
-        ev, pv = ev + max(0, eb - pv), pb + max(0, pv - eb)
-    return ev
-
-
-def phi_word(at: AffineType, i: int, word) -> int:
-    ev, pv = 0, 0
-    for b in reversed(word):
-        eb, pb = eps_letter(at, i, b), phi_letter(at, i, b)
-        ev, pv = ev + max(0, eb - pv), pb + max(0, pv - eb)
-    return pv
-
-
 def tensor_e(at: AffineType, i: int, word):
     """e_i on a word, or None; the two-factor rule applied right-nested."""
     word = tuple(word)
@@ -262,20 +245,6 @@ def enumerate_highest(at: AffineType, lam, L: int):
     return _highest(at, lam, L)
 
 
-def enumerate_highest_bruteforce(at: AffineType, lam, L: int):
-    """Oracle: filter every word by weight and the highest condition."""
-    from itertools import product
-
-    lam = tuple(lam)
-    out = []
-    for word in product(letters(at), repeat=L):
-        if wt_path(at, word) != lam:
-            continue
-        if is_classically_highest(at, word):
-            out.append(word)
-    return tuple(sorted(out))
-
-
 def dot_export(at: AffineType) -> str:
     """DOT text of the full arrow table, edges labeled by the node index."""
     f, _ = arrows(at)
@@ -290,27 +259,3 @@ def dot_export(at: AffineType) -> str:
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def zero_step_vector(at: AffineType) -> tuple:
-    """The constant classical weight change along every 0-arrow."""
-    f, _ = arrows(at)
-    steps = {
-        tuple(x - y for x, y in zip(wt_letter(at, v), wt_letter(at, b)))
-        for b, v in f[0].items()
-    }
-    assert len(steps) == 1, "0-arrows do not share a weight step"
-    return next(iter(steps))
-
-
-def classical_weight_steps_ok(at: AffineType) -> bool:
-    """Check wt(f_i(b)) = wt(b) - alpha_i for every classical arrow."""
-    f, _ = arrows(at)
-    roots = simple_root_vectors(at, which="gbar")
-    for i in range(1, at.n + 1):
-        alpha = roots[i - 1]
-        for b, v in f[i].items():
-            d = tuple(x - y for x, y in zip(wt_letter(at, b), wt_letter(at, v)))
-            if d != alpha:
-                return False
-    return True

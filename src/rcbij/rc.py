@@ -8,13 +8,13 @@ Representation conventions, used across the package:
 * a rigged configuration ``rc`` is the same shape with (len2, rig2)
   pairs, sorted descending; riggings are doubled too.
 
-Everything is exact integer arithmetic; the only Fractions appear in the
-general vacancy formula kept around as a cross-check oracle.
+Everything is exact integer arithmetic.  The vacancy numbers come from
+one integer matrix per type, derived from the normalized form, and every
+family's rigging box comes from ``box``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -22,11 +22,6 @@ from .cartan import AffineType, form2_matrix, iota_image, kac_data
 from .qpoly import QPoly, qbinom
 
 INF = 10 ** 9  # larger than any doubled length
-
-
-def q2(part_lens, i2: int) -> int:
-    """Doubled area of the first i2/2 columns: sum of min(len2, i2)."""
-    return sum(min(x, i2) for x in part_lens)
 
 
 def normalized_sizes(at: AffineType, lam, L: int):
@@ -45,90 +40,70 @@ def normalized_sizes(at: AffineType, lam, L: int):
     return tuple(out)
 
 
-def node_areas(at: AffineType, lam, L: int):
-    """Doubled areas per node (len2 totals), or None."""
-    c = normalized_sizes(at, lam, L)
-    if c is None:
-        return None
-    up2 = kac_data(at).up2
-    return tuple(ci * u for ci, u in zip(c, up2))
+@lru_cache(maxsize=None)
+def _vacancy_table(at: AffineType):
+    """Box widths and, per node a, the nonzero entries (b, C[a][b]).
 
-
-def vacancy2(at: AffineType, L: int, nu, a: int, i2: int) -> int:
-    """Doubled vacancy number at node a, doubled length i2 (> 0)."""
-    n = at.n
-    up2 = kac_data(at).up2
-    if i2 <= 0 or i2 % up2[a - 1] != 0:
-        raise ValueError("index %d not on the node-%d lattice" % (i2, a))
-
-    def Q(b):
-        return q2(nu[b - 1], i2) if 1 <= b <= n else 0
-
-    fam = at.family
-    base = 2 * L if a == 1 else 0
-    if fam == "A1":
-        return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
-    if fam == "D1":
-        if a <= n - 3:
-            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
-        if a == n - 2:
-            return base + Q(n - 3) - 2 * Q(n - 2) + Q(n - 1) + Q(n)
-        return base + Q(n - 2) - 2 * Q(a)
-    if fam == "B1":
-        if a <= n - 2:
-            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
-        if a == n - 1:
-            return base + Q(n - 2) - 2 * Q(n - 1) + 2 * Q(n)
-        return base + 2 * Q(n - 1) - 4 * Q(n)
-    if fam in ("C1", "A2", "A2dag"):
-        if a < n:
-            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
-        return base + Q(n - 1) - Q(n)
-    if fam == "A2odd":
-        if a <= n - 2:
-            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
-        if a == n - 1:
-            return base + Q(n - 2) - 2 * Q(n - 1) + 2 * Q(n)
-        return base + Q(n - 1) - 2 * Q(n)
-    if fam == "D2":
-        if a < n:
-            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
-        return base + 2 * Q(n - 1) - 2 * Q(n)
-    raise ValueError(fam)
-
-
-def vacancy2_general(at: AffineType, L: int, nu, a: int, i2: int):
-    """The general vacancy formula, doubled; cross-check oracle.
-
-    p_i^(a) = sum_k L_k^(a) min(i,k)
-              - (1/t_a^vee) sum_b (a~_a|a~_b) min(t_b i, t_a k) m_k^(b)
-    in normalized indices, returned as a Fraction of the doubled value.
+    The doubled vacancy is 2L[a=1] + sum_b C[a][b] Q_i(nu^(b)), with
+    Q_i the doubled area of the first i columns.  Reading the general
+    formula's min(t_b i, t_a k) in doubled lengths gives
+    C[a][b] = -form2[a][b] K / (t_a^vee up2[a] up2[b]), where
+    K = t_b up2[b] (t from t_lat) must be one constant for every node.
     """
     kd = kac_data(at)
     form2 = form2_matrix(at)
     n = at.n
-    i_norm = Fraction(i2, kd.up2[a - 1])
-    total = Fraction(L) * min(i_norm, 1) if a == 1 else Fraction(0)
-    acc = Fraction(0)
-    for b in range(1, n + 1):
-        fb = form2[a - 1][b - 1]
-        if fb == 0:
-            continue
-        tb, ta = kd.t_lat[b - 1], kd.t_lat[a - 1]
-        for x2 in nu[b - 1]:
-            k_norm = Fraction(x2, kd.up2[b - 1])
-            acc += Fraction(fb, 2) * min(tb * i_norm, ta * k_norm)
-    total -= acc / kd.t_vee[a - 1]
-    return 2 * total
+    ks = {kd.t_lat[b] * kd.up2[b] for b in range(n)}
+    if len(ks) != 1:
+        raise ValueError("%s: t*upsilon is not constant over the nodes" % at)
+    (k,) = ks
+    rows = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            num = -form2[a][b] * k
+            den = kd.t_vee[a] * kd.up2[a] * kd.up2[b]
+            if num % den:
+                raise ValueError("%s: vacancy coefficient not integral" % at)
+            if num:
+                row.append((b, num // den))
+        rows.append(tuple(row))
+    return kd.up2, tuple(rows)
+
+
+def vacancy2(at: AffineType, L: int, nu, a: int, i2: int) -> int:
+    """Doubled vacancy number at node a, doubled length i2 (> 0)."""
+    up2, rows = _vacancy_table(at)
+    if i2 <= 0 or i2 % up2[a - 1] != 0:
+        raise ValueError("index %d not on the node-%d lattice" % (i2, a))
+    total = 2 * L if a == 1 else 0
+    for b, c in rows[a - 1]:
+        # c times Q_i: the doubled area of the first i columns at node b
+        for x in nu[b]:
+            total += c * (x if x < i2 else i2)
+    return total
+
+
+def box(at: AffineType, a: int, i2: int, p2: int) -> range:
+    """The doubled riggings allowed on a string of length i2 at node a.
+
+    Riggings run from 0 to the vacancy p2 in unit steps, except on the
+    odd-length strings at the last node of A2dag, whose riggings are
+    half-odd: 1/2, 3/2, ..., p - 1/2.
+    """
+    lo = 1 if at.family == "A2dag" and a == at.n and (i2 // 2) % 2 == 1 else 0
+    return range(lo, p2 - lo + 1, 2)
+
+
+class InvalidRC(ValueError):
+    """A rigged configuration breaks one of its structural invariants."""
 
 
 def _strings_by_len(node):
-    """Group a node's (len2, rig2) pairs: dict len2 -> sorted rig2 list."""
+    """Group a node's (len2, rig2) pairs: dict len2 -> list of rig2."""
     out: dict[int, list] = {}
     for ln, rg in node:
         out.setdefault(ln, []).append(rg)
-    for v in out.values():
-        v.sort(reverse=True)
     return out
 
 
@@ -137,46 +112,25 @@ def config_of(rc):
     return tuple(tuple(ln for ln, _ in node) for node in rc)
 
 
-def is_admissible_config(at: AffineType, L: int, nu) -> bool:
-    """Nonnegative vacancies at occupied lengths (full check is equivalent).
+def _occupied(at: AffineType, L: int, nu):
+    """(a, len2, multiplicity, box) for every occupied length of nu.
 
-    For A2dag additionally requires vacancy >= 1 on occupied odd lengths
-    at the last node.
+    Nodes come in order, lengths in their order in nu (longest first for
+    a configuration in normal form).
     """
-    n = at.n
-    for a in range(1, n + 1):
-        for i2 in set(nu[a - 1]):
+    for a in range(1, at.n + 1):
+        node = nu[a - 1]
+        for i2 in dict.fromkeys(node):
             p2 = vacancy2(at, L, nu, a, i2)
-            if p2 < 0:
-                return False
-            if (
-                at.family == "A2dag"
-                and a == n
-                and (i2 // 2) % 2 == 1
-                and p2 < 2
-            ):
-                return False
-    return True
+            yield a, i2, node.count(i2), box(at, a, i2, p2)
 
 
-def is_admissible_config_full(at: AffineType, L: int, nu) -> bool:
-    """Admissibility checked on every lattice index up to the longest string."""
-    n = at.n
-    up2 = kac_data(at).up2
-    for a in range(1, n + 1):
-        top = max(nu[a - 1], default=0) + up2[a - 1]
-        for i2 in range(up2[a - 1], top + 1, up2[a - 1]):
-            if vacancy2(at, L, nu, a, i2) < 0:
-                return False
-            if (
-                at.family == "A2dag"
-                and a == n
-                and (i2 // 2) % 2 == 1
-                and i2 in nu[a - 1]
-                and vacancy2(at, L, nu, a, i2) < 2
-            ):
-                return False
-    return True
+def is_admissible_config(at: AffineType, L: int, nu) -> bool:
+    """Every occupied length has room for a rigging.
+
+    Checking occupied lengths only is equivalent to checking every index.
+    """
+    return all(bx for _a, _i2, _m, bx in _occupied(at, L, nu))
 
 
 @lru_cache(maxsize=None)
@@ -232,36 +186,16 @@ def _multisets(values, m: int):
     yield from rec(0, m, [])
 
 
-def _rigging_choices(at: AffineType, L: int, nu, a: int, i2: int, m: int):
-    """All rigging multisets for the m strings of length i2 at node a."""
-    p2 = vacancy2(at, L, nu, a, i2)
-    if at.family == "A2dag" and a == at.n and (i2 // 2) % 2 == 1:
-        # half-odd riggings 1/2, 3/2, ..., p - 1/2 on every string
-        vals = range(1, p2, 2)
-    else:
-        vals = range(0, p2 + 1, 2)
-    return list(_multisets(list(vals), m))
-
-
 def enumerate_rc(at: AffineType, lam, L: int):
     """All rigged configurations for the weight lam, in normal form."""
     out = []
     for nu in enumerate_configs(at, lam, L):
-        groups = []  # (a, i2, m)
-        for a in range(1, at.n + 1):
-            seen = {}
-            for x2 in nu[a - 1]:
-                seen[x2] = seen.get(x2, 0) + 1
-            for i2 in sorted(seen, reverse=True):
-                groups.append((a, i2, seen[i2]))
-        choice_lists = [
-            _rigging_choices(at, L, nu, a, i2, m) for a, i2, m in groups
-        ]
+        groups = list(_occupied(at, L, nu))
+        choice_lists = [list(_multisets(bx, m)) for _a, _i2, m, bx in groups]
         for picks in product(*choice_lists):
             nodes = [[] for _ in range(at.n)]
-            for (a, i2, _m), rigs in zip(groups, picks):
-                for rg in rigs:
-                    nodes[a - 1].append((i2, rg))
+            for (a, i2, _m, _bx), rigs in zip(groups, picks):
+                nodes[a - 1].extend((i2, rg) for rg in rigs)
             rc = tuple(
                 tuple(sorted(node, reverse=True)) for node in nodes
             )
@@ -270,27 +204,24 @@ def enumerate_rc(at: AffineType, lam, L: int):
 
 
 def validate_rc(at: AffineType, lam, L: int, rc) -> None:
-    """Assert every structural invariant; raises AssertionError on failure."""
+    """Check every structural invariant; raises InvalidRC on failure."""
     nu = config_of(rc)
-    kd = kac_data(at)
-    areas = node_areas(at, lam, L)
-    assert areas is not None, "no configurations exist for this weight"
+    up2 = kac_data(at).up2
+    sizes = normalized_sizes(at, lam, L)
+    if sizes is None:
+        raise InvalidRC("no configurations exist for this weight")
     for a in range(1, at.n + 1):
-        assert sum(nu[a - 1]) == areas[a - 1], "size constraint violated"
-        for ln in nu[a - 1]:
-            assert ln > 0 and ln % kd.up2[a - 1] == 0, "length off lattice"
-    assert is_admissible_config(at, L, nu), "inadmissible configuration"
+        if sum(nu[a - 1]) != sizes[a - 1] * up2[a - 1]:
+            raise InvalidRC("size constraint violated")
+        if any(ln <= 0 or ln % up2[a - 1] for ln in nu[a - 1]):
+            raise InvalidRC("length off lattice")
+    boxes = {(a, i2): bx for a, i2, _m, bx in _occupied(at, L, nu)}
+    if not all(boxes.values()):
+        raise InvalidRC("inadmissible configuration")
     for a in range(1, at.n + 1):
-        for i2, rigs in _strings_by_len(rc[a - 1]).items():
-            p2 = vacancy2(at, L, nu, a, i2)
-            odd = (
-                at.family == "A2dag" and a == at.n and (i2 // 2) % 2 == 1
-            )
-            for rg in rigs:
-                if odd:
-                    assert rg % 2 == 1 and 1 <= rg <= p2 - 1, "bad odd rigging"
-                else:
-                    assert rg % 2 == 0 and 0 <= rg <= p2, "rigging out of box"
+        for ln, rg in rc[a - 1]:
+            if rg not in boxes[a, ln]:
+                raise InvalidRC("rigging out of box")
 
 
 def cc2_config(at: AffineType, nu) -> int:
@@ -350,23 +281,24 @@ def rc_genfun(at: AffineType, lam, L: int) -> QPoly:
 def fermionic_m(at: AffineType, lam, L: int) -> QPoly:
     """The fermionic sum: q^cc times a product of Gaussian binomials.
 
-    For A2dag the closed binomial form is not part of this artifact; the
-    rigged-configuration generating function is returned instead.
+    Each admissible configuration contributes q^cc of its configuration
+    times, for every occupied length, the generating function of rigging
+    multisets drawn from the box: with m strings and a box of k values
+    starting at s (doubled), that is q^(t^vee m s / 2) times
+    [k - 1 + m choose m] at q^(t^vee).  Only A2dag's half-odd boxes have
+    s > 0.  The result is computed independently of rc_genfun.
     """
-    if at.family == "A2dag":
-        return rc_genfun(at, lam, L)
-    kd = kac_data(at)
+    t_vee = kac_data(at).t_vee
     total = QPoly.zero()
     for nu in enumerate_configs(at, lam, L):
-        term = QPoly.q_power(cc2_config(at, nu))
-        for a in range(1, at.n + 1):
-            seen = {}
-            for x2 in nu[a - 1]:
-                seen[x2] = seen.get(x2, 0) + 1
-            for i2, m in seen.items():
-                p2 = vacancy2(at, L, nu, a, i2)
-                assert p2 % 2 == 0
-                term = term * qbinom(p2 // 2, m, kd.t_vee[a - 1])
+        e2 = cc2_config(at, nu)
+        binoms = []
+        for a, _i2, m, bx in _occupied(at, L, nu):
+            e2 += t_vee[a - 1] * m * bx.start
+            binoms.append(qbinom(len(bx) - 1, m, t_vee[a - 1]))
+        term = QPoly.q_power(e2)
+        for binom in binoms:
+            term = term * binom
         total = total + term
     return total
 

@@ -1,0 +1,176 @@
+"""Test-only oracles: slow or independent reimplementations to compare against.
+
+Nothing in the package imports this module.  Each oracle computes the same
+quantity as a production function by a different route (brute force, a
+hand-written per-family formula, exact Fractions), so agreement is evidence
+that both are right.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from rcbij.bijection import NoPreimage, delta
+from rcbij.cartan import AffineType, form2_matrix, kac_data, simple_root_vectors
+from rcbij.crystal import (
+    arrows,
+    eps_letter,
+    is_classically_highest,
+    letters,
+    phi_letter,
+    wt_letter,
+    wt_path,
+)
+from rcbij.rc import enumerate_rc, vacancy2
+
+
+def vacancy2_by_family(at: AffineType, L: int, nu, a: int, i2: int) -> int:
+    """Doubled vacancy number from the hand-written per-family formulas."""
+    n = at.n
+    up2 = kac_data(at).up2
+    if i2 <= 0 or i2 % up2[a - 1] != 0:
+        raise ValueError("index %d not on the node-%d lattice" % (i2, a))
+
+    def Q(b):
+        return sum(min(x, i2) for x in nu[b - 1]) if 1 <= b <= n else 0
+
+    fam = at.family
+    base = 2 * L if a == 1 else 0
+    if fam == "A1":
+        return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
+    if fam == "D1":
+        if a <= n - 3:
+            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
+        if a == n - 2:
+            return base + Q(n - 3) - 2 * Q(n - 2) + Q(n - 1) + Q(n)
+        return base + Q(n - 2) - 2 * Q(a)
+    if fam == "B1":
+        if a <= n - 2:
+            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
+        if a == n - 1:
+            return base + Q(n - 2) - 2 * Q(n - 1) + 2 * Q(n)
+        return base + 2 * Q(n - 1) - 4 * Q(n)
+    if fam in ("C1", "A2", "A2dag"):
+        if a < n:
+            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
+        return base + Q(n - 1) - Q(n)
+    if fam == "A2odd":
+        if a <= n - 2:
+            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
+        if a == n - 1:
+            return base + Q(n - 2) - 2 * Q(n - 1) + 2 * Q(n)
+        return base + Q(n - 1) - 2 * Q(n)
+    if fam == "D2":
+        if a < n:
+            return base + Q(a - 1) - 2 * Q(a) + Q(a + 1)
+        return base + 2 * Q(n - 1) - 2 * Q(n)
+    raise ValueError(fam)
+
+
+def vacancy2_general(at: AffineType, L: int, nu, a: int, i2: int):
+    """The general vacancy formula, doubled, in exact Fractions.
+
+    p_i^(a) = sum_k L_k^(a) min(i,k)
+              - (1/t_a^vee) sum_b (a~_a|a~_b) min(t_b i, t_a k) m_k^(b)
+    in normalized indices, returned as a Fraction of the doubled value.
+    """
+    kd = kac_data(at)
+    form2 = form2_matrix(at)
+    n = at.n
+    i_norm = Fraction(i2, kd.up2[a - 1])
+    total = Fraction(L) * min(i_norm, 1) if a == 1 else Fraction(0)
+    acc = Fraction(0)
+    for b in range(1, n + 1):
+        fb = form2[a - 1][b - 1]
+        if fb == 0:
+            continue
+        tb, ta = kd.t_lat[b - 1], kd.t_lat[a - 1]
+        for x2 in nu[b - 1]:
+            k_norm = Fraction(x2, kd.up2[b - 1])
+            acc += Fraction(fb, 2) * min(tb * i_norm, ta * k_norm)
+    total -= acc / kd.t_vee[a - 1]
+    return 2 * total
+
+
+def is_admissible_config_full(at: AffineType, L: int, nu) -> bool:
+    """Admissibility checked on every lattice index up to the longest string.
+
+    For A2dag an occupied odd length at the last node needs vacancy >= 1,
+    so that its half-odd riggings have room.
+    """
+    n = at.n
+    up2 = kac_data(at).up2
+    for a in range(1, n + 1):
+        top = max(nu[a - 1], default=0) + up2[a - 1]
+        for i2 in range(up2[a - 1], top + 1, up2[a - 1]):
+            if vacancy2(at, L, nu, a, i2) < 0:
+                return False
+            if (
+                at.family == "A2dag"
+                and a == n
+                and (i2 // 2) % 2 == 1
+                and i2 in nu[a - 1]
+                and vacancy2(at, L, nu, a, i2) < 2
+            ):
+                return False
+    return True
+
+
+def delta_inverse_bruteforce(at: AffineType, b, rho, L_small: int, rc_small):
+    """Enumerate the whole target cell and filter by delta output."""
+    lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
+    L = L_small + 1
+    matches = [
+        rc
+        for rc in enumerate_rc(at, lam, L)
+        if delta(at, lam, L, rc)[:2] == (b, rc_small)
+    ]
+    if len(matches) != 1:
+        raise NoPreimage(
+            "expected exactly one preimage, found %d" % len(matches)
+        )
+    return matches[0]
+
+
+def enumerate_highest_bruteforce(at: AffineType, lam, L: int):
+    """Filter every word by weight and the highest-weight condition."""
+    lam = tuple(lam)
+    out = []
+    for word in product(letters(at), repeat=L):
+        if wt_path(at, word) != lam:
+            continue
+        if is_classically_highest(at, word):
+            out.append(word)
+    return tuple(sorted(out))
+
+
+def eps_phi_word(at: AffineType, i: int, word):
+    """(eps_i, phi_i) of a tensor word, by the two-factor composition rule."""
+    ev, pv = 0, 0
+    for b in reversed(word):  # fold right to left: x tensor (rest)
+        eb, pb = eps_letter(at, i, b), phi_letter(at, i, b)
+        ev, pv = ev + max(0, eb - pv), pb + max(0, pv - eb)
+    return ev, pv
+
+
+def zero_step_vector(at: AffineType) -> tuple:
+    """The constant classical weight change along every 0-arrow."""
+    f, _ = arrows(at)
+    steps = {
+        tuple(x - y for x, y in zip(wt_letter(at, v), wt_letter(at, b)))
+        for b, v in f[0].items()
+    }
+    assert len(steps) == 1, "0-arrows do not share a weight step"
+    return next(iter(steps))
+
+
+def classical_weight_steps_ok(at: AffineType) -> bool:
+    """Check wt(f_i(b)) = wt(b) - alpha_i for every classical arrow."""
+    f, _ = arrows(at)
+    roots = simple_root_vectors(at, which="gbar")
+    for i in range(1, at.n + 1):
+        alpha = roots[i - 1]
+        for b, v in f[i].items():
+            d = tuple(x - y for x, y in zip(wt_letter(at, b), wt_letter(at, v)))
+            if d != alpha:
+                return False
+    return True

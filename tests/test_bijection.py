@@ -9,14 +9,13 @@ from rcbij.bijection import (
     NoPreimage,
     delta,
     delta_inverse,
-    delta_inverse_bruteforce,
     phi,
     phi_inverse,
     phi_tilde,
     phi_tilde_inverse,
-    rank_and_delta,
     verify_delta_identities,
 )
+from oracles import delta_inverse_bruteforce
 
 SMALL_GRID = [at for at in GRID_TYPES if at.n <= 3]
 
@@ -52,12 +51,6 @@ def test_delta_frozen_C2_step():
     assert rc2 == empty_rc(at)
     assert tr.ell == (2, 2) and tr.ellbar == (4, 4)
     assert tr.cases == ("S", "S")
-
-
-def test_rank_and_delta_alias():
-    at = AffineType("C1", 2)
-    rc = (((4, 0),), ((4, 0),))
-    assert rank_and_delta(at, rc, (1, 0), 3) == delta(at, (1, 0), 3, rc)
 
 
 def test_delta_well_defined_over_grid():

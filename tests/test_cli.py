@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 from rcbij.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(argv, stdin_text=None):
@@ -111,11 +116,32 @@ def test_graph_dot():
     assert '"3" -> "-4" [label="4"];' in out
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert main(["x", "--type", "C1", "--n", "2"]) == 2  # missing weight
     assert main(["nonsense"]) == 2
     assert main(["x", "--type", "B1", "--n", "2", "--len", "1",
                  "--weight", "0,0"]) == 2  # rank below range
+    capsys.readouterr()
+    # input errors give one error line and exit 2, never a traceback
+    assert main(["x", "--type", "C1", "--n", "2", "--weight", "1,0"]) == 2
+    for word in (["5"], ["E"], ["1", "2"]):  # no letter; no letter; not highest
+        blob = json.dumps({"type": "C1", "n": 2, "word": word})
+        assert run(["map", "--dir", "path2rc"], stdin_text=blob)[0] == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(ln.startswith("error: ") for ln in lines)
+
+
+def test_verify_same_under_optimize():
+    # results must not depend on assert statements
+    argv = ["-m", "rcbij", "verify", "--type", "A1", "--n", "2",
+            "--max-len", "4"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    plain = subprocess.run([sys.executable] + argv, env=env,
+                           capture_output=True, text=True, timeout=300)
+    opt = subprocess.run([sys.executable, "-O"] + argv, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert plain.returncode == opt.returncode == 0, opt.stderr
+    assert opt.stdout == plain.stdout
 
 
 def test_relax_rank_flag():
