@@ -31,6 +31,11 @@ def normalized_sizes(at: AffineType, lam, L: int):
     the linear system has no nonnegative integer solution, i.e. there are
     no configurations (and no paths) for this weight at all.
     """
+    return _normalized_sizes(at, tuple(lam), L)
+
+
+@lru_cache(maxsize=None)
+def _normalized_sizes(at: AffineType, lam: tuple, L: int):
     c = iota_image(at, lam, L)
     out = []
     for x in c:
@@ -328,6 +333,8 @@ def rc_from_json(data: dict):
     nodes = [[] for _ in range(at.n)]
     for entry in data["nu"]:
         a = entry["a"]
+        if not 1 <= a <= at.n:
+            raise InvalidRC("node index %r outside 1..%d" % (a, at.n))
         for s in entry["strings"]:
             nodes[a - 1].append((s["len2"], s["rig2"]))
     rc = tuple(tuple(sorted(node, reverse=True)) for node in nodes)

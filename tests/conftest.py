@@ -4,21 +4,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rcbij.cartan import AffineType  # noqa: E402
+from rcbij.verify import BATTERY  # noqa: E402
 
-# The verification grid: every nonexceptional family at desk-scale ranks.
-GRID_TYPES = [
-    AffineType("A1", 1),
-    AffineType("A1", 2),
-    AffineType("A1", 3),
-    AffineType("B1", 3),
-    AffineType("C1", 2),
-    AffineType("C1", 3),
-    AffineType("D1", 4),
-    AffineType("A2", 1),
-    AffineType("A2", 2),
-    AffineType("A2dag", 1),
-    AffineType("A2dag", 2),
-    AffineType("A2odd", 2),
-    AffineType("D2", 2),
-    AffineType("D2", 3),
-]
+# The verification grid: the default battery of ``rcbij verify``.
+GRID_TYPES = [AffineType(fam, n) for fam, n in BATTERY]

@@ -127,8 +127,26 @@ def test_usage_errors(capsys):
     for word in (["5"], ["E"], ["1", "2"]):  # no letter; no letter; not highest
         blob = json.dumps({"type": "C1", "n": 2, "word": word})
         assert run(["map", "--dir", "path2rc"], stdin_text=blob)[0] == 2
+    cell = ["--type", "C1", "--n", "2", "--len", "3"]
+    for cmd in ("x", "m", "f", "rc-enum", "path-enum"):  # not dominant
+        assert main([cmd] + cell + ["--weight", "0,1"]) == 2
+    assert main(["m"] + cell + ["--weight", "1,x"]) == 2  # not an integer
+    assert main(["m", "--type", "C1", "--n", "2", "--len", "-1",
+                 "--weight", "1,0"]) == 2  # negative length
+    assert main(["verify", "--type", "C1"]) == 2  # no --n
+    assert main(["verify", "--n", "2"]) == 2  # no --type
+    rc = {"type": "C1", "n": 2, "L": 3, "lambda": [1, 0],
+          "nu": [{"a": 1, "strings": [{"len2": 4, "rig2": 2}]},
+                 {"a": 2, "strings": [{"len2": 4, "rig2": 0}]}]}
+    bad = [dict(rc, **{"lambda": lam}) for lam in ([0, 1], [1, 0, 0])]
+    for a in (0, 3):  # node index outside 1..n
+        nu = [rc["nu"][0], dict(rc["nu"][1], a=a)]
+        bad.append(dict(rc, nu=nu))
+    for blob in bad:
+        code = run(["map", "--dir", "rc2path"], stdin_text=json.dumps(blob))[0]
+        assert code == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 4 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 17 and all(ln.startswith("error: ") for ln in lines)
 
 
 def test_verify_same_under_optimize():

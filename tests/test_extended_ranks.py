@@ -8,11 +8,10 @@ quasi-singular when the return scan died out).
 """
 
 from conftest import GRID_TYPES  # noqa: F401  (import keeps sys.path set)
-from rcbij.cartan import AffineType, dominant_weights
-from rcbij.crystal import enumerate_highest, wt_letter
-from rcbij.energy import dbar, xbar
-from rcbij.rc import cc2_total, enumerate_rc, rc_genfun
-from rcbij.bijection import delta, delta_inverse, phi, phi_tilde
+from rcbij.cartan import AffineType
+from rcbij.crystal import wt_letter
+from rcbij.bijection import delta, delta_inverse
+from rcbij.verify import cells_for, verify_cell
 
 EXTENDED = [
     AffineType("A1", 4),
@@ -66,37 +65,12 @@ def test_b_double_selection_frozen_steps():
 def test_b_double_selection_cells():
     at = AffineType("B1", 3)
     for lam in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
-        L = 6
-        rcs = enumerate_rc(at, lam, L)
-        paths = set(enumerate_highest(at, lam, L))
-        assert xbar(at, lam, L) == rc_genfun(at, lam, L)
-        images = set()
-        for rc in rcs:
-            images.add(phi(at, lam, L, rc))
-            assert cc2_total(at, rc) == 2 * dbar(
-                at, phi_tilde(at, lam, L, rc)
-            )
-        assert images == paths and len(images) == len(rcs)
+        ok, _row, failure = verify_cell(at, lam, 6)
+        assert ok, (lam, failure)
 
 
 def test_extended_ranks_full_checks():
     for at in EXTENDED:
-        for L in range(0, 5):
-            for lam in dominant_weights(at, L):
-                rcs = enumerate_rc(at, lam, L)
-                paths = set(enumerate_highest(at, lam, L))
-                assert len(rcs) == len(paths), (at, lam, L)
-                assert xbar(at, lam, L) == rc_genfun(at, lam, L), (at, lam, L)
-                images = set()
-                for rc in rcs:
-                    images.add(phi(at, lam, L, rc))
-                    assert cc2_total(at, rc) == 2 * dbar(
-                        at, phi_tilde(at, lam, L, rc)
-                    ), (at, lam, L, rc)
-                    if L >= 1:
-                        b, small, _tr = delta(at, lam, L, rc)
-                        rho = tuple(
-                            x - y for x, y in zip(lam, wt_letter(at, b))
-                        )
-                        assert delta_inverse(at, b, rho, L - 1, small) == rc
-                assert images == paths, (at, lam, L)
+        for cell in cells_for(at, 4):
+            ok, _row, failure = verify_cell(*cell)
+            assert ok, (cell, failure)

@@ -1,0 +1,56 @@
+"""Faults planted in one layer, as ``rcbij.verify`` sees it, are caught."""
+
+import json
+
+import pytest
+
+from rcbij import verify
+from rcbij.cartan import AffineType
+from rcbij.cli import main
+from rcbij.qpoly import QPoly
+from rcbij.rc import enumerate_rc, rc_from_json, rc_to_json
+
+# several configurations and a removal step each
+CELL = (AffineType("C1", 2), (1, 0), 3)
+
+# (layer, how to break it given the real function, the check that fails)
+PLANTED = [
+    ("rc_genfun", lambda f: lambda *a: f(*a) + QPoly.one(), "xbar=rc_genfun"),
+    ("fermionic_m", lambda f: lambda *a: f(*a) + QPoly.one(),
+     "fermionic_m=rc_genfun"),
+    ("enumerate_highest", lambda f: lambda *a: f(*a)[1:], "|rc|=|paths|"),
+    ("phi", lambda f: lambda *a: (), "phi"),
+    ("dbar", lambda f: lambda *a: f(*a) + 1, "cc=2dbar"),
+    ("delta_inverse", lambda f: lambda *a: (), "delta_inverse"),
+    ("phi_inverse", lambda f: lambda *a: (), "phi_inverse"),
+]
+
+
+@pytest.mark.parametrize("layer,breaker,check", PLANTED)
+def test_planted_fault_names_its_check(monkeypatch, layer, breaker, check):
+    monkeypatch.setattr(verify, layer, breaker(getattr(verify, layer)))
+    ok, _row, failure = verify.verify_cell(*CELL)
+    assert not ok and failure["check"] == check
+    if verify.CHECKS.index(check) < verify.CHECKS.index("phi"):
+        assert failure["rc"] is None
+        return
+    at, lam, L, rc = rc_from_json(failure["rc"])
+    assert (at, lam, L) == CELL
+    assert rc in enumerate_rc(*CELL)
+    assert rc_to_json(at, lam, L, rc) == failure["rc"]
+
+
+def test_verify_writes_failure_record(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(verify, "dbar", lambda at, word: 99)
+    gridfile = tmp_path / "grid.json"
+    gridfile.write_text(json.dumps(
+        {"cells": [{"type": "C1", "n": 2, "L": 3, "lambda": [1, 0]}]}
+    ))
+    assert main(["verify", "--grid", str(gridfile)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].endswith("\tNO")
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert list(record) == ["type", "n", "L", "lambda", "check", "rc"]
+    assert record["check"] == "cc=2dbar"
+    assert record["rc"]["lambda"] == [1, 0]
