@@ -6,6 +6,10 @@ their riggings.  Iterating it gives the bijection onto classically
 restricted paths; composing with rigging complementation gives the
 statistic-preserving variant.
 
+delta_inverse adds the boxes back: the same scans run in reverse over the
+smaller configuration, with the same case flags, choose the strings to
+lengthen, and one forward delta on the result checks it.
+
 Traces record the selected lengths (doubled, INF when undefined) and the
 case flags, which is what the change-of-vacancy and change-of-statistic
 identities are stated in terms of.
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import AffineType, is_dominant, kac_data
-from .crystal import EMPTY, wt_letter
+from .crystal import EMPTY, letters, wt_letter
 from .energy import local_hbar
 from .rc import (
     INF,
@@ -26,7 +30,6 @@ from .rc import (
     cc2_total,
     complement,
     config_of,
-    normalized_sizes,
     validate_rc,
     vacancy2,
 )
@@ -339,7 +342,9 @@ def delta(at: AffineType, lam, L: int, rc):
     if b == 0 and fam != "A1" and lam[n - 1] <= 0:
         raise InvalidRC("zero letter extracted at lambda_n = 0")
 
-    rc2 = _apply_removals(at, L, rc, removals)
+    rc2 = _move_strings(
+        at, rc, L, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
+    )
     validate_rc(at, rho, L - 1, rc2)
     trace = DeltaTrace(
         ell=tuple(ell.get(a, INF) for a in range(1, n + 1)),
@@ -350,35 +355,32 @@ def delta(at: AffineType, lam, L: int, rc):
     return b, rc2, trace
 
 
-def _config_with(nodes, grown):
-    """Configuration of nodes (lists of pairs) plus the (a, len2, ...) in grown."""
-    return tuple(
-        tuple(
-            sorted(
-                [ln for ln, _ in node] + [g[1] for g in grown if g[0] == a],
-                reverse=True,
-            )
-        )
-        for a, node in enumerate(nodes, 1)
-    )
+def _move_strings(at, rc, L, L2, moves):
+    """Replace strings of rc (at length L) by strings with new riggings.
 
-
-def _apply_removals(at, L, rc, removals):
-    """Shorten the selected strings and assign the prescribed riggings."""
+    A move is (node, len2 or 0 for no old string, the old rigging's offset
+    below the vacancy or None for the largest rigging of that length, new
+    len2 or 0 for no new string, the new rigging's offset below the vacancy
+    of the result at length L2).
+    """
     nu = config_of(rc)
     nodes = [list(node) for node in rc]
-    pending = []  # (a, new_len2, new rigging's offset)
-    for a, len2, old_off, shrink2, new_off in removals:
+    for a, len2, old_off, _new_len2, _new_off in moves:
+        if not len2:
+            continue
         if old_off is None:
-            want = max(r for ln, r in nodes[a - 1] if ln == len2)
+            rig = max(r for ln, r in nodes[a - 1] if ln == len2)
         else:
-            want = vacancy2(at, L, nu, a, len2) - old_off
-        nodes[a - 1].remove((len2, want))
-        if len2 > shrink2:
-            pending.append((a, len2 - shrink2, new_off))
-    nu2 = _config_with(nodes, pending)
-    for a, len2, off in pending:
-        nodes[a - 1].append((len2, vacancy2(at, L - 1, nu2, a, len2) - off))
+            rig = vacancy2(at, L, nu, a, len2) - old_off
+        nodes[a - 1].remove((len2, rig))
+    grown = [m for m in moves if m[3] > 0]
+    nu2 = tuple(
+        tuple(sorted([ln for ln, _ in node] + [m[3] for m in grown if m[0] == a],
+                     reverse=True))
+        for a, node in enumerate(nodes, 1)
+    )
+    for a, _len2, _old_off, len2, off in grown:
+        nodes[a - 1].append((len2, vacancy2(at, L2, nu2, a, len2) - off))
     return tuple(tuple(sorted(node, reverse=True)) for node in nodes)
 
 
@@ -390,7 +392,8 @@ def phi(at: AffineType, lam, L: int, rc):
         b, cur_rc, _tr = delta(at, cur_lam, step, cur_rc)
         word.append(b)
         cur_lam = _rank_weight(at, cur_lam, b)
-    assert all(x == 0 for x in cur_lam), "letters do not exhaust the weight"
+    if any(cur_lam):
+        raise InvalidRC("letters do not exhaust the weight")
     return tuple(word)
 
 
@@ -399,136 +402,186 @@ def phi_tilde(at: AffineType, lam, L: int, rc):
     return phi(at, lam, L, complement(at, L, rc))
 
 
-def _letter_budget_moves(node_pairs, budget, up2):
-    """All ways to lengthen strings of one node by `budget` lattice steps.
+# Doubled offset below the vacancy of the rigging delta takes as
+# quasi-singular at the last node: a whole unit for B1 and D2; for A2dag
+# the top of a half-odd box, whose doubled vacancy is even.
+_QUASI2 = {"B1": 2, "D2": 2, "A2dag": 1}
 
-    Yields lists of (pair_or_None, new_len2); None means a new string.
+
+class _Fill:
+    """Shared helpers for one delta_inverse run on rc_small.
+
+    additions holds records shaped like delta's removals: (node, len2 in
+    rc_small or 0 for a new string, its rigging's offset below the small
+    vacancy, grow2, the new rigging's offset below the large vacancy).
+    A string taken once is not free for a later choice at its node.
     """
-    if budget == 0:
-        yield []
-        return
-    choices = sorted(set(node_pairs), reverse=True)
-    if budget == 1:
-        for p in choices:
-            yield [(p, p[0] + up2)]
-        yield [(None, up2)]
-        return
-    if budget == 2:
-        for p in choices:
-            yield [(p, p[0] + 2 * up2)]
-        yield [(None, 2 * up2)]
-        for i, p in enumerate(choices):
-            for q in choices[i:]:
-                if p == q and node_pairs.count(p) < 2:
-                    continue
-                yield [(p, p[0] + up2), (q, q[0] + up2)]
-        yield from ([(p, p[0] + up2), (None, up2)] for p in choices)
-        yield [(None, up2), (None, up2)]
-        return
-    raise AssertionError("budget out of range: %d" % budget)
+
+    def __init__(self, at, L_small, rc_small):
+        self.at = at
+        self.L = L_small
+        self.nu = config_of(rc_small)
+        self.by = [_strings_by_len(node) for node in rc_small]
+        self.additions = []
+
+    def free(self, a, i2, off):
+        """A string of length i2 at node a, off below its vacancy, untaken."""
+        rig = vacancy2(self.at, self.L, self.nu, a, i2) - off
+        taken = sum(1 for r in self.additions if r[:3] == (a, i2, off))
+        return self.by[a - 1].get(i2, []).count(rig) > taken
+
+    def longest(self, a, hi, off=0):
+        """Longest len2 <= hi at node a with a free string off below, or 0."""
+        for i2 in sorted(self.by[a - 1], reverse=True):
+            if i2 <= hi and self.free(a, i2, off):
+                return i2
+        return 0
+
+    def chain(self, nodes, hi):
+        """The standard rule backwards, node after node.
+
+        Each node's longest singular string no longer than the last one
+        taken (or a new string) gains a column and stays singular.
+        """
+        for a in nodes:
+            hi = self.longest(a, hi)
+            self.additions.append((a, hi, 0, 2, 0))
+        return hi
+
+    def merge_back(self, hi, outward):
+        """The return half for case S at node n of C1, A2, D2 and A2dag.
+
+        outward maps a node to the index of its record from the outward
+        scan.  Where that string is as long as the bound, delta had merged
+        both selections into it (case S), so it gains a second column.
+        """
+        for a in range(self.at.n - 1, 0, -1):
+            rec = self.additions[outward[a]] if a in outward else None
+            if rec and rec[1] == hi:
+                self.additions[outward[a]] = rec[:3] + (4,) + rec[4:]
+            else:
+                hi = self.chain((a,), hi)
 
 
-def _old_rig_values(at, a, len2, p2):
-    """Possible riggings of a string about to be selected by delta.
+def _last_node_quasi(fs, at, hi, outward):
+    """Node n of B1, D2 and A2dag: case Q, QS or S, then the way back.
 
-    That is the top of its box, or for B1 and D2 at the last node, where
-    delta also selects quasi-singular strings, the top two values.
+    hi is the bound the outward scan left, or None for the zero letter,
+    where case Q stands alone.
     """
-    top = box(at, a, len2, p2)[::-1]
-    return list(top[:2] if at.family in ("B1", "D2") and a == at.n else top[:1])
+    n = at.n
+    b1 = at.family == "B1"
+    up = kac_data(at).up2[n - 1]  # one box: half a column for B1
+    quasi = _QUASI2[at.family]
+    s = fs.longest(n, INF if hi is None else hi)
+    if hi is not None:
+        if b1 and hi < INF and fs.free(n, hi + 1, 0):
+            # QS where ellbar^(n) = ellbar^(n-1) left the second string
+            # singular (the Qprime rigging)
+            t, toff = hi + 1, 0
+        else:
+            t, toff = fs.longest(n, hi, quasi), quasi
+        if t <= s:  # case S: the singular string gains two boxes
+            fs.additions.append((n, s, 0, 2 * up, 0))
+            if b1:
+                fs.chain(range(n - 1, 0, -1), s)
+            else:
+                fs.merge_back(s, outward)
+            return
+        fs.additions.append((n, t, toff, up, 0))  # case QS: the second string
+    # case Q: the singular string gains a box and was quasi-singular, except
+    # for B1 one half box below ell^(n-1), where delta takes it singular
+    below = range(n - 1, 0, -1)
+    s1 = fs.chain(below[:1], s)
+    fs.additions.append((n, s, 0, up, 0 if b1 and s1 == s else quasi))
+    fs.chain(below[1:], s1)
+
+
+def _reverse_scan(at, b, fs):
+    """Fill fs.additions with the records that undo a delta step giving b.
+
+    The letter tells where delta's scans stopped.  From there the scans
+    run backwards: forward, each selected length bounds the next from
+    below, so backwards each choice bounds the next from above.
+    """
+    n = at.n
+    fam = at.family
+    if b == EMPTY:  # case P: a singular string of length one at every node
+        fs.chain(range(n, 0, -1), 0)
+        return
+    if b > 0:  # the forward scan stopped at node b
+        fs.chain(range(b - 1, 0, -1), INF)
+        return
+    if b == 0:
+        _last_node_quasi(fs, at, None, {})
+        return
+    # b = -k: the return scan stopped below node k; run it outwards first
+    if fam == "D1" and b == -n:  # only node n of the fork was selected
+        fs.chain((n,) + tuple(range(n - 2, 0, -1)), INF)
+        return
+    outward = {}
+    hi = INF
+    for a in range(-b, n - 1 if fam == "D1" else n):
+        outward[a] = len(fs.additions)
+        hi = fs.chain((a,), hi)
+    if fam == "D1":  # both fork nodes, then below the shorter of the two
+        fs.chain(range(n - 2, 0, -1),
+                 min(fs.chain((n - 1,), hi), fs.chain((n,), hi)))
+    elif fam == "A2odd":  # one string at node n, selected by both scans
+        fs.chain(range(n, 0, -1), hi)
+    elif fam in _QUASI2:
+        _last_node_quasi(fs, at, hi, outward)
+    else:  # C1, A2: case S at node n
+        s = fs.longest(n, hi)
+        fs.additions.append((n, s, 0, 4, 0))
+        fs.merge_back(s, outward)
 
 
 def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
     """The unique rc with rank b mapping to rc_small; raises NoPreimage.
 
-    Implemented as a complete search over the reverse moves: per node the
-    number of lattice steps to add is pinned by the size constraints, the
-    lengthened strings must carry the rigging delta is allowed to select,
-    and the forward map filters the handful of candidates.
+    The reverse scan runs delta's scans backwards: node by node it takes
+    the longest singular string of rc_small within the bound the previous
+    node set, or a new string, with delta's S, Q, QS and P cases mirrored,
+    and lengthens the chosen strings.  The result must be a valid rigged
+    configuration that delta maps back to (b, rc_small); otherwise there
+    is no preimage.
     """
+    if b not in letters(at):
+        raise NoPreimage("%r is not a letter of %s" % (b, at))
     lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
     L = L_small + 1
-    n = at.n
     if not is_dominant(at, lam):
         raise NoPreimage("letter not appendable: weight not dominant")
-    if b == 0 and at.family != "A1" and lam[n - 1] <= 0:
+    if b == 0 and at.family != "A1" and lam[at.n - 1] <= 0:
         raise NoPreimage("zero letter needs lambda_n > 0")
-    c_big = normalized_sizes(at, lam, L)
-    c_small = normalized_sizes(at, rho, L_small)
-    if c_big is None or c_small is None:
-        raise NoPreimage("size constraints unsolvable")
-    budgets = [x - y for x, y in zip(c_big, c_small)]
-    if any(x < 0 or x > 2 for x in budgets):
-        raise NoPreimage("impossible box budget %r" % (budgets,))
-    kd = kac_data(at)
-    per_node = [
-        list(
-            _letter_budget_moves(list(rc_small[a]), budgets[a], kd.up2[a])
-        )
-        for a in range(n)
-    ]
-    matches = []
-    seen = set()
-    from itertools import product
-
-    for combo in product(*per_node):
-        nodes = [list(rc_small[a]) for a in range(n)]
-        grown = []  # (a, new_len2)
-        for a in range(n):
-            for pair, new_len2 in combo[a]:
-                if pair is not None:
-                    nodes[a].remove(pair)
-                grown.append((a + 1, new_len2))
-        ok = True
-        nu_cand = _config_with(nodes, grown)
-        rig_options = []
-        for a, new_len2 in grown:
-            try:
-                p2 = vacancy2(at, L, nu_cand, a, new_len2)
-            except ValueError:
-                ok = False
-                break
-            vals = _old_rig_values(at, a, new_len2, p2)
-            if not vals:
-                ok = False
-                break
-            rig_options.append(vals)
-        if not ok:
-            continue
-        for rig_pick in product(*rig_options):
-            cand_nodes = [list(nodes[a]) for a in range(n)]
-            for (a, new_len2), rig in zip(grown, rig_pick):
-                cand_nodes[a - 1].append((new_len2, rig))
-            cand = tuple(
-                tuple(sorted(node, reverse=True)) for node in cand_nodes
-            )
-            if cand in seen:
-                continue
-            seen.add(cand)
-            try:
-                validate_rc(at, lam, L, cand)
-            except InvalidRC:
-                continue
-            bb, out, _tr = delta(at, lam, L, cand)
-            if bb == b and out == rc_small:
-                matches.append(cand)
-    if len(matches) != 1:
-        raise NoPreimage(
-            "expected exactly one preimage, found %d" % len(matches)
-        )
-    return matches[0]
+    fs = _Fill(at, L_small, rc_small)
+    _reverse_scan(at, b, fs)
+    try:
+        rc = _move_strings(at, rc_small, L_small, L, [
+            (a, i2, o, i2 + d2, p) for a, i2, o, d2, p in fs.additions
+        ])
+        validate_rc(at, lam, L, rc)
+        image = delta(at, lam, L, rc)[:2]
+    except InvalidRC as exc:
+        raise NoPreimage("box addition gives no preimage: %s" % exc)
+    if image != (b, rc_small):
+        raise NoPreimage("box addition does not invert delta")
+    return rc
 
 
 def phi_inverse(at: AffineType, lam, L: int, word):
     """Right-to-left fold of delta_inverse; inverse of phi."""
-    assert len(word) == L
+    if len(word) != L:
+        raise ValueError("word of length %d, expected %d" % (len(word), L))
     rc = tuple(tuple() for _ in range(at.n))
     rho = tuple([0] * at.weight_len)
     for j in range(L - 1, -1, -1):
         b = word[j]
         rc = delta_inverse(at, b, rho, L - 1 - j, rc)
         rho = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
-    assert rho == tuple(lam)
+    if rho != tuple(lam):
+        raise NoPreimage("the word's weight is not %r" % (tuple(lam),))
     return rc
 
 

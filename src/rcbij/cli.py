@@ -23,7 +23,7 @@ from .crystal import (
 )
 from .energy import dbar, local_hbar, xbar
 from .rc import (
-    InvalidRC,
+    _json_int,
     cc2_total,
     complement,
     enumerate_rc,
@@ -122,14 +122,25 @@ def cmd_path_enum(args) -> int:
     return 0
 
 
+def _stdin_object() -> dict:
+    """The JSON object on stdin; exit 2 on anything else."""
+    try:
+        data = json.load(sys.stdin)
+    except ValueError as exc:
+        _usage_error("stdin is not JSON: %s" % exc)
+    if not isinstance(data, dict):
+        _usage_error("map reads a JSON object, not %s" % type(data).__name__)
+    return data
+
+
 def cmd_map(args) -> int:
-    data = json.load(sys.stdin)
+    data = _stdin_object()
     if args.dir == "rc2path":
         try:
             at, lam, L, rc = rc_from_json(data)
             _check_cell(at, lam, L)
             validate_rc(at, lam, L, rc)
-        except InvalidRC as exc:
+        except ValueError as exc:  # InvalidRC, or an unknown family
             _usage_error("invalid rigged configuration: %s" % exc)
         fn = phi_tilde if args.tilde else phi
         word = fn(at, lam, L, rc)
@@ -146,12 +157,20 @@ def cmd_map(args) -> int:
             )
         )
         return 0
-    at = AffineType(data["type"], data["n"])
+    try:
+        at = AffineType(data["type"], _json_int(data["n"], "n"))
+        letters_in = data["word"]
+    except KeyError as exc:
+        _usage_error("invalid path: missing key %s" % exc)
+    except ValueError as exc:  # InvalidRC, or an unknown family
+        _usage_error("invalid path: %s" % exc)
+    if not isinstance(letters_in, list):
+        _usage_error("invalid path: the word is not a list of letters")
     known = {letter_str(b): b for b in letters(at)}
-    unknown = [s for s in data["word"] if str(s) not in known]
+    unknown = [s for s in letters_in if str(s) not in known]
     if unknown:
         _usage_error("%r is not a letter of %s" % (unknown[0], at))
-    word = tuple(known[str(s)] for s in data["word"])
+    word = tuple(known[str(s)] for s in letters_in)
     lam = wt_path(at, word)
     L = len(word)
     try:
@@ -176,19 +195,35 @@ def _run_cell(cell):
     return cell, ok, row, failure, time.monotonic() - t0
 
 
+def _grid_cells(path: str, relax_rank: bool):
+    """The cells of a grid file, each checked like a cell on the command line."""
+    cells = []
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)["cells"]
+        for entry in entries:
+            at = AffineType(entry["type"], _json_int(entry["n"], "n"),
+                            relax_rank=relax_rank)
+            if "lambda" not in entry:
+                cells.extend(cells_for(at, _json_int(entry["max_len"], "max_len")))
+                continue
+            lam = tuple(_json_int(x, "a lambda entry") for x in entry["lambda"])
+            L = _json_int(entry["L"], "L")
+            _check_cell(at, lam, L)
+            cells.append((at, lam, L))
+    except KeyError as exc:
+        _usage_error("grid file %s lacks the key %s" % (path, exc))
+    except (OSError, TypeError, ValueError) as exc:
+        _usage_error("bad grid file %s: %s" % (path, exc))
+    return cells
+
+
 def cmd_verify(args) -> int:
     if (args.type is None) != (args.n is None):
         _usage_error("verify takes --type and --n together")
     cells = []
     if args.grid:
-        with open(args.grid) as fh:
-            conf = json.load(fh)
-        for entry in conf["cells"]:
-            at = AffineType(entry["type"], entry["n"], relax_rank=args.relax_rank)
-            if "lambda" in entry:
-                cells.append((at, tuple(entry["lambda"]), entry["L"]))
-            else:
-                cells.extend(cells_for(at, entry["max_len"]))
+        cells.extend(_grid_cells(args.grid, args.relax_rank))
     elif args.type is not None:
         cells.extend(cells_for(_type_from_args(args), args.max_len))
     else:

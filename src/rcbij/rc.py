@@ -326,16 +326,34 @@ def rc_to_json(at: AffineType, lam, L: int, rc) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    if type(x) is not int:
+        raise InvalidRC("%s must be an integer, got %r" % (what, x))
+    return x
+
+
 def rc_from_json(data: dict):
-    at = AffineType(data["type"], data["n"])
-    lam = tuple(data["lambda"])
-    L = data["L"]
-    nodes = [[] for _ in range(at.n)]
-    for entry in data["nu"]:
-        a = entry["a"]
-        if not 1 <= a <= at.n:
-            raise InvalidRC("node index %r outside 1..%d" % (a, at.n))
-        for s in entry["strings"]:
-            nodes[a - 1].append((s["len2"], s["rig2"]))
+    """(type, weight, L, rc) of rigged-configuration JSON.
+
+    Raises InvalidRC on a missing key, a non-integer entry or a node index
+    outside 1..n, and ValueError on an unknown family.
+    """
+    try:
+        at = AffineType(data["type"], _json_int(data["n"], "n"))
+        lam = tuple(_json_int(x, "a lambda entry") for x in data["lambda"])
+        L = _json_int(data["L"], "L")
+        nodes = [[] for _ in range(at.n)]
+        for entry in data["nu"]:
+            a = _json_int(entry["a"], "a")
+            if not 1 <= a <= at.n:
+                raise InvalidRC("node index %r outside 1..%d" % (a, at.n))
+            for s in entry["strings"]:
+                nodes[a - 1].append(
+                    (_json_int(s["len2"], "len2"), _json_int(s["rig2"], "rig2"))
+                )
+    except KeyError as exc:
+        raise InvalidRC("missing key %s" % exc)
+    except TypeError as exc:
+        raise InvalidRC("malformed JSON: %s" % exc)
     rc = tuple(tuple(sorted(node, reverse=True)) for node in nodes)
     return at, lam, L, rc

@@ -8,11 +8,25 @@ the first that fails with the configuration it failed on, as JSON that
 
 from __future__ import annotations
 
-from .bijection import delta, delta_inverse, phi, phi_inverse, phi_tilde
+from .bijection import (
+    NoPreimage,
+    delta,
+    delta_inverse,
+    phi,
+    phi_inverse,
+    phi_tilde,
+)
 from .cartan import AffineType, dominant_weights
 from .crystal import enumerate_highest, wt_letter
 from .energy import dbar, xbar
-from .rc import cc2_total, enumerate_rc, fermionic_m, rc_genfun, rc_to_json
+from .rc import (
+    InvalidRC,
+    cc2_total,
+    enumerate_rc,
+    fermionic_m,
+    rc_genfun,
+    rc_to_json,
+)
 
 # The default battery: every family at desk-scale ranks.
 BATTERY = (
@@ -47,7 +61,8 @@ def verify_cell(at: AffineType, lam, L: int):
 
     row is (|RC|, |P|, Xbar, Mbar) with the sums as strings.  failure is
     None or {"check": name from CHECKS, "rc": the configuration as rc
-    JSON, or None for the checks on the whole cell}.
+    JSON, or None for the checks on the whole cell}.  A map raising
+    InvalidRC or NoPreimage fails the check it was called for.
     """
     paths = enumerate_highest(at, lam, L)
     rcs = enumerate_rc(at, lam, L)
@@ -66,18 +81,28 @@ def verify_cell(at: AffineType, lam, L: int):
     if len(paths) != len(rcs):
         return fail("|rc|=|paths|")
     unhit = set(paths)
-    for rc in rcs:
-        word = phi(at, lam, L, rc)
-        if word not in unhit:  # not a path, or the image of an earlier rc
-            return fail("phi", rc)
-        unhit.remove(word)
-        if cc2_total(at, rc) != 2 * dbar(at, phi_tilde(at, lam, L, rc)):
-            return fail("cc=2dbar", rc)
-        if L >= 1:
-            b, rc_small, _tr = delta(at, lam, L, rc)
-            rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
-            if delta_inverse(at, b, rho, L - 1, rc_small) != rc:
-                return fail("delta_inverse", rc)
-    if rcs and phi_inverse(at, lam, L, phi(at, lam, L, rcs[0])) != rcs[0]:
-        return fail("phi_inverse", rcs[0])
+    check = rc = None
+    try:
+        for rc in rcs:
+            check = "phi"
+            word = phi(at, lam, L, rc)
+            if word not in unhit:  # not a path, or the image of an earlier rc
+                return fail(check, rc)
+            unhit.remove(word)
+            check = "cc=2dbar"
+            if cc2_total(at, rc) != 2 * dbar(at, phi_tilde(at, lam, L, rc)):
+                return fail(check, rc)
+            if L >= 1:
+                check = "delta_inverse"
+                b, rc_small, _tr = delta(at, lam, L, rc)
+                rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
+                if delta_inverse(at, b, rho, L - 1, rc_small) != rc:
+                    return fail(check, rc)
+        if rcs:
+            check, rc = "phi_inverse", rcs[0]
+            if phi_inverse(at, lam, L, phi(at, lam, L, rc)) != rc:
+                return fail(check, rc)
+    except (InvalidRC, NoPreimage):
+        # a map that gives up on a configuration fails the check it was in
+        return fail(check, rc)
     return True, row, None

@@ -10,7 +10,13 @@ from fractions import Fraction
 from itertools import product
 
 from rcbij.bijection import NoPreimage, delta
-from rcbij.cartan import AffineType, form2_matrix, kac_data, simple_root_vectors
+from rcbij.cartan import (
+    AffineType,
+    form2_matrix,
+    is_dominant,
+    kac_data,
+    simple_root_vectors,
+)
 from rcbij.crystal import (
     arrows,
     eps_letter,
@@ -20,7 +26,14 @@ from rcbij.crystal import (
     wt_letter,
     wt_path,
 )
-from rcbij.rc import enumerate_rc, vacancy2
+from rcbij.rc import (
+    InvalidRC,
+    box,
+    enumerate_rc,
+    normalized_sizes,
+    validate_rc,
+    vacancy2,
+)
 
 
 def vacancy2_by_family(at: AffineType, L: int, nu, a: int, i2: int) -> int:
@@ -124,6 +137,131 @@ def delta_inverse_bruteforce(at: AffineType, b, rho, L_small: int, rc_small):
         for rc in enumerate_rc(at, lam, L)
         if delta(at, lam, L, rc)[:2] == (b, rc_small)
     ]
+    if len(matches) != 1:
+        raise NoPreimage(
+            "expected exactly one preimage, found %d" % len(matches)
+        )
+    return matches[0]
+
+
+def _config_with(nodes, grown):
+    """Configuration of nodes (lists of pairs) plus the (a, len2) in grown."""
+    return tuple(
+        tuple(sorted([ln for ln, _ in node] + [g for b, g in grown if b == a],
+                     reverse=True))
+        for a, node in enumerate(nodes, 1)
+    )
+
+
+def _letter_budget_moves(node_pairs, budget, up2):
+    """All ways to lengthen strings of one node by `budget` lattice steps.
+
+    Yields lists of (pair_or_None, new_len2); None means a new string.
+    """
+    if budget == 0:
+        yield []
+        return
+    choices = sorted(set(node_pairs), reverse=True)
+    if budget == 1:
+        for p in choices:
+            yield [(p, p[0] + up2)]
+        yield [(None, up2)]
+        return
+    if budget == 2:
+        for p in choices:
+            yield [(p, p[0] + 2 * up2)]
+        yield [(None, 2 * up2)]
+        for i, p in enumerate(choices):
+            for q in choices[i:]:
+                if p == q and node_pairs.count(p) < 2:
+                    continue
+                yield [(p, p[0] + up2), (q, q[0] + up2)]
+        yield from ([(p, p[0] + up2), (None, up2)] for p in choices)
+        yield [(None, up2), (None, up2)]
+        return
+    raise ValueError("budget out of range: %d" % budget)
+
+
+def _old_rig_values(at, a, len2, p2):
+    """Possible riggings of a string about to be selected by delta.
+
+    That is the top of its box, or for B1 and D2 at the last node, where
+    delta also selects quasi-singular strings, the top two values.
+    """
+    top = box(at, a, len2, p2)[::-1]
+    return list(top[:2] if at.family in ("B1", "D2") and a == at.n else top[:1])
+
+
+def delta_inverse_search(at: AffineType, b, rho, L_small: int, rc_small):
+    """Search the reverse moves and filter the candidates by delta.
+
+    Per node the number of lattice steps to add is pinned by the size
+    constraints, the lengthened strings must carry a rigging delta is
+    allowed to select, and the forward map filters the handful of
+    candidates.
+    """
+    lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
+    L = L_small + 1
+    n = at.n
+    if not is_dominant(at, lam):
+        raise NoPreimage("letter not appendable: weight not dominant")
+    if b == 0 and at.family != "A1" and lam[n - 1] <= 0:
+        raise NoPreimage("zero letter needs lambda_n > 0")
+    c_big = normalized_sizes(at, lam, L)
+    c_small = normalized_sizes(at, rho, L_small)
+    if c_big is None or c_small is None:
+        raise NoPreimage("size constraints unsolvable")
+    budgets = [x - y for x, y in zip(c_big, c_small)]
+    if any(x < 0 or x > 2 for x in budgets):
+        raise NoPreimage("impossible box budget %r" % (budgets,))
+    kd = kac_data(at)
+    per_node = [
+        list(_letter_budget_moves(list(rc_small[a]), budgets[a], kd.up2[a]))
+        for a in range(n)
+    ]
+    matches = []
+    seen = set()
+    for combo in product(*per_node):
+        nodes = [list(rc_small[a]) for a in range(n)]
+        grown = []  # (a, new_len2)
+        for a in range(n):
+            for pair, new_len2 in combo[a]:
+                if pair is not None:
+                    nodes[a].remove(pair)
+                grown.append((a + 1, new_len2))
+        ok = True
+        nu_cand = _config_with(nodes, grown)
+        rig_options = []
+        for a, new_len2 in grown:
+            try:
+                p2 = vacancy2(at, L, nu_cand, a, new_len2)
+            except ValueError:
+                ok = False
+                break
+            vals = _old_rig_values(at, a, new_len2, p2)
+            if not vals:
+                ok = False
+                break
+            rig_options.append(vals)
+        if not ok:
+            continue
+        for rig_pick in product(*rig_options):
+            cand_nodes = [list(nodes[a]) for a in range(n)]
+            for (a, new_len2), rig in zip(grown, rig_pick):
+                cand_nodes[a - 1].append((new_len2, rig))
+            cand = tuple(
+                tuple(sorted(node, reverse=True)) for node in cand_nodes
+            )
+            if cand in seen:
+                continue
+            seen.add(cand)
+            try:
+                validate_rc(at, lam, L, cand)
+            except InvalidRC:
+                continue
+            bb, out, _tr = delta(at, lam, L, cand)
+            if bb == b and out == rc_small:
+                matches.append(cand)
     if len(matches) != 1:
         raise NoPreimage(
             "expected exactly one preimage, found %d" % len(matches)

@@ -29,9 +29,9 @@ from rcbij.crystal import (
 from rcbij.energy import b_natural, dbar, local_hbar
 from rcbij.qpoly import qbinom
 from rcbij.rc import cc2_total, complement, enumerate_rc
-from rcbij.bijection import delta, phi, verify_delta_identities
+from rcbij.bijection import delta, delta_inverse, phi, verify_delta_identities
 from rcbij.verify import CHECKS, cells_for, verify_cell
-from oracles import delta_inverse_bruteforce
+from oracles import delta_inverse_bruteforce, delta_inverse_search
 
 MAX_LEN = 5
 
@@ -83,11 +83,16 @@ def test_criterion_3_round_trips(grid):
         for rc in rcs:
             b, small, _tr = delta(at, lam, L, rc)
             rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
-            assert delta_inverse_bruteforce(at, b, rho, L - 1, small) == rc, (
-                "oracle preimage", at, lam, L, rc,
-            )
+            # three independent inverses: box addition (the certificate's
+            # delta_inverse check), candidate search and brute force
+            for inverse in (delta_inverse, delta_inverse_search,
+                            delta_inverse_bruteforce):
+                assert inverse(at, b, rho, L - 1, small) == rc, (
+                    inverse.__name__, at, lam, L, rc,
+                )
             nsteps += 1
-    print("ACCEPTANCE 3 (round trips + oracle): PASS  [%d steps]" % nsteps)
+    print("ACCEPTANCE 3 (round trips + two oracles): PASS  [%d steps]"
+          % nsteps)
 
 
 def test_criterion_4_pinned_constants(grid):

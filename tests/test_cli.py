@@ -116,7 +116,7 @@ def test_graph_dot():
     assert '"3" -> "-4" [label="4"];' in out
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert main(["x", "--type", "C1", "--n", "2"]) == 2  # missing weight
     assert main(["nonsense"]) == 2
     assert main(["x", "--type", "B1", "--n", "2", "--len", "1",
@@ -142,11 +142,29 @@ def test_usage_errors(capsys):
     for a in (0, 3):  # node index outside 1..n
         nu = [rc["nu"][0], dict(rc["nu"][1], a=a)]
         bad.append(dict(rc, nu=nu))
+    bad.append(dict(rc, type="Z1"))  # unknown family
+    bad.append(dict(rc, nu=[{"a": "1", "strings": []}]))  # a not an integer
+    for key in ("len2", "rig2"):  # not integers
+        node = {"a": 1, "strings": [dict(rc["nu"][0]["strings"][0],
+                                         **{key: "4"})]}
+        bad.append(dict(rc, nu=[node, rc["nu"][1]]))
+    bad.append({k: v for k, v in rc.items() if k != "nu"})  # no nu
+    bad.append([rc])  # not an object
     for blob in bad:
         code = run(["map", "--dir", "rc2path"], stdin_text=json.dumps(blob))[0]
         assert code == 2
+    for blob in ({"type": "Z1", "n": 2, "word": ["1"]}, {"type": "C1", "n": 2},
+                 ["1"]):  # unknown family; no word; not an object
+        code = run(["map", "--dir", "path2rc"], stdin_text=json.dumps(blob))[0]
+        assert code == 2
+    gridfile = tmp_path / "grid.json"
+    for cell in ({"type": "C1", "n": 2, "L": 2, "lambda": [0, 1]},  # not dominant
+                 {"type": "Z1", "n": 2, "max_len": 2},  # unknown family
+                 {"type": "C1", "n": 2, "lambda": [1, 1]}):  # no L
+        gridfile.write_text(json.dumps({"cells": [cell]}))
+        assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 17 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 29 and all(ln.startswith("error: ") for ln in lines)
 
 
 def test_verify_same_under_optimize():
@@ -160,6 +178,19 @@ def test_verify_same_under_optimize():
                          capture_output=True, text=True, timeout=300)
     assert plain.returncode == opt.returncode == 0, opt.stderr
     assert opt.stdout == plain.stdout
+    # one map round trip, path to rc and back, gives the same rc under -O
+    path = json.dumps({"type": "C1", "n": 2, "word": ["-1", "1", "1"]})
+    rcs = []
+    for flags in ([], ["-O"]):
+        argv = [sys.executable] + flags + ["-m", "rcbij", "map", "--dir"]
+        rc = subprocess.run(argv + ["path2rc"], env=env, input=path,
+                            capture_output=True, text=True, timeout=60)
+        back = subprocess.run(argv + ["rc2path"], env=env, input=rc.stdout,
+                              capture_output=True, text=True, timeout=60)
+        assert rc.returncode == back.returncode == 0, (flags, back.stderr)
+        assert json.loads(back.stdout)["word"] == ["-1", "1", "1"]
+        rcs.append(rc.stdout)
+    assert rcs[0] == rcs[1]
 
 
 def test_relax_rank_flag():

@@ -4,14 +4,21 @@ The type-B double selection at the spin node first occurs at six tensor
 factors, outside the standard grid, so its three smallest instances are
 frozen here; they exercise both new-rigging branches of the second
 selected string (singular when the selections collide at the next node,
-quasi-singular when the return scan died out).
+quasi-singular when the return scan died out).  At six factors the
+last-node cases Q and QS of B1, D2 and A2dag, with the quasi-singular
+riggings and A2dag's half-odd box tops, are common enough to compare the
+box-addition inverse with the candidate search on every step; so is D1's
+fork, where the return scan bounds node n-2 by the shorter of the two
+strings it took at nodes n-1 and n.
 """
 
 from conftest import GRID_TYPES  # noqa: F401  (import keeps sys.path set)
-from rcbij.cartan import AffineType
+from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import wt_letter
 from rcbij.bijection import delta, delta_inverse
+from rcbij.rc import enumerate_rc
 from rcbij.verify import cells_for, verify_cell
+from oracles import delta_inverse_search
 
 EXTENDED = [
     AffineType("A1", 4),
@@ -74,3 +81,17 @@ def test_extended_ranks_full_checks():
         for cell in cells_for(at, 4):
             ok, _row, failure = verify_cell(*cell)
             assert ok, (cell, failure)
+
+
+def test_delta_inverse_matches_search_at_length_6():
+    steps = 0
+    for fam, n in (("B1", 3), ("D2", 2), ("D2", 3), ("A2dag", 2), ("D1", 4)):
+        at = AffineType(fam, n)
+        for lam in dominant_weights(at, 6):
+            for rc in enumerate_rc(at, lam, 6):
+                b, small, _tr = delta(at, lam, 6, rc)
+                rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
+                got = delta_inverse(at, b, rho, 5, small)
+                assert got == delta_inverse_search(at, b, rho, 5, small) == rc
+                steps += 1
+    assert steps > 3500

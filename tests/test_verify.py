@@ -5,13 +5,22 @@ import json
 import pytest
 
 from rcbij import verify
+from rcbij.bijection import NoPreimage
 from rcbij.cartan import AffineType
 from rcbij.cli import main
 from rcbij.qpoly import QPoly
-from rcbij.rc import enumerate_rc, rc_from_json, rc_to_json
+from rcbij.rc import InvalidRC, enumerate_rc, rc_from_json, rc_to_json
 
 # several configurations and a removal step each
 CELL = (AffineType("C1", 2), (1, 0), 3)
+
+
+def raising(exc):
+    """A breaker that makes the layer raise exc."""
+    def broken(*args):
+        raise exc
+    return lambda f: broken
+
 
 # (layer, how to break it given the real function, the check that fails)
 PLANTED = [
@@ -23,6 +32,8 @@ PLANTED = [
     ("dbar", lambda f: lambda *a: f(*a) + 1, "cc=2dbar"),
     ("delta_inverse", lambda f: lambda *a: (), "delta_inverse"),
     ("phi_inverse", lambda f: lambda *a: (), "phi_inverse"),
+    ("delta_inverse", raising(NoPreimage("planted")), "delta_inverse"),
+    ("phi", raising(InvalidRC("planted")), "phi"),
 ]
 
 
