@@ -32,8 +32,10 @@ PLANTED = [
     ("dbar", lambda f: lambda *a: f(*a) + 1, "cc=2dbar"),
     ("delta_inverse", lambda f: lambda *a: (), "delta_inverse"),
     ("phi_inverse", lambda f: lambda *a: (), "phi_inverse"),
-    ("delta_inverse", raising(NoPreimage("planted")), "delta_inverse"),
-    ("phi", raising(InvalidRC("planted")), "phi"),
+    pytest.param("delta_inverse", raising(NoPreimage("planted")),
+                 "delta_inverse", id="delta_inverse-raises-delta_inverse"),
+    pytest.param("phi", raising(InvalidRC("planted")), "phi",
+                 id="phi-raises-phi"),
 ]
 
 
