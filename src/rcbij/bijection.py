@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import AffineType, is_dominant, kac_data
-from .crystal import EMPTY, letters, wt_letter
+from .crystal import EMPTY, letters, rest_weight, wt_letter
 from .energy import local_hbar
 from .rc import (
     INF,
+    Config,
     InvalidRC,
-    _strings_by_len,
-    box,
     cc2_total,
     complement,
     config_of,
@@ -67,56 +66,13 @@ class DeltaTrace:
         return INF
 
 
-class _Scan:
-    """Shared helpers for one delta run."""
-
-    def __init__(self, at, L, rc):
-        self.at = at
-        self.L = L
-        self.nu = config_of(rc)
-        self.by = [_strings_by_len(node) for node in rc]
-
-    def vac(self, a, i2):
-        return vacancy2(self.at, self.L, self.nu, a, i2)
-
-    def sing_count(self, a, i2):
-        p2 = self.vac(a, i2)
-        return sum(1 for r in self.by[a - 1].get(i2, ()) if r == p2)
-
-    def has_quasi(self, a, i2, off2):
-        """A rigging sitting off2 (doubled) below the vacancy.
-
-        Callers ask only after finding no singular string of this length.
-        """
-        return self.vac(a, i2) - off2 in self.by[a - 1].get(i2, ())
-
-    def min_sing(self, a, lo, need_two_at=None):
-        """Minimal occupied length >= lo with a singular string.
-
-        When the candidate equals need_two_at, two singular strings are
-        required there (the forward scan already claimed one).
-        """
-        for i2 in sorted(self.by[a - 1]):
-            if i2 < lo:
-                continue
-            cnt = self.sing_count(a, i2)
-            if cnt >= 2 or (cnt == 1 and i2 != need_two_at):
-                return i2
-        return None
-
-
-def _rank_weight(at, lam, b):
-    w = wt_letter(at, b)
-    return tuple(x - y for x, y in zip(lam, w))
-
-
 def delta(at: AffineType, lam, L: int, rc):
     """One box-removal step: returns (letter, smaller rc, trace)."""
     if L < 1:
         raise ValueError("delta needs L >= 1")
     n = at.n
     fam = at.family
-    sc = _Scan(at, L, rc)
+    cf = Config(at, L, rc)
     ell: dict[int, int] = {}
     ellbar: dict[int, int] = {}
     cases: dict[int, str] = {}
@@ -125,11 +81,25 @@ def delta(at: AffineType, lam, L: int, rc):
     removals: list = []
     b = None
 
+    def min_sing(a, lo, need_two_at=None):
+        """Minimal occupied length >= lo with a singular string.
+
+        When the candidate equals need_two_at, two singular strings are
+        required there (the forward scan already claimed one).
+        """
+        for i2 in sorted(cf.by[a - 1]):
+            if i2 < lo:
+                continue
+            cnt = cf.count(a, i2)
+            if cnt >= 2 or (cnt == 1 and i2 != need_two_at):
+                return i2
+        return None
+
     def fwd(last_node):
         nonlocal b
         prev = 0
         for a in range(1, last_node + 1):
-            i2 = sc.min_sing(a, prev)
+            i2 = min_sing(a, prev)
             if i2 is None:
                 b = a
                 return False
@@ -137,39 +107,26 @@ def delta(at: AffineType, lam, L: int, rc):
             prev = i2
         return True
 
-    def ret_twopart(first_node):
-        """Return scan with the two-singular-strings rule (D, B, A2odd)."""
-        nonlocal b
-        prevbar = ellbar_base[0]
-        for a in range(first_node, 0, -1):
-            i2 = sc.min_sing(a, prevbar, need_two_at=ell.get(a))
-            if i2 is None:
-                b = -(a + 1)
-                return
-            ellbar[a] = i2
-            prevbar = i2
-        b = -1
+    def ret(first_node, prevbar, merge):
+        """The return scan from first_node down, bounded below by prevbar.
 
-    def ret_merge(first_node):
-        """Return scan with the merged double-shortening rule (C shape)."""
+        With merge (the C shape), a length the forward scan selected that
+        equals the bound is taken by both scans, merged into one double
+        shortening (case S); without it (D, B, A2odd) such a length needs
+        a second singular string.
+        """
         nonlocal b
-        prevbar = ellbar_base[0]
         for a in range(first_node, 0, -1):
-            if ell.get(a) == prevbar:
+            if merge and ell.get(a) == prevbar:
                 cases[a] = "S"
-                ellbar[a] = ell[a]
-                ell[a] = ellbar[a] - 2
-                prevbar = ellbar[a]
+                ellbar[a], ell[a] = prevbar, prevbar - 2
                 continue
-            i2 = sc.min_sing(a, prevbar)
+            i2 = min_sing(a, prevbar, None if merge else ell.get(a))
             if i2 is None:
                 b = -(a + 1)
                 return
-            ellbar[a] = i2
-            prevbar = i2
+            ellbar[a] = prevbar = i2
         b = -1
-
-    ellbar_base = [INF]
 
     # Each block scans and appends the removals at its last node or fork
     # that the standard rule below does not describe.
@@ -180,8 +137,8 @@ def delta(at: AffineType, lam, L: int, rc):
     elif fam == "D1":
         if fwd(n - 2):
             prev = ell.get(n - 2, 0)
-            i2 = sc.min_sing(n - 1, prev)
-            j2 = sc.min_sing(n, prev)
+            i2 = min_sing(n - 1, prev)
+            j2 = min_sing(n, prev)
             if i2 is None and j2 is None:
                 b = n - 1
             elif i2 is not None and j2 is None:
@@ -192,26 +149,25 @@ def delta(at: AffineType, lam, L: int, rc):
                 b = -n
             else:
                 ell[n - 1], ell[n] = i2, j2
-                ellbar_base[0] = max(i2, j2)
-                ret_twopart(n - 2)
+                ret(n - 2, max(i2, j2), False)
 
     elif fam == "B1":
         if fwd(n - 1):
             prev = ell.get(n - 1, 0)
             lo = max(prev - 1, 1)
             found = kind = None
-            for i2 in sorted(sc.by[n - 1]):
+            for i2 in sorted(cf.by[n - 1]):
                 if i2 < lo:
                     continue
                 if i2 == prev - 1:
-                    if sc.sing_count(n, i2):
+                    if cf.count(n, i2):
                         found, kind = i2, "Q"
                         break
                     continue
-                if sc.sing_count(n, i2):
+                if cf.count(n, i2):
                     found, kind = i2, "S"
                     break
-                if sc.has_quasi(n, i2, 2):
+                if cf.count(n, i2, 2):
                     found, kind = i2, "Q"
                     break
             if found is None:
@@ -220,14 +176,13 @@ def delta(at: AffineType, lam, L: int, rc):
                 ellbar[n], ell[n] = found, found - 1
                 cases[n] = "S"
                 removals.append((n, found, 0, 2, 0))
-                ellbar_base[0] = found
-                ret_twopart(n - 1)
+                ret(n - 1, found, False)
             else:
                 ell[n] = found
                 removals.append((n, found, None, 1, 0))
                 j2 = None
-                for c2 in sorted(sc.by[n - 1]):
-                    if c2 > found and c2 >= prev and sc.sing_count(n, c2):
+                for c2 in sorted(cf.by[n - 1]):
+                    if c2 > found and c2 >= prev and cf.count(n, c2):
                         j2 = c2
                         break
                 if j2 is None:
@@ -236,8 +191,7 @@ def delta(at: AffineType, lam, L: int, rc):
                 else:
                     ellbar[n] = j2
                     cases[n] = "QS"
-                    ellbar_base[0] = j2
-                    ret_twopart(n - 1)
+                    ret(n - 1, j2, False)
                     # the second string's new rigging is singular exactly
                     # when the return scan selected its length at node n-1
                     new_off = 0 if j2 == ellbar.get(n - 1) else 2
@@ -253,38 +207,35 @@ def delta(at: AffineType, lam, L: int, rc):
                 cases[n] = "S"
                 ellbar[n] = ell[n]
                 ell[n] = ellbar[n] - 2
-                ellbar_base[0] = ellbar[n]
-                ret_merge(n - 1)
+                ret(n - 1, ellbar[n], True)
 
     elif fam == "A2odd":
         if fwd(n):
             # one string, selected by both scans, loses one column
             ellbar[n] = ell[n]
             removals.append((n, ell[n], 0, 2, 0))
-            ellbar_base[0] = ellbar[n]
-            ret_twopart(n - 1)
+            ret(n - 1, ellbar[n], False)
 
     elif fam in ("D2", "A2dag"):
         if fwd(n - 1):
             prev = ell.get(n - 1, 0)
             found = kind = None
-            for i2 in sorted(sc.by[n - 1]):
+            for i2 in sorted(cf.by[n - 1]):
                 if i2 < prev:
                     continue
                 if fam == "D2":
-                    if sc.sing_count(n, i2):
+                    if cf.count(n, i2):
                         found, kind = i2, ("P" if i2 == 2 else "S")
                         break
-                    if sc.has_quasi(n, i2, 2):
+                    if cf.count(n, i2, 2):
                         found, kind, off = i2, "Q", 2
                         break
                 else:
                     # A2dag: a rigging at the top of its box is singular
                     # on an integer string and quasi on a half-odd one
-                    p2 = sc.vac(n, i2)
-                    bx = box(at, n, i2, p2)
-                    if bx and bx[-1] in sc.by[n - 1][i2]:
-                        found, off = i2, p2 - bx[-1]
+                    bx = cf.box(n, i2)
+                    if bx and cf.count(n, i2, cf.vac(n, i2) - bx[-1]):
+                        found, off = i2, cf.vac(n, i2) - bx[-1]
                         kind = "Q" if off else "S"
                         break
             if found is None:
@@ -296,16 +247,15 @@ def delta(at: AffineType, lam, L: int, rc):
             elif kind == "S":
                 ellbar[n], ell[n] = found, found - 2
                 cases[n] = "S"
-                ellbar_base[0] = found
-                ret_merge(n - 1)
+                ret(n - 1, found, True)
             else:  # Q
                 ell[n] = found
                 removals.append((n, found, off, 2, 0))
                 # half-odd strings of A2dag carry odd riggings and even
                 # vacancies, so they are never singular here
                 j2 = None
-                for c2 in sorted(sc.by[n - 1]):
-                    if c2 > found and sc.sing_count(n, c2):
+                for c2 in sorted(cf.by[n - 1]):
+                    if c2 > found and cf.count(n, c2):
                         j2 = c2
                         break
                 if j2 is None:
@@ -315,8 +265,7 @@ def delta(at: AffineType, lam, L: int, rc):
                     ellbar[n] = j2
                     cases[n] = "QS"
                     removals.append((n, j2, 0, 2, off))
-                    ellbar_base[0] = j2
-                    ret_merge(n - 1)
+                    ret(n - 1, j2, True)
 
     else:
         raise ValueError(fam)
@@ -336,14 +285,12 @@ def delta(at: AffineType, lam, L: int, rc):
         if a in ellbar:
             removals.append((a, ellbar[a], 0, 2, 0))
 
-    rho = _rank_weight(at, lam, b)
-    if not is_dominant(at, rho):
-        raise InvalidRC("rank letter does not keep the weight dominant")
-    if b == 0 and fam != "A1" and lam[n - 1] <= 0:
-        raise InvalidRC("zero letter extracted at lambda_n = 0")
+    rho = rest_weight(at, lam, b)
+    if rho is None:
+        raise InvalidRC("letter %s cannot come off the weight %r" % (b, lam))
 
     rc2 = _move_strings(
-        at, rc, L, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
+        cf, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
     )
     validate_rc(at, rho, L - 1, rc2)
     trace = DeltaTrace(
@@ -355,32 +302,32 @@ def delta(at: AffineType, lam, L: int, rc):
     return b, rc2, trace
 
 
-def _move_strings(at, rc, L, L2, moves):
-    """Replace strings of rc (at length L) by strings with new riggings.
+def _move_strings(cf, L2, moves):
+    """Replace strings of cf by strings with new riggings.
 
     A move is (node, len2 or 0 for no old string, the old rigging's offset
-    below the vacancy or None for the largest rigging of that length, new
-    len2 or 0 for no new string, the new rigging's offset below the vacancy
-    of the result at length L2).
+    below its vacancy in cf or None for the largest rigging of that
+    length, new len2 or 0 for no new string, the new rigging's offset
+    below the vacancy of the result at length L2).
     """
-    nu = config_of(rc)
-    nodes = [list(node) for node in rc]
+    nodes = [list(node) for node in cf.rc]
     for a, len2, old_off, _new_len2, _new_off in moves:
         if not len2:
             continue
         if old_off is None:
-            rig = max(r for ln, r in nodes[a - 1] if ln == len2)
+            rig = max(cf.by[a - 1][len2])
         else:
-            rig = vacancy2(at, L, nu, a, len2) - old_off
+            rig = cf.vac(a, len2) - old_off
         nodes[a - 1].remove((len2, rig))
-    grown = [m for m in moves if m[3] > 0]
-    nu2 = tuple(
-        tuple(sorted([ln for ln, _ in node] + [m[3] for m in grown if m[0] == a],
-                     reverse=True))
+    grown = [(a, len2, off) for a, _len2, _old_off, len2, off in moves
+             if len2 > 0]
+    # the result's vacancies depend on its lengths only
+    shape = Config(cf.at, L2, [
+        node + [(len2, 0) for b, len2, _off in grown if b == a]
         for a, node in enumerate(nodes, 1)
-    )
-    for a, _len2, _old_off, len2, off in grown:
-        nodes[a - 1].append((len2, vacancy2(at, L2, nu2, a, len2) - off))
+    ])
+    for a, len2, off in grown:
+        nodes[a - 1].append((len2, shape.vac(a, len2) - off))
     return tuple(tuple(sorted(node, reverse=True)) for node in nodes)
 
 
@@ -391,7 +338,7 @@ def phi(at: AffineType, lam, L: int, rc):
     for step in range(L, 0, -1):
         b, cur_rc, _tr = delta(at, cur_lam, step, cur_rc)
         word.append(b)
-        cur_lam = _rank_weight(at, cur_lam, b)
+        cur_lam = rest_weight(at, cur_lam, b)
     if any(cur_lam):
         raise InvalidRC("letters do not exhaust the weight")
     return tuple(word)
@@ -409,7 +356,7 @@ _QUASI2 = {"B1": 2, "D2": 2, "A2dag": 1}
 
 
 class _Fill:
-    """Shared helpers for one delta_inverse run on rc_small.
+    """Shared helpers for one delta_inverse run on the Config of rc_small.
 
     additions holds records shaped like delta's removals: (node, len2 in
     rc_small or 0 for a new string, its rigging's offset below the small
@@ -417,22 +364,18 @@ class _Fill:
     A string taken once is not free for a later choice at its node.
     """
 
-    def __init__(self, at, L_small, rc_small):
-        self.at = at
-        self.L = L_small
-        self.nu = config_of(rc_small)
-        self.by = [_strings_by_len(node) for node in rc_small]
+    def __init__(self, cf):
+        self.cf = cf
         self.additions = []
 
     def free(self, a, i2, off):
         """A string of length i2 at node a, off below its vacancy, untaken."""
-        rig = vacancy2(self.at, self.L, self.nu, a, i2) - off
         taken = sum(1 for r in self.additions if r[:3] == (a, i2, off))
-        return self.by[a - 1].get(i2, []).count(rig) > taken
+        return self.cf.count(a, i2, off) > taken
 
     def longest(self, a, hi, off=0):
         """Longest len2 <= hi at node a with a free string off below, or 0."""
-        for i2 in sorted(self.by[a - 1], reverse=True):
+        for i2 in sorted(self.cf.by[a - 1], reverse=True):
             if i2 <= hi and self.free(a, i2, off):
                 return i2
         return 0
@@ -455,7 +398,7 @@ class _Fill:
         scan.  Where that string is as long as the bound, delta had merged
         both selections into it (case S), so it gains a second column.
         """
-        for a in range(self.at.n - 1, 0, -1):
+        for a in range(self.cf.at.n - 1, 0, -1):
             rec = self.additions[outward[a]] if a in outward else None
             if rec and rec[1] == hi:
                 self.additions[outward[a]] = rec[:3] + (4,) + rec[4:]
@@ -551,14 +494,12 @@ def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
         raise NoPreimage("%r is not a letter of %s" % (b, at))
     lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
     L = L_small + 1
-    if not is_dominant(at, lam):
-        raise NoPreimage("letter not appendable: weight not dominant")
-    if b == 0 and at.family != "A1" and lam[at.n - 1] <= 0:
-        raise NoPreimage("zero letter needs lambda_n > 0")
-    fs = _Fill(at, L_small, rc_small)
+    if not is_dominant(at, lam) or rest_weight(at, lam, b) is None:
+        raise NoPreimage("letter %s cannot come off the weight %r" % (b, lam))
+    fs = _Fill(Config(at, L_small, rc_small))
     _reverse_scan(at, b, fs)
     try:
-        rc = _move_strings(at, rc_small, L_small, L, [
+        rc = _move_strings(fs.cf, L, [
             (a, i2, o, i2 + d2, p) for a, i2, o, d2, p in fs.additions
         ])
         validate_rc(at, lam, L, rc)
@@ -683,7 +624,7 @@ def verify_delta_identities(at: AffineType, lam, L: int, rc) -> dict:
         return {"ok": True, "rank": None}
     crc = complement(at, L, rc)
     b, crc2, trace = delta(at, lam, L, crc)
-    rho = _rank_weight(at, lam, b)
+    rho = rest_weight(at, lam, b)
     rc2 = complement(at, L - 1, crc2)
     report: dict = {"ok": True, "rank": b}
 

@@ -263,20 +263,14 @@ def iota_image(at: AffineType, lam, L: int):
     v = [Fraction(-x) for x in lam]
     v[0] += L
     kind = at.g0bar
-    if kind == "A":
-        # v in Z^(n+1) with sum 0; c_a are the partial sums.
-        assert sum(v) == 0
-        out, run = [], Fraction(0)
-        for a in range(n):
-            run += v[a]
-            out.append(run)
-        return tuple(out)
     partial = []
     run = Fraction(0)
     for a in range(n):
         run += v[a]
         partial.append(run)
-    if kind == "B":
+    if kind in ("A", "B"):
+        # for type A, v has n+1 entries and this is an image only when
+        # they sum to 0; normalized_sizes checks that
         return tuple(partial)
     if kind == "C":
         out = partial[:-1] + [partial[-1] / 2]

@@ -21,7 +21,7 @@ from .crystal import (
     letters,
     wt_path,
 )
-from .energy import dbar, local_hbar, xbar
+from .energy import PropagationError, dbar, local_hbar, xbar
 from .rc import (
     _json_int,
     cc2_total,
@@ -50,6 +50,11 @@ def _usage_error(msg: str):
     raise SystemExit(2)
 
 
+def _check_len(L: int) -> None:
+    if L < 0:
+        _usage_error("length %d is negative" % L)
+
+
 def _check_cell(at: AffineType, lam, L: int) -> None:
     """Exit 2 unless lam is a dominant weight of at and L >= 0."""
     if len(lam) != at.weight_len:
@@ -57,8 +62,7 @@ def _check_cell(at: AffineType, lam, L: int) -> None:
     if not is_dominant(at, lam):
         _usage_error("weight %s is not dominant for %s"
                      % (",".join(map(str, lam)), at))
-    if L < 0:
-        _usage_error("length %d is negative" % L)
+    _check_len(L)
 
 
 def _cell_from_args(args):
@@ -205,7 +209,9 @@ def _grid_cells(path: str, relax_rank: bool):
             at = AffineType(entry["type"], _json_int(entry["n"], "n"),
                             relax_rank=relax_rank)
             if "lambda" not in entry:
-                cells.extend(cells_for(at, _json_int(entry["max_len"], "max_len")))
+                max_len = _json_int(entry["max_len"], "max_len")
+                _check_len(max_len)
+                cells.extend(cells_for(at, max_len))
                 continue
             lam = tuple(_json_int(x, "a lambda entry") for x in entry["lambda"])
             L = _json_int(entry["L"], "L")
@@ -221,6 +227,7 @@ def _grid_cells(path: str, relax_rank: bool):
 def cmd_verify(args) -> int:
     if (args.type is None) != (args.n is None):
         _usage_error("verify takes --type and --n together")
+    _check_len(args.max_len)
     cells = []
     if args.grid:
         cells.extend(_grid_cells(args.grid, args.relax_rank))
@@ -330,7 +337,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except RankError as exc:
+    except (RankError, PropagationError) as exc:  # a rank it cannot build
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import AffineType, is_dominant
+from .cartan import AffineType, RankError, is_dominant
 
 EMPTY = 10 ** 6  # the letter usually written phi
 
@@ -79,8 +79,12 @@ def arrows(at: AffineType):
         elif fam in ("A2", "D2"):
             f[0][-1] = EMPTY
             f[0][EMPTY] = 1
-    e = {i: {v: k for k, v in f[i].items()} for i in f}
+    known = set(letters(at))  # a relaxed rank can have arrows out of them
+    e = {}
     for i in f:
+        if not known.issuperset(f[i].values()):
+            raise RankError("%s: arrow %d leads out of the letters" % (at, i))
+        e[i] = {v: k for k, v in f[i].items()}
         assert len(e[i]) == len(f[i]), "arrow table not injective at node %d" % i
     return f, e
 
@@ -143,6 +147,19 @@ def wt_letter(at: AffineType, b) -> tuple:
     else:
         v[-b - 1] = -1
     return tuple(v)
+
+
+def rest_weight(at: AffineType, lam, b):
+    """The weight left when the letter b comes off a path of weight lam.
+
+    A classically restricted path of weight lam can start with b (its
+    leftmost factor) exactly when lam - wt(b) is dominant and, for the
+    zero letter, lam_n > 0.  Returns lam - wt(b), or None when it cannot.
+    """
+    rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
+    if not is_dominant(at, rho) or (b == 0 and lam[at.n - 1] <= 0):
+        return None
+    return rho
 
 
 def wt_path(at: AffineType, word) -> tuple:
@@ -219,13 +236,9 @@ def _highest(at: AffineType, lam: tuple, L: int):
     if L == 0:
         return (tuple(),) if all(x == 0 for x in lam) else tuple()
     out = []
-    n = at.n
     for b in letters(at):
-        w = wt_letter(at, b)
-        rho = tuple(x - y for x, y in zip(lam, w))
-        if not is_dominant(at, rho):
-            continue
-        if b == 0 and at.family != "A1" and lam[n - 1] <= 0:
+        rho = rest_weight(at, lam, b)
+        if rho is None:
             continue
         for rest in _highest(at, rho, L - 1):
             out.append((b,) + rest)
@@ -235,9 +248,8 @@ def _highest(at: AffineType, lam: tuple, L: int):
 def enumerate_highest(at: AffineType, lam, L: int):
     """All classically restricted paths of weight lam in the L-fold power.
 
-    Uses the prefix recursion: b_L can be prepended iff lam - wt(b_L) is
-    dominant (with the extra condition lam_n > 0 when b_L is the zero
-    letter), which avoids scanning all |B|^L words.
+    Uses the prefix recursion of rest_weight, which avoids scanning all
+    |B|^L words.
     """
     lam = tuple(lam)
     if not is_dominant(at, lam):

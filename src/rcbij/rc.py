@@ -6,7 +6,12 @@ Representation conventions, used across the package:
   a = 1..n; entry a-1 is a tuple of doubled string lengths (len2),
   sorted descending.  A length of 3/2 is stored as 3.
 * a rigged configuration ``rc`` is the same shape with (len2, rig2)
-  pairs, sorted descending; riggings are doubled too.
+  pairs, sorted descending; riggings are doubled too.  This normal form
+  is the value that is compared, hashed and written as JSON.
+* ``Config`` wraps one rc for the code that reads it string by string
+  (delta, its inverse, ``validate_rc``, ``complement``): the strings
+  grouped by length at each node, and each vacancy number computed once,
+  when first asked for, by ``vacancy2``.
 
 Everything is exact integer arithmetic.  The vacancy numbers come from
 one integer matrix per type, derived from the normalized form, and every
@@ -36,6 +41,8 @@ def normalized_sizes(at: AffineType, lam, L: int):
 
 @lru_cache(maxsize=None)
 def _normalized_sizes(at: AffineType, lam: tuple, L: int):
+    if at.family == "A1" and sum(lam) != L:  # a type A weight has size L
+        return None
     c = iota_image(at, lam, L)
     out = []
     for x in c:
@@ -104,17 +111,53 @@ class InvalidRC(ValueError):
     """A rigged configuration breaks one of its structural invariants."""
 
 
-def _strings_by_len(node):
-    """Group a node's (len2, rig2) pairs: dict len2 -> list of rig2."""
-    out: dict[int, list] = {}
-    for ln, rg in node:
-        out.setdefault(ln, []).append(rg)
-    return out
-
-
 def config_of(rc):
     """Forget the riggings."""
-    return tuple(tuple(ln for ln, _ in node) for node in rc)
+    return tuple([tuple([ln for ln, _ in node]) for node in rc])
+
+
+class Config:
+    """A rigged configuration at length L, read string by string.
+
+    rc is the rigged configuration, in normal form wherever more than its
+    vacancies is read, and nu its configuration.  by[a-1] maps each
+    occupied len2 at node a to its riggings, largest first.  Vacancies
+    are computed once per (node, length), when first asked for.
+    """
+
+    __slots__ = ("at", "L", "rc", "nu", "by", "_vac")
+
+    def __init__(self, at: AffineType, L: int, rc):
+        self.at = at
+        self.L = L
+        self.rc = rc
+        self.nu = config_of(rc)
+        self.by = []
+        for node in rc:
+            by = {}
+            for ln, rg in node:
+                by.setdefault(ln, []).append(rg)
+            self.by.append(by)
+        self._vac = {}
+
+    def vac(self, a: int, i2: int) -> int:
+        """The doubled vacancy at node a, doubled length i2."""
+        p2 = self._vac.get((a, i2))
+        if p2 is None:
+            p2 = self._vac[a, i2] = vacancy2(self.at, self.L, self.nu, a, i2)
+        return p2
+
+    def count(self, a: int, i2: int, off2: int = 0) -> int:
+        """Strings of length i2 at node a rigged off2 below the vacancy.
+
+        off2 = 0 counts the singular strings.
+        """
+        rigs = self.by[a - 1].get(i2)
+        return rigs.count(self.vac(a, i2) - off2) if rigs else 0
+
+    def box(self, a: int, i2: int) -> range:
+        """The riggings allowed on a string of length i2 at node a."""
+        return box(self.at, a, i2, self.vac(a, i2))
 
 
 def _occupied(at: AffineType, L: int, nu):
@@ -210,23 +253,26 @@ def enumerate_rc(at: AffineType, lam, L: int):
 
 def validate_rc(at: AffineType, lam, L: int, rc) -> None:
     """Check every structural invariant; raises InvalidRC on failure."""
-    nu = config_of(rc)
+    cf = Config(at, L, rc)
     up2 = kac_data(at).up2
     sizes = normalized_sizes(at, lam, L)
     if sizes is None:
         raise InvalidRC("no configurations exist for this weight")
-    for a in range(1, at.n + 1):
-        if sum(nu[a - 1]) != sizes[a - 1] * up2[a - 1]:
+    for a in range(at.n):
+        if sum(cf.nu[a]) != sizes[a] * up2[a]:
             raise InvalidRC("size constraint violated")
-        if any(ln <= 0 or ln % up2[a - 1] for ln in nu[a - 1]):
+        if any(ln <= 0 or ln % up2[a] for ln in cf.by[a]):
             raise InvalidRC("length off lattice")
-    boxes = {(a, i2): bx for a, i2, _m, bx in _occupied(at, L, nu)}
-    if not all(boxes.values()):
-        raise InvalidRC("inadmissible configuration")
+    out_of_box = False  # reported once every length is known admissible
     for a in range(1, at.n + 1):
-        for ln, rg in rc[a - 1]:
-            if rg not in boxes[a, ln]:
-                raise InvalidRC("rigging out of box")
+        for ln, rigs in cf.by[a - 1].items():
+            bx = cf.box(a, ln)
+            if not bx:
+                raise InvalidRC("inadmissible configuration")
+            if not out_of_box:
+                out_of_box = any(rg not in bx for rg in rigs)
+    if out_of_box:
+        raise InvalidRC("rigging out of box")
 
 
 def cc2_config(at: AffineType, nu) -> int:
@@ -263,15 +309,12 @@ def cc2_total(at: AffineType, rc) -> int:
 
 def complement(at: AffineType, L: int, rc):
     """Complement every rigging in its box; an involution."""
-    nu = config_of(rc)
-    out = []
-    for a in range(1, at.n + 1):
-        node = []
-        for ln, rg in rc[a - 1]:
-            p2 = vacancy2(at, L, nu, a, ln)
-            node.append((ln, p2 - rg))
-        out.append(tuple(sorted(node, reverse=True)))
-    return tuple(out)
+    cf = Config(at, L, rc)
+    return tuple(
+        tuple(sorted(((ln, cf.vac(a, ln) - rg) for ln, rg in node),
+                     reverse=True))
+        for a, node in enumerate(rc, 1)
+    )
 
 
 def rc_genfun(at: AffineType, lam, L: int) -> QPoly:

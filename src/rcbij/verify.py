@@ -17,7 +17,7 @@ from .bijection import (
     phi_tilde,
 )
 from .cartan import AffineType, dominant_weights
-from .crystal import enumerate_highest, wt_letter
+from .crystal import enumerate_highest, rest_weight
 from .energy import dbar, xbar
 from .rc import (
     InvalidRC,
@@ -95,7 +95,7 @@ def verify_cell(at: AffineType, lam, L: int):
             if L >= 1:
                 check = "delta_inverse"
                 b, rc_small, _tr = delta(at, lam, L, rc)
-                rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
+                rho = rest_weight(at, lam, b)
                 if delta_inverse(at, b, rho, L - 1, rc_small) != rc:
                     return fail(check, rc)
         if rcs:

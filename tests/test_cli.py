@@ -135,6 +135,11 @@ def test_usage_errors(capsys, tmp_path):
                  "--weight", "1,0"]) == 2  # negative length
     assert main(["verify", "--type", "C1"]) == 2  # no --n
     assert main(["verify", "--n", "2"]) == 2  # no --type
+    assert main(["verify", "--type", "C1", "--n", "2",
+                 "--max-len", "-1"]) == 2  # negative length
+    for fam, n in (("D1", 2), ("B1", 1), ("A2odd", 1)):  # ranks not built
+        assert main(["verify", "--type", fam, "--n", str(n), "--relax-rank",
+                     "--max-len", "2"]) == 2
     rc = {"type": "C1", "n": 2, "L": 3, "lambda": [1, 0],
           "nu": [{"a": 1, "strings": [{"len2": 4, "rig2": 2}]},
                  {"a": 2, "strings": [{"len2": 4, "rig2": 0}]}]}
@@ -160,14 +165,15 @@ def test_usage_errors(capsys, tmp_path):
     gridfile = tmp_path / "grid.json"
     for cell in ({"type": "C1", "n": 2, "L": 2, "lambda": [0, 1]},  # not dominant
                  {"type": "Z1", "n": 2, "max_len": 2},  # unknown family
-                 {"type": "C1", "n": 2, "lambda": [1, 1]}):  # no L
+                 {"type": "C1", "n": 2, "lambda": [1, 1]},  # no L
+                 {"type": "C1", "n": 2, "max_len": -3}):  # negative length
         gridfile.write_text(json.dumps({"cells": [cell]}))
         assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 29 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 34 and all(ln.startswith("error: ") for ln in lines)
 
 
-def test_verify_same_under_optimize():
+def test_verify_same_under_optimize(tmp_path):
     # results must not depend on assert statements
     argv = ["-m", "rcbij", "verify", "--type", "A1", "--n", "2",
             "--max-len", "4"]
@@ -191,6 +197,24 @@ def test_verify_same_under_optimize():
         assert json.loads(back.stdout)["word"] == ["-1", "1", "1"]
         rcs.append(rc.stdout)
     assert rcs[0] == rcs[1]
+    # an A1 weight whose entries do not sum to L is an empty cell
+    gridfile = tmp_path / "grid.json"
+    gridfile.write_text(json.dumps(
+        {"cells": [{"type": "A1", "n": 2, "L": 2, "lambda": [1, 0, 0]}]}
+    ))
+    cell = ["--type", "A1", "--n", "2", "--len", "2", "--weight", "1,0,0"]
+    for args, want in (
+        (["x"] + cell, "0\n"), (["m"] + cell, "0\n"), (["f"] + cell, "0\n"),
+        (["rc-enum"] + cell, ""),
+        (["verify", "--grid", str(gridfile)],
+         "A1\t2\t2\t1,0,0\t0\t0\t0\t0\tyes\n"),
+    ):
+        for flags in ([], ["-O"]):
+            out = subprocess.run([sys.executable] + flags + ["-m", "rcbij"]
+                                 + args, env=env, capture_output=True,
+                                 text=True, timeout=60)
+            assert out.returncode == 0, (args, flags, out.stderr)
+            assert out.stdout.endswith(want), (args, flags, out.stdout)
 
 
 def test_relax_rank_flag():

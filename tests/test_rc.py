@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 
 from conftest import GRID_TYPES
+from rcbij.bijection import delta
 from rcbij.cartan import AffineType, dominant_weights, kac_data
 from rcbij.crystal import enumerate_highest
 from rcbij.qpoly import QPoly
 from rcbij.rc import (
+    Config,
     _partitions,
     cc2_config,
     cc2_total,
@@ -86,6 +88,20 @@ def test_vacancy_matches_general_formula():
                             assert Fraction(p2) == vacancy2_general(
                                 at, L, nu, a, i2
                             ), (at, L, lam, nu, a, i2)
+                for rc in enumerate_rc(at, lam, L):
+                    # the vacancies a Config carries, on the grid and on
+                    # each delta output
+                    cells = [(L, rc)]
+                    if L >= 1:
+                        cells.append((L - 1, delta(at, lam, L, rc)[1]))
+                    for L1, rc1 in cells:
+                        cf, nu = Config(at, L1, rc1), config_of(rc1)
+                        for a in range(1, at.n + 1):
+                            top = max(nu[a - 1], default=0) + up2[a - 1]
+                            for i2 in sorted(set(nu[a - 1])) + [top]:
+                                assert cf.vac(a, i2) == vacancy2(
+                                    at, L1, nu, a, i2
+                                ), (at, L1, rc1, a, i2)
 
 
 def _m_at(nu, a, i2, n):
