@@ -1,34 +1,35 @@
 """The box-removal map, its inverse, and the recursive bijection.
 
-delta extracts one letter from a rigged configuration by the per-family
-scan over singular strings, shortening the selected strings and resetting
-their riggings.  Iterating it gives the bijection onto classically
-restricted paths; composing with rigging complementation gives the
-statistic-preserving variant.
+delta extracts one letter from a rigged configuration by a scan over
+singular strings out to node n and back, shortening the selected strings
+and resetting their riggings.  The families differ only at the end of
+the diagram: D1's fork, A2odd's single string, and the cases S, P, Q and
+QS at node n of B1, C1, A2, D2 and A2dag, which one routine handles, with
+the quasi-singular offsets of _QUASI2.  Iterating delta gives the
+bijection onto classically restricted paths; composing with rigging
+complementation gives the statistic-preserving variant.
 
 delta_inverse adds the boxes back: the same scans run in reverse over the
-smaller configuration, with the same case flags, choose the strings to
-lengthen, and one forward delta on the result checks it.
+smaller configuration, with the same case flags and one node-n routine,
+choose the strings to lengthen, and one forward delta on the result
+checks it.
 
 Traces record the selected lengths (doubled, INF when undefined) and the
 case flags, which is what the change-of-vacancy and change-of-statistic
-identities are stated in terms of.
+identities are stated in terms of (tests/oracles.py checks them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import AffineType, is_dominant, kac_data
+from .cartan import AffineType, is_dominant
 from .crystal import EMPTY, letters, rest_weight, wt_letter
-from .energy import local_hbar
 from .rc import (
     INF,
     Config,
     InvalidRC,
-    cc2_total,
     complement,
-    config_of,
     validate_rc,
     vacancy2,
 )
@@ -66,6 +67,13 @@ class DeltaTrace:
         return INF
 
 
+# Doubled offset below the vacancy of the rigging delta takes as
+# quasi-singular at node n: a whole unit for B1 and D2; for A2dag the top
+# of a half-odd box, whose doubled vacancy is even.  C1 and A2 have no
+# case Q: their offset 0 is the singular string itself.
+_QUASI2 = {"B1": 2, "D2": 2, "A2dag": 1}
+
+
 def delta(at: AffineType, lam, L: int, rc):
     """One box-removal step: returns (letter, smaller rc, trace)."""
     if L < 1:
@@ -76,8 +84,8 @@ def delta(at: AffineType, lam, L: int, rc):
     ell: dict[int, int] = {}
     ellbar: dict[int, int] = {}
     cases: dict[int, str] = {}
-    # removals: (node, len2, old rigging's offset below the vacancy or None
-    # for the largest rigging of that length, shrink2, new rigging's offset)
+    # removals: (node, len2, old rigging's offset below the vacancy,
+    # shrink2, new rigging's offset)
     removals: list = []
     b = None
 
@@ -95,10 +103,10 @@ def delta(at: AffineType, lam, L: int, rc):
                 return i2
         return None
 
-    def fwd(last_node):
+    def fwd(last):
         nonlocal b
         prev = 0
-        for a in range(1, last_node + 1):
+        for a in range(1, last + 1):
             i2 = min_sing(a, prev)
             if i2 is None:
                 b = a
@@ -128,6 +136,58 @@ def delta(at: AffineType, lam, L: int, rc):
             ellbar[a] = prevbar = i2
         b = -1
 
+    def last_node():
+        """Node n of B1, C1, A2, D2 and A2dag: case S, P, Q or QS.
+
+        The shortest length from the bound up takes a singular string
+        (case S, or P on a one-column string where the letter E exists) or
+        one _QUASI2 below its vacancy (case Q, QS when a longer singular
+        string exists).  For B1 the bound is half a column lower and a
+        singular string there is taken as Q, the return scan does not
+        merge, and the QS string can keep a singular rigging.
+        """
+        nonlocal b
+        b1 = fam == "B1"
+        col = 1 if b1 else 2  # doubled: a column, half a column for B1
+        quasi = _QUASI2.get(fam, 0)
+        prev = ell.get(n - 1, 0)
+        for i2 in sorted(cf.by[n - 1]):
+            if i2 < (prev - 1 if b1 else prev):
+                continue
+            if cf.count(n, i2):
+                off = 0
+                break
+            if quasi and i2 >= prev and cf.count(n, i2, quasi):
+                off = quasi
+                break
+        else:
+            b = n
+            return
+        if not off and i2 >= prev:
+            if i2 == col and EMPTY in letters(at):  # case P
+                ell[n], cases[n], b = i2, "P", EMPTY
+                return
+            # case S: both scans take the string, two columns come off
+            ellbar[n], ell[n], cases[n] = i2, i2 - col, "S"
+            removals.append((n, i2, 0, 2 * col, 0))
+            ret(n - 1, i2, not b1)
+            return
+        # case Q: the string loses a column and becomes singular
+        ell[n] = i2
+        removals.append((n, i2, off, col, 0))
+        j2 = next((c2 for c2 in sorted(cf.by[n - 1])
+                   if c2 > i2 and cf.count(n, c2)), None)
+        if j2 is None:
+            cases[n], b = "Q", 0
+            return
+        # case QS: a longer singular string loses a column too, and its
+        # new rigging is quasi-singular, except for B1 when the return
+        # scan took its length at node n-1 (the Qprime rigging)
+        ellbar[n], cases[n] = j2, "QS"
+        ret(n - 1, j2, not b1)
+        qs_off = 0 if b1 and j2 == ellbar.get(n - 1) else quasi
+        removals.append((n, j2, 0, col, qs_off))
+
     # Each block scans and appends the removals at its last node or fork
     # that the standard rule below does not describe.
     if fam == "A1":
@@ -151,64 +211,6 @@ def delta(at: AffineType, lam, L: int, rc):
                 ell[n - 1], ell[n] = i2, j2
                 ret(n - 2, max(i2, j2), False)
 
-    elif fam == "B1":
-        if fwd(n - 1):
-            prev = ell.get(n - 1, 0)
-            lo = max(prev - 1, 1)
-            found = kind = None
-            for i2 in sorted(cf.by[n - 1]):
-                if i2 < lo:
-                    continue
-                if i2 == prev - 1:
-                    if cf.count(n, i2):
-                        found, kind = i2, "Q"
-                        break
-                    continue
-                if cf.count(n, i2):
-                    found, kind = i2, "S"
-                    break
-                if cf.count(n, i2, 2):
-                    found, kind = i2, "Q"
-                    break
-            if found is None:
-                b = n
-            elif kind == "S":
-                ellbar[n], ell[n] = found, found - 1
-                cases[n] = "S"
-                removals.append((n, found, 0, 2, 0))
-                ret(n - 1, found, False)
-            else:
-                ell[n] = found
-                removals.append((n, found, None, 1, 0))
-                j2 = None
-                for c2 in sorted(cf.by[n - 1]):
-                    if c2 > found and c2 >= prev and cf.count(n, c2):
-                        j2 = c2
-                        break
-                if j2 is None:
-                    b = 0
-                    cases[n] = "Q"
-                else:
-                    ellbar[n] = j2
-                    cases[n] = "QS"
-                    ret(n - 1, j2, False)
-                    # the second string's new rigging is singular exactly
-                    # when the return scan selected its length at node n-1
-                    new_off = 0 if j2 == ellbar.get(n - 1) else 2
-                    removals.append((n, j2, None, 1, new_off))
-
-    elif fam in ("C1", "A2"):
-        if fwd(n):
-            if fam == "A2" and ell[n] == 2:
-                b = EMPTY
-                cases[n] = "P"
-            else:
-                # two columns come off the selected string
-                cases[n] = "S"
-                ellbar[n] = ell[n]
-                ell[n] = ellbar[n] - 2
-                ret(n - 1, ellbar[n], True)
-
     elif fam == "A2odd":
         if fwd(n):
             # one string, selected by both scans, loses one column
@@ -216,59 +218,8 @@ def delta(at: AffineType, lam, L: int, rc):
             removals.append((n, ell[n], 0, 2, 0))
             ret(n - 1, ellbar[n], False)
 
-    elif fam in ("D2", "A2dag"):
-        if fwd(n - 1):
-            prev = ell.get(n - 1, 0)
-            found = kind = None
-            for i2 in sorted(cf.by[n - 1]):
-                if i2 < prev:
-                    continue
-                if fam == "D2":
-                    if cf.count(n, i2):
-                        found, kind = i2, ("P" if i2 == 2 else "S")
-                        break
-                    if cf.count(n, i2, 2):
-                        found, kind, off = i2, "Q", 2
-                        break
-                else:
-                    # A2dag: a rigging at the top of its box is singular
-                    # on an integer string and quasi on a half-odd one
-                    bx = cf.box(n, i2)
-                    if bx and cf.count(n, i2, cf.vac(n, i2) - bx[-1]):
-                        found, off = i2, cf.vac(n, i2) - bx[-1]
-                        kind = "Q" if off else "S"
-                        break
-            if found is None:
-                b = n
-            elif kind == "P":
-                ell[n] = found
-                cases[n] = "P"
-                b = EMPTY
-            elif kind == "S":
-                ellbar[n], ell[n] = found, found - 2
-                cases[n] = "S"
-                ret(n - 1, found, True)
-            else:  # Q
-                ell[n] = found
-                removals.append((n, found, off, 2, 0))
-                # half-odd strings of A2dag carry odd riggings and even
-                # vacancies, so they are never singular here
-                j2 = None
-                for c2 in sorted(cf.by[n - 1]):
-                    if c2 > found and cf.count(n, c2):
-                        j2 = c2
-                        break
-                if j2 is None:
-                    b = 0
-                    cases[n] = "Q"
-                else:
-                    ellbar[n] = j2
-                    cases[n] = "QS"
-                    removals.append((n, j2, 0, 2, off))
-                    ret(n - 1, j2, True)
-
-    else:
-        raise ValueError(fam)
+    elif fwd(n - 1):  # B1, C1, A2, D2, A2dag
+        last_node()
 
     # The standard rule at every other node: a selected string loses one
     # column, or two under case S, where both scans selected the same
@@ -306,28 +257,21 @@ def _move_strings(cf, L2, moves):
     """Replace strings of cf by strings with new riggings.
 
     A move is (node, len2 or 0 for no old string, the old rigging's offset
-    below its vacancy in cf or None for the largest rigging of that
-    length, new len2 or 0 for no new string, the new rigging's offset
-    below the vacancy of the result at length L2).
+    below its vacancy in cf, new len2 or 0 for no new string, the new
+    rigging's offset below the vacancy of the result at length L2).
     """
     nodes = [list(node) for node in cf.rc]
-    for a, len2, old_off, _new_len2, _new_off in moves:
-        if not len2:
-            continue
-        if old_off is None:
-            rig = max(cf.by[a - 1][len2])
-        else:
-            rig = cf.vac(a, len2) - old_off
-        nodes[a - 1].remove((len2, rig))
+    for a, len2, off, _new_len2, _new_off in moves:
+        if len2:
+            nodes[a - 1].remove((len2, cf.vac(a, len2) - off))
     grown = [(a, len2, off) for a, _len2, _old_off, len2, off in moves
              if len2 > 0]
     # the result's vacancies depend on its lengths only
-    shape = Config(cf.at, L2, [
-        node + [(len2, 0) for b, len2, _off in grown if b == a]
-        for a, node in enumerate(nodes, 1)
-    ])
+    nu = [[ln for ln, _rg in node] for node in nodes]
+    for a, len2, _off in grown:
+        nu[a - 1].append(len2)
     for a, len2, off in grown:
-        nodes[a - 1].append((len2, shape.vac(a, len2) - off))
+        nodes[a - 1].append((len2, vacancy2(cf.at, L2, nu, a, len2) - off))
     return tuple(tuple(sorted(node, reverse=True)) for node in nodes)
 
 
@@ -347,12 +291,6 @@ def phi(at: AffineType, lam, L: int, rc):
 def phi_tilde(at: AffineType, lam, L: int, rc):
     """The statistic-matching variant: complement the riggings first."""
     return phi(at, lam, L, complement(at, L, rc))
-
-
-# Doubled offset below the vacancy of the rigging delta takes as
-# quasi-singular at the last node: a whole unit for B1 and D2; for A2dag
-# the top of a half-odd box, whose doubled vacancy is even.
-_QUASI2 = {"B1": 2, "D2": 2, "A2dag": 1}
 
 
 class _Fill:
@@ -406,37 +344,38 @@ class _Fill:
                 hi = self.chain((a,), hi)
 
 
-def _last_node_quasi(fs, at, hi, outward):
-    """Node n of B1, D2 and A2dag: case Q, QS or S, then the way back.
+def _last_node(fs, at, hi, outward):
+    """Node n of B1, C1, A2, D2 and A2dag: case S, Q or QS, then the way back.
 
     hi is the bound the outward scan left, or None for the zero letter,
     where case Q stands alone.
     """
     n = at.n
     b1 = at.family == "B1"
-    up = kac_data(at).up2[n - 1]  # one box: half a column for B1
-    quasi = _QUASI2[at.family]
+    col = 1 if b1 else 2  # doubled: a column, half a column for B1
+    quasi = _QUASI2.get(at.family, 0)
     s = fs.longest(n, INF if hi is None else hi)
     if hi is not None:
         if b1 and hi < INF and fs.free(n, hi + 1, 0):
             # QS where ellbar^(n) = ellbar^(n-1) left the second string
             # singular (the Qprime rigging)
             t, toff = hi + 1, 0
-        else:
+        else:  # for C1 and A2 t is s
             t, toff = fs.longest(n, hi, quasi), quasi
-        if t <= s:  # case S: the singular string gains two boxes
-            fs.additions.append((n, s, 0, 2 * up, 0))
+        if t <= s:  # case S: the singular string gains two columns
+            fs.additions.append((n, s, 0, 2 * col, 0))
             if b1:
                 fs.chain(range(n - 1, 0, -1), s)
             else:
                 fs.merge_back(s, outward)
             return
-        fs.additions.append((n, t, toff, up, 0))  # case QS: the second string
-    # case Q: the singular string gains a box and was quasi-singular, except
-    # for B1 one half box below ell^(n-1), where delta takes it singular
+        fs.additions.append((n, t, toff, col, 0))  # case QS: the second string
+    # case Q: the singular string gains a column and was quasi-singular,
+    # except for B1 half a column below ell^(n-1), where delta takes it
+    # singular
     below = range(n - 1, 0, -1)
     s1 = fs.chain(below[:1], s)
-    fs.additions.append((n, s, 0, up, 0 if b1 and s1 == s else quasi))
+    fs.additions.append((n, s, 0, col, 0 if b1 and s1 == s else quasi))
     fs.chain(below[1:], s1)
 
 
@@ -456,7 +395,7 @@ def _reverse_scan(at, b, fs):
         fs.chain(range(b - 1, 0, -1), INF)
         return
     if b == 0:
-        _last_node_quasi(fs, at, None, {})
+        _last_node(fs, at, None, {})
         return
     # b = -k: the return scan stopped below node k; run it outwards first
     if fam == "D1" and b == -n:  # only node n of the fork was selected
@@ -472,12 +411,8 @@ def _reverse_scan(at, b, fs):
                  min(fs.chain((n - 1,), hi), fs.chain((n,), hi)))
     elif fam == "A2odd":  # one string at node n, selected by both scans
         fs.chain(range(n, 0, -1), hi)
-    elif fam in _QUASI2:
-        _last_node_quasi(fs, at, hi, outward)
-    else:  # C1, A2: case S at node n
-        s = fs.longest(n, hi)
-        fs.additions.append((n, s, 0, 4, 0))
-        fs.merge_back(s, outward)
+    else:  # B1, C1, A2, D2, A2dag
+        _last_node(fs, at, hi, outward)
 
 
 def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
@@ -528,163 +463,3 @@ def phi_inverse(at: AffineType, lam, L: int, word):
 
 def phi_tilde_inverse(at: AffineType, lam, L: int, word):
     return complement(at, L, phi_inverse(at, lam, L, word))
-
-
-def _chi(x2, i2):
-    return 1 if x2 <= i2 else 0
-
-
-def vacancy_change2(at: AffineType, trace: DeltaTrace, a: int, i2: int) -> int:
-    """Doubled predicted change (new minus old) of the vacancy at (a, i2)."""
-    n = at.n
-    fam = at.family
-    el = trace.ell_at
-    eb = trace.ellbar_at
-
-    def std():
-        return (
-            -_chi(el(a - 1), i2)
-            + 2 * _chi(el(a), i2)
-            - _chi(el(a + 1), i2)
-            - _chi(eb(a - 1), i2)
-            + 2 * _chi(eb(a), i2)
-            - _chi(eb(a + 1), i2)
-        )
-
-    if fam == "A1":
-        return 2 * (
-            -_chi(el(a - 1), i2) + 2 * _chi(el(a), i2) - _chi(el(a + 1), i2)
-        )
-    if fam == "D1":
-        if a <= n - 3:
-            return 2 * std()
-        if a == n - 2:
-            return 2 * (
-                -_chi(el(n - 3), i2)
-                + 2 * _chi(el(n - 2), i2)
-                - _chi(el(n - 1), i2)
-                - _chi(eb(n - 3), i2)
-                + 2 * _chi(eb(n - 2), i2)
-                - _chi(el(n), i2)
-            )
-        return 2 * (
-            -_chi(el(n - 2), i2) - _chi(eb(n - 2), i2) + 2 * _chi(el(a), i2)
-        )
-    if fam == "B1":
-        if a <= n - 1:
-            return 2 * std()
-        ln1, lb1 = el(n - 1), eb(n - 1)
-        return 2 * (
-            -_chi(ln1 - 1, i2)
-            - _chi(ln1, i2)
-            + 2 * _chi(el(n), i2)
-            - _chi(lb1 - 1, i2)
-            - _chi(lb1, i2)
-            + 2 * _chi(eb(n), i2)
-        )
-    if fam in ("C1", "A2", "A2dag"):
-        if a <= n - 1:
-            return 2 * std()
-        return 2 * (
-            -_chi(el(n - 1), i2)
-            - _chi(eb(n - 1), i2)
-            + _chi(el(n), i2)
-            + _chi(eb(n), i2)
-        )
-    if fam == "A2odd":
-        if a <= n - 1:
-            return 2 * std()
-        return 2 * (
-            -_chi(el(n - 1), i2) + 2 * _chi(el(n), i2) - _chi(eb(n - 1), i2)
-        )
-    if fam == "D2":
-        if a <= n - 1:
-            return 2 * std()
-        return 2 * (
-            -2 * _chi(el(n - 1), i2)
-            + 2 * _chi(el(n), i2)
-            - 2 * _chi(eb(n - 1), i2)
-            + 2 * _chi(eb(n), i2)
-        )
-    raise ValueError(fam)
-
-
-def verify_delta_identities(at: AffineType, lam, L: int, rc) -> dict:
-    """Check the statistic and vacancy identities across one primed step.
-
-    The primed step is complement, delta, complement.  Returns a report
-    dict with one boolean per identity plus the observed values; the
-    caller decides whether to raise.
-    """
-    n = at.n
-    fam = at.family
-    kd = kac_data(at)
-    lam = tuple(lam)
-    if L == 0:
-        return {"ok": True, "rank": None}
-    crc = complement(at, L, rc)
-    b, crc2, trace = delta(at, lam, L, crc)
-    rho = rest_weight(at, lam, b)
-    rc2 = complement(at, L - 1, crc2)
-    report: dict = {"ok": True, "rank": b}
-
-    def check(name, cond, info=None):
-        report[name] = bool(cond)
-        if info is not None:
-            report[name + ".info"] = info
-        if not cond:
-            report["ok"] = False
-
-    dcc2 = cc2_total(at, rc) - cc2_total(at, rc2)
-    alpha1 = len(rc[0])
-    phiflag = 1 if b == EMPTY else 0
-    if fam in ("A2", "D2"):
-        expected2 = 2 * (2 * alpha1 - phiflag)
-    else:
-        expected2 = 2 * alpha1
-    check("delta_cc", dcc2 == expected2, (dcc2, expected2))
-    if fam != "A2dag":
-        # a_0^vee is 1 away from A2dag, so this stays integral
-        gen2 = 2 * kd.t_vee[0] * alpha1 - 2 * phiflag
-        check("delta_cc_generic", dcc2 == gen2, (dcc2, gen2))
-
-    # vacancy-change identity on the delta step crc -> crc2
-    nu, nu2 = config_of(crc), config_of(crc2)
-    ok_cv = True
-    bad = None
-    for a in range(1, n + 1):
-        top = max(
-            max(nu[a - 1], default=0), max(nu2[a - 1], default=0)
-        ) + 2 * kd.up2[a - 1]
-        for i2 in range(kd.up2[a - 1], top + 1, kd.up2[a - 1]):
-            lhs = vacancy2(at, L - 1, nu2, a, i2)
-            rhs = vacancy2(at, L, nu, a, i2) + vacancy_change2(at, trace, a, i2)
-            if lhs != rhs:
-                ok_cv = False
-                bad = (a, i2, lhs, rhs)
-                break
-        if not ok_cv:
-            break
-    check("vacancy_change", ok_cv, bad)
-
-    if L >= 2:
-        b2, _crc3, _tr2 = delta(at, rho, L - 1, crc2)
-        h2 = local_hbar(at)[(b, b2)]
-        phiflag2 = 1 if b2 == EMPTY else 0
-        alpha1t = len(rc2[0])
-        ell1 = 1 if trace.ell_at(1) == 2 else 0
-        ellbar1 = 1 if trace.ellbar_at(1) == 2 else 0
-        if fam == "A1":
-            # plain column-count difference; no shortcut form exists here
-            pred = alpha1 - alpha1t
-        elif fam in ("D1", "B1", "A2odd"):
-            pred = ell1 + ellbar1
-        elif fam in ("C1", "A2dag"):
-            pred = ell1
-        else:  # A2, D2
-            pred = 2 * ell1 - phiflag + phiflag2
-        check("hbar_steps", h2 == pred, (h2, pred, b, b2))
-        if fam != "A2dag":
-            genh = kd.t_vee[0] * (alpha1 - alpha1t) - phiflag + phiflag2
-            check("hbar_generic", h2 == genh, (h2, genh))
-    return report

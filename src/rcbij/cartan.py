@@ -71,6 +71,10 @@ class AffineType:
                 "family %s needs rank >= %d (got %d); pass relax_rank to "
                 "override" % (self.family, _MIN_RANK[self.family], self.n)
             )
+        if self.family == "D2" and self.n == 1:
+            # node 1 is node n too, and the rigged configurations miss
+            # paths: lam = (0), L = 1 has the path E but no configuration
+            raise RankError("family D2 needs rank >= 2, even relaxed")
 
     @property
     def gbar(self) -> str:
@@ -153,7 +157,8 @@ def kac_data(at: AffineType) -> KacData:
     # both are always 1 or 2 for these families.
     t = tuple(max(Fraction(a[i], a_vee[i]), a_vee[0]) for i in range(1, n + 1))
     t_vee = tuple(max(Fraction(a_vee[i], a[i]), a[0]) for i in range(1, n + 1))
-    assert all(x.denominator == 1 for x in t + t_vee)
+    if any(x.denominator != 1 for x in t + t_vee):
+        raise ValueError("%s: t or t^vee is not integral" % at)
     t = tuple(int(x) for x in t)
     t_vee = tuple(int(x) for x in t_vee)
     up2 = [2] * n
@@ -222,7 +227,8 @@ def coroot_pairings(at: AffineType, lam) -> list:
     for v in vecs:
         num = 2 * k2 * sum(x * y for x, y in zip(lam, v))
         den = k2 * sum(x * x for x in v)
-        assert num % den == 0
+        if num % den:
+            raise ValueError("%r is not an integral weight" % (lam,))
         out.append(num // den)
     return out
 

@@ -85,7 +85,8 @@ def arrows(at: AffineType):
         if not known.issuperset(f[i].values()):
             raise RankError("%s: arrow %d leads out of the letters" % (at, i))
         e[i] = {v: k for k, v in f[i].items()}
-        assert len(e[i]) == len(f[i]), "arrow table not injective at node %d" % i
+        if len(e[i]) != len(f[i]):
+            raise RankError("%s: two %d-arrows end at one letter" % (at, i))
     return f, e
 
 

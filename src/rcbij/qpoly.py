@@ -7,8 +7,6 @@ coefficients are never stored, which makes equality structural.
 
 from __future__ import annotations
 
-from math import comb
-
 
 class QPoly:
     """Immutable Laurent-ish polynomial in q with half-integer exponents."""
@@ -121,9 +119,11 @@ def qbinom(p: int, m: int, t: int = 1) -> QPoly:
 
     Computed by the q-Pascal recurrence [n k] = [n-1 k-1] + q^k [n-1 k],
     so coefficients stay integral throughout.  Degree is t*p*m and the
-    coefficient list is palindromic.
+    coefficient list is palindromic; test_qpoly checks both, and that the
+    coefficients sum to binom(p+m, m).
     """
-    assert p >= 0 and m >= 0 and t >= 1
+    if p < 0 or m < 0 or t < 1:
+        raise ValueError("qbinom needs p, m >= 0 and t >= 1")
     n = p + m
     row = {0: [1]}  # k -> coefficient list of [n' choose k]_q at current n'
     for np_ in range(1, n + 1):
@@ -140,8 +140,4 @@ def qbinom(p: int, m: int, t: int = 1) -> QPoly:
                 res[k + i] += c
             new[k] = res
         row = new
-    coeffs = row[m]
-    assert len(coeffs) == p * m + 1
-    assert coeffs == coeffs[::-1]
-    assert sum(coeffs) == comb(p + m, m)
-    return QPoly({2 * t * k: c for k, c in enumerate(coeffs) if c})
+    return QPoly({2 * t * k: c for k, c in enumerate(row[m]) if c})

@@ -293,7 +293,8 @@ def cc2_config(at: AffineType, nu) -> int:
                 for y2 in nu[b - 1]:
                     k = y2 // kd.up2[b - 1]
                     total += fb * min(tb * j, ta * k)
-    assert total % 2 == 0
+    if total % 2:
+        raise ValueError("%s: the form gives an odd doubled cc" % at)
     return total // 2
 
 

@@ -3,13 +3,15 @@
 Nothing in the package imports this module.  Each oracle computes the same
 quantity as a production function by a different route (brute force, a
 hand-written per-family formula, exact Fractions), so agreement is evidence
-that both are right.
+that both are right.  ``verify_delta_identities`` checks the paper's
+per-step identities (the change of the vacancy numbers and of cc across one
+removal step) against ``delta``.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from rcbij.bijection import NoPreimage, delta
+from rcbij.bijection import DeltaTrace, NoPreimage, delta
 from rcbij.cartan import (
     AffineType,
     form2_matrix,
@@ -18,17 +20,23 @@ from rcbij.cartan import (
     simple_root_vectors,
 )
 from rcbij.crystal import (
+    EMPTY,
     arrows,
     eps_letter,
     is_classically_highest,
     letters,
     phi_letter,
+    rest_weight,
     wt_letter,
     wt_path,
 )
+from rcbij.energy import local_hbar
 from rcbij.rc import (
     InvalidRC,
     box,
+    cc2_total,
+    complement,
+    config_of,
     enumerate_rc,
     normalized_sizes,
     validate_rc,
@@ -312,3 +320,163 @@ def classical_weight_steps_ok(at: AffineType) -> bool:
             if d != alpha:
                 return False
     return True
+
+
+def _chi(x2, i2):
+    return 1 if x2 <= i2 else 0
+
+
+def vacancy_change2(at: AffineType, trace: DeltaTrace, a: int, i2: int) -> int:
+    """Doubled predicted change (new minus old) of the vacancy at (a, i2)."""
+    n = at.n
+    fam = at.family
+    el = trace.ell_at
+    eb = trace.ellbar_at
+
+    def std():
+        return (
+            -_chi(el(a - 1), i2)
+            + 2 * _chi(el(a), i2)
+            - _chi(el(a + 1), i2)
+            - _chi(eb(a - 1), i2)
+            + 2 * _chi(eb(a), i2)
+            - _chi(eb(a + 1), i2)
+        )
+
+    if fam == "A1":
+        return 2 * (
+            -_chi(el(a - 1), i2) + 2 * _chi(el(a), i2) - _chi(el(a + 1), i2)
+        )
+    if fam == "D1":
+        if a <= n - 3:
+            return 2 * std()
+        if a == n - 2:
+            return 2 * (
+                -_chi(el(n - 3), i2)
+                + 2 * _chi(el(n - 2), i2)
+                - _chi(el(n - 1), i2)
+                - _chi(eb(n - 3), i2)
+                + 2 * _chi(eb(n - 2), i2)
+                - _chi(el(n), i2)
+            )
+        return 2 * (
+            -_chi(el(n - 2), i2) - _chi(eb(n - 2), i2) + 2 * _chi(el(a), i2)
+        )
+    if fam == "B1":
+        if a <= n - 1:
+            return 2 * std()
+        ln1, lb1 = el(n - 1), eb(n - 1)
+        return 2 * (
+            -_chi(ln1 - 1, i2)
+            - _chi(ln1, i2)
+            + 2 * _chi(el(n), i2)
+            - _chi(lb1 - 1, i2)
+            - _chi(lb1, i2)
+            + 2 * _chi(eb(n), i2)
+        )
+    if fam in ("C1", "A2", "A2dag"):
+        if a <= n - 1:
+            return 2 * std()
+        return 2 * (
+            -_chi(el(n - 1), i2)
+            - _chi(eb(n - 1), i2)
+            + _chi(el(n), i2)
+            + _chi(eb(n), i2)
+        )
+    if fam == "A2odd":
+        if a <= n - 1:
+            return 2 * std()
+        return 2 * (
+            -_chi(el(n - 1), i2) + 2 * _chi(el(n), i2) - _chi(eb(n - 1), i2)
+        )
+    if fam == "D2":
+        if a <= n - 1:
+            return 2 * std()
+        return 2 * (
+            -2 * _chi(el(n - 1), i2)
+            + 2 * _chi(el(n), i2)
+            - 2 * _chi(eb(n - 1), i2)
+            + 2 * _chi(eb(n), i2)
+        )
+    raise ValueError(fam)
+
+
+def verify_delta_identities(at: AffineType, lam, L: int, rc) -> dict:
+    """Check the statistic and vacancy identities across one primed step.
+
+    The primed step is complement, delta, complement.  Returns a report
+    dict with one boolean per identity plus the observed values; the
+    caller decides whether to raise.
+    """
+    n = at.n
+    fam = at.family
+    kd = kac_data(at)
+    lam = tuple(lam)
+    if L == 0:
+        return {"ok": True, "rank": None}
+    crc = complement(at, L, rc)
+    b, crc2, trace = delta(at, lam, L, crc)
+    rho = rest_weight(at, lam, b)
+    rc2 = complement(at, L - 1, crc2)
+    report: dict = {"ok": True, "rank": b}
+
+    def check(name, cond, info=None):
+        report[name] = bool(cond)
+        if info is not None:
+            report[name + ".info"] = info
+        if not cond:
+            report["ok"] = False
+
+    dcc2 = cc2_total(at, rc) - cc2_total(at, rc2)
+    alpha1 = len(rc[0])
+    phiflag = 1 if b == EMPTY else 0
+    if fam in ("A2", "D2"):
+        expected2 = 2 * (2 * alpha1 - phiflag)
+    else:
+        expected2 = 2 * alpha1
+    check("delta_cc", dcc2 == expected2, (dcc2, expected2))
+    if fam != "A2dag":
+        # a_0^vee is 1 away from A2dag, so this stays integral
+        gen2 = 2 * kd.t_vee[0] * alpha1 - 2 * phiflag
+        check("delta_cc_generic", dcc2 == gen2, (dcc2, gen2))
+
+    # vacancy-change identity on the delta step crc -> crc2
+    nu, nu2 = config_of(crc), config_of(crc2)
+    ok_cv = True
+    bad = None
+    for a in range(1, n + 1):
+        top = max(
+            max(nu[a - 1], default=0), max(nu2[a - 1], default=0)
+        ) + 2 * kd.up2[a - 1]
+        for i2 in range(kd.up2[a - 1], top + 1, kd.up2[a - 1]):
+            lhs = vacancy2(at, L - 1, nu2, a, i2)
+            rhs = vacancy2(at, L, nu, a, i2) + vacancy_change2(at, trace, a, i2)
+            if lhs != rhs:
+                ok_cv = False
+                bad = (a, i2, lhs, rhs)
+                break
+        if not ok_cv:
+            break
+    check("vacancy_change", ok_cv, bad)
+
+    if L >= 2:
+        b2, _crc3, _tr2 = delta(at, rho, L - 1, crc2)
+        h2 = local_hbar(at)[(b, b2)]
+        phiflag2 = 1 if b2 == EMPTY else 0
+        alpha1t = len(rc2[0])
+        ell1 = 1 if trace.ell_at(1) == 2 else 0
+        ellbar1 = 1 if trace.ellbar_at(1) == 2 else 0
+        if fam == "A1":
+            # plain column-count difference; no shortcut form exists here
+            pred = alpha1 - alpha1t
+        elif fam in ("D1", "B1", "A2odd"):
+            pred = ell1 + ellbar1
+        elif fam in ("C1", "A2dag"):
+            pred = ell1
+        else:  # A2, D2
+            pred = 2 * ell1 - phiflag + phiflag2
+        check("hbar_steps", h2 == pred, (h2, pred, b, b2))
+        if fam != "A2dag":
+            genh = kd.t_vee[0] * (alpha1 - alpha1t) - phiflag + phiflag2
+            check("hbar_generic", h2 == genh, (h2, genh))
+    return report

@@ -29,9 +29,13 @@ from rcbij.crystal import (
 from rcbij.energy import b_natural, dbar, local_hbar
 from rcbij.qpoly import qbinom
 from rcbij.rc import cc2_total, complement, enumerate_rc
-from rcbij.bijection import delta, delta_inverse, phi, verify_delta_identities
+from rcbij.bijection import delta, delta_inverse, phi
 from rcbij.verify import CHECKS, cells_for, verify_cell
-from oracles import delta_inverse_bruteforce, delta_inverse_search
+from oracles import (
+    delta_inverse_bruteforce,
+    delta_inverse_search,
+    verify_delta_identities,
+)
 
 MAX_LEN = 5
 

@@ -12,8 +12,8 @@ from rcbij.bijection import (
     phi_inverse,
     phi_tilde,
     phi_tilde_inverse,
-    verify_delta_identities,
 )
+from oracles import verify_delta_identities
 
 SMALL_GRID = [at for at in GRID_TYPES if at.n <= 3]
 

@@ -137,7 +137,7 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["verify", "--n", "2"]) == 2  # no --type
     assert main(["verify", "--type", "C1", "--n", "2",
                  "--max-len", "-1"]) == 2  # negative length
-    for fam, n in (("D1", 2), ("B1", 1), ("A2odd", 1)):  # ranks not built
+    for fam, n in (("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1)):  # not built
         assert main(["verify", "--type", fam, "--n", str(n), "--relax-rank",
                      "--max-len", "2"]) == 2
     rc = {"type": "C1", "n": 2, "L": 3, "lambda": [1, 0],
@@ -170,7 +170,7 @@ def test_usage_errors(capsys, tmp_path):
         gridfile.write_text(json.dumps({"cells": [cell]}))
         assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 34 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 35 and all(ln.startswith("error: ") for ln in lines)
 
 
 def test_verify_same_under_optimize(tmp_path):

@@ -9,7 +9,8 @@ last-node cases Q and QS of B1, D2 and A2dag, with the quasi-singular
 riggings and A2dag's half-odd box tops, are common enough to compare the
 box-addition inverse with the candidate search on every step; so is D1's
 fork, where the return scan bounds node n-2 by the shorter of the two
-strings it took at nodes n-1 and n.
+strings it took at nodes n-1 and n.  The whole default battery is
+certified at six factors as well.
 """
 
 from conftest import GRID_TYPES  # noqa: F401  (import keeps sys.path set)
@@ -17,7 +18,7 @@ from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import wt_letter
 from rcbij.bijection import delta, delta_inverse
 from rcbij.rc import enumerate_rc
-from rcbij.verify import cells_for, verify_cell
+from rcbij.verify import BATTERY, cells_for, verify_cell
 from oracles import delta_inverse_search
 
 EXTENDED = [
@@ -74,6 +75,14 @@ def test_b_double_selection_cells():
     for lam in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
         ok, _row, failure = verify_cell(at, lam, 6)
         assert ok, (lam, failure)
+
+
+def test_battery_at_length_6():
+    for fam, n in BATTERY:
+        at = AffineType(fam, n)
+        for lam in dominant_weights(at, 6):
+            ok, _row, failure = verify_cell(at, lam, 6)
+            assert ok, (at, lam, failure)
 
 
 def test_extended_ranks_full_checks():

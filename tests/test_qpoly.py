@@ -54,10 +54,23 @@ def test_qbinom_symmetry_and_count(p, m, t):
 
 
 def test_qbinom_palindromic():
-    for p in range(5):
-        for m in range(5):
-            coeffs = [c for _e, c in qbinom(p, m, 1).coeffs_sorted()]
-            assert coeffs == coeffs[::-1]
+    # p*m + 1 positive coefficients at q^0, q^t, ..., q^(t*p*m), read the
+    # same both ways and summing to binom(p+m, m)
+    for p in range(6):
+        for m in range(6):
+            for t in (1, 2, 3):
+                terms = qbinom(p, m, t).coeffs_sorted()
+                assert [e for e, _c in terms] == list(
+                    range(0, 2 * t * p * m + 1, 2 * t))
+                coeffs = [c for _e, c in terms]
+                assert min(coeffs) > 0 and coeffs == coeffs[::-1]
+                assert sum(coeffs) == comb(p + m, m)
+
+
+@pytest.mark.parametrize("p,m,t", [(-1, 2, 1), (2, -1, 1), (2, 2, 0)])
+def test_qbinom_rejects_bad_arguments(p, m, t):
+    with pytest.raises(ValueError):
+        qbinom(p, m, t)
 
 
 small_polys = st.dictionaries(
