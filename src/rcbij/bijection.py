@@ -53,19 +53,6 @@ class DeltaTrace:
     cases: tuple
     rank: object
 
-    def ell_at(self, a: int) -> int:
-        """ell at node a with the scan conventions: node 0 is 0."""
-        if a == 0:
-            return 0
-        if 1 <= a <= len(self.ell):
-            return self.ell[a - 1]
-        return INF
-
-    def ellbar_at(self, a: int) -> int:
-        if 1 <= a <= len(self.ellbar):
-            return self.ellbar[a - 1]
-        return INF
-
 
 # Doubled offset below the vacancy of the rigging delta takes as
 # quasi-singular at node n: a whole unit for B1 and D2; for A2dag the top
@@ -460,6 +447,3 @@ def phi_inverse(at: AffineType, lam, L: int, word):
         raise NoPreimage("the word's weight is not %r" % (tuple(lam),))
     return rc
 
-
-def phi_tilde_inverse(at: AffineType, lam, L: int, word):
-    return complement(at, L, phi_inverse(at, lam, L, word))

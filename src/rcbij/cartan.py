@@ -297,18 +297,6 @@ def dominant_weights(at: AffineType, L: int):
     n = at.weight_len
     out = []
 
-    if at.family == "A1":
-        def rec_a(acc, maxpart, left):
-            if len(acc) == n:
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            for v in range(min(maxpart, left), -1, -1):
-                rec_a(acc + [v], v, left - v)
-
-        rec_a([], L, L)
-        return sorted(out)
-
     def rec(acc):
         if len(acc) == n - 1:
             hi = acc[-1] if acc else L
@@ -321,4 +309,6 @@ def dominant_weights(at: AffineType, L: int):
             rec(acc + [v])
 
     rec([])
+    if at.family == "A1":
+        out = [lam for lam in out if sum(lam) == L]
     return sorted(out)

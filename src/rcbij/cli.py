@@ -228,6 +228,8 @@ def cmd_verify(args) -> int:
     if (args.type is None) != (args.n is None):
         _usage_error("verify takes --type and --n together")
     _check_len(args.max_len)
+    if args.jobs < 1:
+        _usage_error("--jobs takes a positive count, not %d" % args.jobs)
     cells = []
     if args.grid:
         cells.extend(_grid_cells(args.grid, args.relax_rank))

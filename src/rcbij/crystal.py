@@ -1,4 +1,4 @@
-"""The vector crystal for each family: letters, arrows, tensor words.
+"""The vector crystal for each family: letters, arrows, restricted paths.
 
 Letters are encoded as ints: k is k, barred k is -k, the zero letter is 0,
 and the empty letter (phi) is the sentinel EMPTY.  A path is a tuple of
@@ -40,10 +40,6 @@ def letters(at: AffineType) -> tuple:
 
 def letter_str(b) -> str:
     return "E" if b == EMPTY else str(b)
-
-
-def letter_from_str(s: str):
-    return EMPTY if s == "E" else int(s)
 
 
 @lru_cache(maxsize=None)
@@ -88,22 +84,6 @@ def arrows(at: AffineType):
         if len(e[i]) != len(f[i]):
             raise RankError("%s: two %d-arrows end at one letter" % (at, i))
     return f, e
-
-
-def apply_f(at: AffineType, i: int, b):
-    """f_i(b), or None when no i-arrow leaves b."""
-    f, _ = arrows(at)
-    if i not in f:
-        raise ValueError("node index %d out of range" % i)
-    return f[i].get(b)
-
-
-def apply_e(at: AffineType, i: int, b):
-    """e_i(b), or None when no i-arrow points at b."""
-    _, e = arrows(at)
-    if i not in e:
-        raise ValueError("node index %d out of range" % i)
-    return e[i].get(b)
 
 
 @lru_cache(maxsize=None)
@@ -164,72 +144,11 @@ def rest_weight(at: AffineType, lam, b):
 
 
 def wt_path(at: AffineType, word) -> tuple:
-    ln = at.weight_len
-    v = [0] * ln
+    """Weight of a word: the componentwise sum of its letters' weights."""
+    v = [0] * at.weight_len
     for b in word:
-        if b == EMPTY or b == 0:
-            continue
-        if b > 0:
-            v[b - 1] += 1
-        else:
-            v[-b - 1] -= 1
+        v = [x + y for x, y in zip(v, wt_letter(at, b))]
     return tuple(v)
-
-
-def tensor_e(at: AffineType, i: int, word):
-    """e_i on a word, or None; the two-factor rule applied right-nested."""
-    word = tuple(word)
-    if not word:
-        return None
-    # locate the factor e_i acts on: scan from the left, maintaining
-    # eps/phi of the suffix to the right of the current position.
-    # e acts on position j iff eps(word[j]) > phi(suffix) and no earlier
-    # position soaked it up; unrolled via the recursive rule.
-    suff_eps = [0] * (len(word) + 1)
-    suff_phi = [0] * (len(word) + 1)
-    for j in range(len(word) - 1, -1, -1):
-        eb = eps_letter(at, i, word[j])
-        pb = phi_letter(at, i, word[j])
-        suff_eps[j] = suff_eps[j + 1] + max(0, eb - suff_phi[j + 1])
-        suff_phi[j] = pb + max(0, suff_phi[j + 1] - eb)
-    for j in range(len(word)):
-        if eps_letter(at, i, word[j]) > suff_phi[j + 1]:
-            nb = apply_e(at, i, word[j])
-            if nb is None:
-                return None
-            return word[:j] + (nb,) + word[j + 1:]
-    # acts on the last factor of the innermost bracket
-    nb = apply_e(at, i, word[-1])
-    if nb is None:
-        return None
-    return word[:-1] + (nb,)
-
-
-def tensor_f(at: AffineType, i: int, word):
-    """f_i on a word, or None."""
-    word = tuple(word)
-    if not word:
-        return None
-    suff_phi = [0] * (len(word) + 1)
-    for j in range(len(word) - 1, -1, -1):
-        eb = eps_letter(at, i, word[j])
-        pb = phi_letter(at, i, word[j])
-        suff_phi[j] = pb + max(0, suff_phi[j + 1] - eb)
-    for j in range(len(word)):
-        if eps_letter(at, i, word[j]) >= suff_phi[j + 1]:
-            nb = apply_f(at, i, word[j])
-            if nb is None:
-                return None
-            return word[:j] + (nb,) + word[j + 1:]
-    nb = apply_f(at, i, word[-1])
-    if nb is None:
-        return None
-    return word[:-1] + (nb,)
-
-
-def is_classically_highest(at: AffineType, word) -> bool:
-    """True iff e_i kills the word for every classical node i."""
-    return all(tensor_e(at, i, word) is None for i in range(1, at.n + 1))
 
 
 @lru_cache(maxsize=None)

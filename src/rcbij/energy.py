@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .cartan import AffineType
 from .crystal import (
-    apply_e,
+    arrows,
     enumerate_highest,
     eps_letter,
     letters,
@@ -32,10 +32,10 @@ class PropagationError(RuntimeError):
 def _pair_e(at: AffineType, i: int, pair):
     """e_i on a two-factor tensor; returns (new_pair, side) or None."""
     x, y = pair
+    e = arrows(at)[1][i]
     if eps_letter(at, i, x) > phi_letter(at, i, y):
-        nx = apply_e(at, i, x)
-        return ((nx, y), "left") if nx is not None else None
-    ny = apply_e(at, i, y)
+        return (e[x], y), "left"
+    ny = e.get(y)
     return ((x, ny), "right") if ny is not None else None
 
 
@@ -79,10 +79,6 @@ def local_hbar(at: AffineType):
     return h
 
 
-def hbar(at: AffineType, x, y) -> int:
-    return local_hbar(at)[(x, y)]
-
-
 @lru_cache(maxsize=None)
 def b_natural(at: AffineType):
     """The unique letter with phi = Lambda_0 (one 0-arrow out, nothing else)."""
@@ -117,11 +113,6 @@ def dbar(at: AffineType, word) -> int:
         return 0
     h = local_hbar(at)
     return ebar(at, word) - L * h[(1, b_natural(at))]
-
-
-def intrinsic_d(at: AffineType, word) -> int:
-    """The unbarred intrinsic energy (nonpositive on restricted paths)."""
-    return -dbar(at, word)
 
 
 def xbar(at: AffineType, lam, L: int) -> QPoly:

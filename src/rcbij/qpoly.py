@@ -73,20 +73,8 @@ class QPoly:
         """Evaluate at q = 1."""
         return sum(self.terms.values())
 
-    def degree2(self):
-        """Doubled exponent of the highest term, or None for the zero poly."""
-        return max(self.terms) if self.terms else None
-
     def coeffs_sorted(self):
         return sorted(self.terms.items())
-
-    def to_pairs(self):
-        """JSON form: sorted [[doubled_exponent, coeff], ...]."""
-        return [[e, c] for e, c in self.coeffs_sorted()]
-
-    @staticmethod
-    def from_pairs(pairs) -> "QPoly":
-        return QPoly({int(e): int(c) for e, c in pairs})
 
     def __str__(self):
         if not self.terms:

@@ -13,9 +13,9 @@ Representation conventions, used across the package:
   grouped by length at each node, and each vacancy number computed once,
   when first asked for, by ``vacancy2``.
 
-Everything is exact integer arithmetic.  The vacancy numbers come from
-one integer matrix per type, derived from the normalized form, and every
-family's rigging box comes from ``box``.
+Everything is exact integer arithmetic.  The vacancy numbers and cc come
+from one integer matrix per type, derived from the normalized form, and
+every family's rigging box comes from ``box``.
 """
 
 from __future__ import annotations
@@ -276,26 +276,22 @@ def validate_rc(at: AffineType, lam, L: int, rc) -> None:
 
 
 def cc2_config(at: AffineType, nu) -> int:
-    """Doubled configuration statistic (the quadratic form part)."""
-    kd = kac_data(at)
-    form2 = form2_matrix(at)
-    n = at.n
+    """Doubled configuration statistic (the quadratic form part).
+
+    The same form gives the vacancy numbers: with C the matrix of
+    _vacancy_table, the doubled cc is
+    -1/2 sum_a t^vee_a sum_b C[a][b] sum_{x in nu^(a), y in nu^(b)} min(x, y).
+    """
+    t_vee = kac_data(at).t_vee
+    _up2, rows = _vacancy_table(at)
     total = 0
-    for a in range(1, n + 1):
-        ta = kd.t_lat[a - 1]
-        for b in range(1, n + 1):
-            fb = form2[a - 1][b - 1]
-            if fb == 0:
-                continue
-            tb = kd.t_lat[b - 1]
-            for x2 in nu[a - 1]:
-                j = x2 // kd.up2[a - 1]
-                for y2 in nu[b - 1]:
-                    k = y2 // kd.up2[b - 1]
-                    total += fb * min(tb * j, ta * k)
+    for a, row in enumerate(rows):
+        for b, c in row:
+            area = sum(x if x < y else y for x in nu[a] for y in nu[b])
+            total += t_vee[a] * c * area
     if total % 2:
         raise ValueError("%s: the form gives an odd doubled cc" % at)
-    return total // 2
+    return -total // 2
 
 
 def cc2_total(at: AffineType, rc) -> int:

@@ -3,12 +3,15 @@
 Nothing in the package imports this module.  Each oracle computes the same
 quantity as a production function by a different route (brute force, a
 hand-written per-family formula, exact Fractions), so agreement is evidence
-that both are right.  ``verify_delta_identities`` checks the paper's
+that both are right.  The tensor rule on words (``tensor_e``, ``tensor_f``)
+is the crystal's definition, which ``enumerate_highest_bruteforce`` applies
+to every word.  ``verify_delta_identities`` checks the paper's
 per-step identities (the change of the vacancy numbers and of cc across one
 removal step) against ``delta``.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from rcbij.bijection import DeltaTrace, NoPreimage, delta
@@ -23,7 +26,6 @@ from rcbij.crystal import (
     EMPTY,
     arrows,
     eps_letter,
-    is_classically_highest,
     letters,
     phi_letter,
     rest_weight,
@@ -32,6 +34,7 @@ from rcbij.crystal import (
 )
 from rcbij.energy import local_hbar
 from rcbij.rc import (
+    INF,
     InvalidRC,
     box,
     cc2_total,
@@ -277,6 +280,52 @@ def delta_inverse_search(at: AffineType, b, rho, L_small: int, rc_small):
     return matches[0]
 
 
+def _suffix_phi(at: AffineType, i: int, word):
+    """phi_i of every suffix word[j:] by the two-factor rule; 0 past the end."""
+    suff = [0] * (len(word) + 1)
+    for j in range(len(word) - 1, -1, -1):
+        eb, pb = eps_letter(at, i, word[j]), phi_letter(at, i, word[j])
+        suff[j] = pb + max(0, suff[j + 1] - eb)
+    return suff
+
+
+def tensor_e(at: AffineType, i: int, word):
+    """e_i on a word, or None; the two-factor rule applied right-nested.
+
+    e_i acts on the leftmost factor whose eps_i exceeds phi_i of the
+    factors to its right; when there is none, e_i kills the word.
+    """
+    word = tuple(word)
+    e = arrows(at)[1][i]
+    suff_phi = _suffix_phi(at, i, word)
+    for j, b in enumerate(word):
+        if eps_letter(at, i, b) > suff_phi[j + 1]:
+            return word[:j] + (e[b],) + word[j + 1:]
+    return None
+
+
+def tensor_f(at: AffineType, i: int, word):
+    """f_i on a word, or None.
+
+    f_i acts on the leftmost factor whose eps_i is at least phi_i of the
+    factors to its right, so on the last factor at the latest, and kills
+    the word when no i-arrow leaves that factor.
+    """
+    word = tuple(word)
+    f = arrows(at)[0][i]
+    suff_phi = _suffix_phi(at, i, word)
+    for j, b in enumerate(word):
+        if eps_letter(at, i, b) >= suff_phi[j + 1]:
+            nb = f.get(b)
+            return None if nb is None else word[:j] + (nb,) + word[j + 1:]
+    return None  # the empty word
+
+
+def is_classically_highest(at: AffineType, word) -> bool:
+    """True iff e_i kills the word for every classical node i."""
+    return all(tensor_e(at, i, word) is None for i in range(1, at.n + 1))
+
+
 def enumerate_highest_bruteforce(at: AffineType, lam, L: int):
     """Filter every word by weight and the highest-weight condition."""
     lam = tuple(lam)
@@ -322,6 +371,18 @@ def classical_weight_steps_ok(at: AffineType) -> bool:
     return True
 
 
+def ell_at(trace: DeltaTrace, a: int) -> int:
+    """ell at node a with the scan conventions: 0 at node 0, INF past n."""
+    if a == 0:
+        return 0
+    return trace.ell[a - 1] if 1 <= a <= len(trace.ell) else INF
+
+
+def ellbar_at(trace: DeltaTrace, a: int) -> int:
+    """ellbar at node a; INF outside the nodes 1..n."""
+    return trace.ellbar[a - 1] if 1 <= a <= len(trace.ellbar) else INF
+
+
 def _chi(x2, i2):
     return 1 if x2 <= i2 else 0
 
@@ -330,8 +391,8 @@ def vacancy_change2(at: AffineType, trace: DeltaTrace, a: int, i2: int) -> int:
     """Doubled predicted change (new minus old) of the vacancy at (a, i2)."""
     n = at.n
     fam = at.family
-    el = trace.ell_at
-    eb = trace.ellbar_at
+    el = partial(ell_at, trace)
+    eb = partial(ellbar_at, trace)
 
     def std():
         return (
@@ -464,8 +525,8 @@ def verify_delta_identities(at: AffineType, lam, L: int, rc) -> dict:
         h2 = local_hbar(at)[(b, b2)]
         phiflag2 = 1 if b2 == EMPTY else 0
         alpha1t = len(rc2[0])
-        ell1 = 1 if trace.ell_at(1) == 2 else 0
-        ellbar1 = 1 if trace.ellbar_at(1) == 2 else 0
+        ell1 = 1 if ell_at(trace, 1) == 2 else 0
+        ellbar1 = 1 if ellbar_at(trace, 1) == 2 else 0
         if fam == "A1":
             # plain column-count difference; no shortcut form exists here
             pred = alpha1 - alpha1t

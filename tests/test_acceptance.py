@@ -15,15 +15,11 @@ from conftest import GRID_TYPES
 from rcbij.cartan import AffineType, dominant_weights, simple_root_vectors
 from rcbij.crystal import (
     EMPTY,
-    apply_e,
-    apply_f,
     arrows,
     enumerate_highest,
     eps_letter,
     letters,
     phi_letter,
-    tensor_e,
-    tensor_f,
     wt_letter,
 )
 from rcbij.energy import b_natural, dbar, local_hbar
@@ -34,6 +30,8 @@ from rcbij.verify import CHECKS, cells_for, verify_cell
 from oracles import (
     delta_inverse_bruteforce,
     delta_inverse_search,
+    tensor_e,
+    tensor_f,
     verify_delta_identities,
 )
 
@@ -187,7 +185,7 @@ def _tree_ep(at, i, t):
 
 def _tree_e(at, i, t):
     if isinstance(t, _Leaf):
-        nb = apply_e(at, i, t.b)
+        nb = arrows(at)[1][i].get(t.b)
         return _Leaf(nb) if nb is not None else None
     el, _ = _tree_ep(at, i, t.l)
     _, pr = _tree_ep(at, i, t.r)
@@ -200,7 +198,7 @@ def _tree_e(at, i, t):
 
 def _tree_f(at, i, t):
     if isinstance(t, _Leaf):
-        nb = apply_f(at, i, t.b)
+        nb = arrows(at)[0][i].get(t.b)
         return _Leaf(nb) if nb is not None else None
     el, _ = _tree_ep(at, i, t.l)
     _, pr = _tree_ep(at, i, t.r)

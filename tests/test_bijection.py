@@ -3,7 +3,7 @@ import pytest
 from conftest import GRID_TYPES
 from rcbij.cartan import AffineType, dominant_weights, is_dominant
 from rcbij.crystal import EMPTY, wt_letter
-from rcbij.rc import INF, enumerate_rc, validate_rc
+from rcbij.rc import INF, complement, enumerate_rc, validate_rc
 from rcbij.bijection import (
     NoPreimage,
     delta,
@@ -11,7 +11,6 @@ from rcbij.bijection import (
     phi,
     phi_inverse,
     phi_tilde,
-    phi_tilde_inverse,
 )
 from oracles import verify_delta_identities
 
@@ -143,8 +142,8 @@ def test_phi_inverse_round_trip():
                 for rc in enumerate_rc(at, lam, L):
                     word = phi(at, lam, L, rc)
                     assert phi_inverse(at, lam, L, word) == rc
-                    tword = phi_tilde(at, lam, L, rc)
-                    assert phi_tilde_inverse(at, lam, L, tword) == rc
+                    trc = phi_inverse(at, lam, L, phi_tilde(at, lam, L, rc))
+                    assert complement(at, L, trc) == rc
 
 
 def test_identities_over_grid():

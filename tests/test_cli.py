@@ -7,6 +7,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from rcbij.cli import main
+from rcbij.rc import complement, rc_from_json
+from rcbij.verify import BATTERY
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -53,6 +55,10 @@ def test_rc_enum_and_path_enum():
     code, out = run(["path-enum"] + args)
     assert code == 0 and len(out.strip().splitlines()) == 3
     assert any("dbar=1" in line for line in out.splitlines())
+    # text output: half-integer lengths and riggings print as k/2
+    code, out = run(["rc-enum", "--type", "A2dag", "--n", "1", "--len", "3",
+                     "--weight", "1"])
+    assert code == 0 and "(1:1/2,1:1/2) cc=3" in out.splitlines()
 
 
 def test_map_round_trip():
@@ -75,6 +81,16 @@ def test_map_round_trip():
     )
     assert code == 0
     assert json.loads(out) == json.loads(rc_blob)
+    # --tilde complements the riggings, and rc2path --tilde undoes it
+    code, out = run(
+        ["map", "--dir", "path2rc", "--tilde"],
+        stdin_text=json.dumps({"type": "C1", "n": 2, "word": path["word"]}),
+    )
+    at, lam, L, plain = rc_from_json(json.loads(rc_blob))
+    assert code == 0 and rc_from_json(json.loads(out)) == (
+        at, lam, L, complement(at, L, plain))
+    code, back = run(["map", "--dir", "rc2path", "--tilde"], stdin_text=out)
+    assert code == 0 and json.loads(back) == path
 
 
 def test_verify_ok_and_deterministic():
@@ -84,6 +100,17 @@ def test_verify_ok_and_deterministic():
     assert code1 == code2 == 0
     assert out1 == out2
     assert "NO" not in out1
+    # --timings adds a tenth column and leaves the other nine as they were
+    code, timed = run(argv + ["--timings"])
+    rows = [line.split("\t") for line in timed.splitlines()]
+    assert code == 0 and rows[0][9] == "runtime"
+    assert all(len(row) == 10 for row in rows)
+    assert ["\t".join(row[:9]) for row in rows] == out1.splitlines()
+    # without --type, verify runs the default battery
+    code, out = run(["verify", "--max-len", "1"])
+    types = {tuple(line.split("\t")[:2]) for line in out.splitlines()[1:]}
+    assert code == 0 and len(types) == 14
+    assert types == {(fam, str(n)) for fam, n in BATTERY}
 
 
 def test_verify_grid_file(tmp_path):
@@ -137,6 +164,8 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["verify", "--n", "2"]) == 2  # no --type
     assert main(["verify", "--type", "C1", "--n", "2",
                  "--max-len", "-1"]) == 2  # negative length
+    for jobs in ("0", "-3"):  # not a positive worker count
+        assert main(["verify", "--max-len", "1", "--jobs", jobs]) == 2
     for fam, n in (("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1)):  # not built
         assert main(["verify", "--type", fam, "--n", str(n), "--relax-rank",
                      "--max-len", "2"]) == 2
@@ -170,7 +199,7 @@ def test_usage_errors(capsys, tmp_path):
         gridfile.write_text(json.dumps({"cells": [cell]}))
         assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 35 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 37 and all(ln.startswith("error: ") for ln in lines)
 
 
 def test_verify_same_under_optimize(tmp_path):

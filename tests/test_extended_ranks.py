@@ -1,36 +1,24 @@
 """Coverage beyond the standard grid: higher ranks and the deep B cases.
 
-The type-B double selection at the spin node first occurs at six tensor
-factors, outside the standard grid, so its three smallest instances are
-frozen here; they exercise both new-rigging branches of the second
-selected string (singular when the selections collide at the next node,
-quasi-singular when the return scan died out).  At six factors the
-last-node cases Q and QS of B1, D2 and A2dag, with the quasi-singular
-riggings and A2dag's half-odd box tops, are common enough to compare the
-box-addition inverse with the candidate search on every step; so is D1's
-fork, where the return scan bounds node n-2 by the shorter of the two
-strings it took at nodes n-1 and n.  The whole default battery is
-certified at six factors as well.
+The whole default battery is certified at six factors.  The type-B double
+selection at the spin node first occurs there, outside the standard grid,
+so its three smallest steps are frozen here as well; they exercise both
+new-rigging branches of the second selected string (singular when the
+selections collide at the next node, quasi-singular when the return scan
+died out).  At six factors the last-node cases Q and QS of B1, D2 and
+A2dag, with the quasi-singular riggings and A2dag's half-odd box tops, are
+common enough to compare the box-addition inverse with the candidate
+search on every step; so is D1's fork, where the return scan bounds node
+n-2 by the shorter of the two strings it took at nodes n-1 and n.
 """
 
-from conftest import GRID_TYPES  # noqa: F401  (import keeps sys.path set)
+from conftest import EXTENDED
 from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import wt_letter
 from rcbij.bijection import delta, delta_inverse
 from rcbij.rc import enumerate_rc
 from rcbij.verify import BATTERY, cells_for, verify_cell
 from oracles import delta_inverse_search
-
-EXTENDED = [
-    AffineType("A1", 4),
-    AffineType("B1", 4),
-    AffineType("C1", 4),
-    AffineType("D1", 5),
-    AffineType("A2", 3),
-    AffineType("A2dag", 3),
-    AffineType("A2odd", 3),
-    AffineType("D2", 4),
-]
 
 B_QS_STEPS = [
     # (lam, L, rc, letter, rc_after, ellbar)
@@ -68,13 +56,6 @@ def test_b_double_selection_frozen_steps():
         assert tr.ellbar == ellbar
         rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
         assert delta_inverse(at, b, rho, L - 1, rc2) == rc
-
-
-def test_b_double_selection_cells():
-    at = AffineType("B1", 3)
-    for lam in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
-        ok, _row, failure = verify_cell(at, lam, 6)
-        assert ok, (lam, failure)
 
 
 def test_battery_at_length_6():

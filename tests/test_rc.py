@@ -1,16 +1,20 @@
+import io
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import GRID_TYPES
+from conftest import EXTENDED, GRID_TYPES
 from rcbij.bijection import delta
-from rcbij.cartan import AffineType, dominant_weights, kac_data
+from rcbij.cartan import AffineType, dominant_weights, form2_matrix, kac_data
+from rcbij.cli import main
 from rcbij.crystal import enumerate_highest
 from rcbij.qpoly import QPoly
 from rcbij.rc import (
     Config,
+    InvalidRC,
     _partitions,
     cc2_config,
     cc2_total,
@@ -68,6 +72,8 @@ def test_vacancy_off_lattice_rejected():
     at = AffineType("C1", 2)
     with pytest.raises(ValueError):
         vacancy2(at, 1, ((), ()), 2, 2)  # node 2 lattice is even lengths
+    with pytest.raises(ValueError):
+        vacancy2(at, 1, ((), ()), 1, 0)  # lengths are positive
 
 
 def test_vacancy_matches_general_formula():
@@ -254,6 +260,26 @@ def test_enumerate_rc_validates():
                     validate_rc(at, lam, L, rc)
 
 
+def test_validate_rc_rejects_lengths_off_lattice(capsys, monkeypatch):
+    # C1 n=2, L=3, lam=(1,0): node 2 takes lengths 2, 4, ... (doubled 4, 8)
+    at, lam, L = AffineType("C1", 2), (1, 0), 3
+    rc = (((4, 2),), ((4, 0),))
+    validate_rc(at, lam, L, rc)
+    planted = [
+        (((4, 2), (0, 0)), ((4, 0),)),  # a string of length zero
+        (((4, 2),), ((2, 0), (2, 0))),  # length 1 at node 2, same size
+    ]
+    for bad in planted:
+        with pytest.raises(InvalidRC, match="length off lattice"):
+            validate_rc(at, lam, L, bad)
+        blob = json.dumps(rc_to_json(at, lam, L, bad))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+        assert main(["map", "--dir", "rc2path"]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid rigged configuration: length off lattice\n"
+        )
+
+
 def test_a2dag_odd_riggings_halfodd():
     at = AffineType("A2dag", 1)
     rcs = enumerate_rc(at, (1,), 3)
@@ -270,13 +296,13 @@ def test_cc_examples():
 
 
 def test_cc_oracle():
-    # independent expansion of the double sum with Fractions
-    for at in GRID_TYPES:
+    # independent expansion of the double sum with Fractions, on every type
+    # whose vacancy table tier-1 builds
+    grid = [(at, 2) for at in GRID_TYPES] + [(at, 3) for at in EXTENDED]
+    for at, max_len in grid:
         kd = kac_data(at)
-        from rcbij.cartan import form2_matrix
-
         f2 = form2_matrix(at)
-        for L in range(0, 3):
+        for L in range(0, max_len + 1):
             for lam in dominant_weights(at, L):
                 for nu in enumerate_configs(at, lam, L):
                     acc = Fraction(0)
