@@ -8,6 +8,7 @@ is deterministic given the flags; half-integers print as k/2.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -33,7 +34,7 @@ from .rc import (
     rc_to_json,
     validate_rc,
 )
-from .verify import BATTERY, cells_for
+from .verify import BATTERY, Levels, cells_for
 from .verify import verify_cell as _verify_cell
 
 
@@ -187,16 +188,20 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _run_cell(cell):
-    """_verify_cell on one (type, weight, L) cell, timed; picklable for --jobs.
+def _run_cells(run):
+    """_verify_cell on each cell of a run of one type, timed; picklable.
 
-    _verify_cell is looked up here at each call, so the benchmark's timer
-    and tracer can rebind ``cli._verify_cell``.
+    The cells share one level table.  _verify_cell is looked up at each
+    call, so the benchmark's timer and tracer can rebind
+    ``cli._verify_cell``.
     """
-    at, lam, L = cell
-    t0 = time.monotonic()
-    ok, row, failure = _verify_cell(at, lam, L)
-    return cell, ok, row, failure, time.monotonic() - t0
+    levels = Levels()
+    results = []
+    for cell in run:
+        t0 = time.monotonic()
+        ok, row, failure = _verify_cell(*cell, levels)
+        results.append((cell, ok, row, failure, time.monotonic() - t0))
+    return results
 
 
 def _grid_cells(path: str, relax_rank: bool):
@@ -239,13 +244,16 @@ def cmd_verify(args) -> int:
         for fam, n in BATTERY:
             cells.extend(cells_for(AffineType(fam, n), args.max_len))
 
+    # consecutive cells of one type form a run; --jobs hands out whole runs
+    runs = [list(run) for _at, run in itertools.groupby(cells, lambda c: c[0])]
     if args.jobs > 1:
         import multiprocessing as mp
 
         with mp.Pool(args.jobs) as pool:
-            results = pool.map(_run_cell, cells)
+            per_run = pool.map(_run_cells, runs)
     else:
-        results = [_run_cell(cell) for cell in cells]
+        per_run = [_run_cells(run) for run in runs]
+    results = itertools.chain.from_iterable(per_run)
 
     failed = 0
     print("type\tn\tL\tlambda\t|RC|\t|P|\tXbar\tMbar\tequal" +

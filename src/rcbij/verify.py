@@ -4,6 +4,11 @@ A cell is a type, a dominant weight lam and a length L.  Certifying it
 runs the checks of ``CHECKS`` in order, with exact arithmetic, and reports
 the first that fails with the configuration it failed on, as JSON that
 ``rcbij map --dir rc2path`` reads.
+
+phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so a run
+of one type's cells in increasing L (the order of ``cells_for``) shares a
+``Levels`` table: the words of the configurations certified one level
+down.  Each configuration then costs one delta step.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from .bijection import (
     delta_inverse,
     phi,
     phi_inverse,
-    phi_tilde,
 )
 from .cartan import AffineType, dominant_weights
 from .crystal import enumerate_highest, rest_weight
@@ -22,6 +26,7 @@ from .energy import dbar, xbar
 from .rc import (
     InvalidRC,
     cc2_total,
+    complement,
     enumerate_rc,
     fermionic_m,
     rc_genfun,
@@ -56,13 +61,42 @@ def cells_for(at: AffineType, max_len: int):
     ]
 
 
-def verify_cell(at: AffineType, lam, L: int):
+class Levels:
+    """Words of the configurations certified in a run of one type's cells.
+
+    below and here map (weight, rc) to phi(rc) for the cells that passed
+    at level L-1 and at the level L now being certified.  A cell at the
+    next level drops level L-1; any other type or level starts empty.
+    """
+
+    __slots__ = ("at", "L", "below", "here")
+
+    def __init__(self):
+        self.at = self.L = None
+        self.below, self.here = {}, {}
+
+    def enter(self, at: AffineType, L: int) -> None:
+        if at == self.at and L == self.L:
+            return
+        if at == self.at and L == self.L + 1:
+            self.below, self.here = self.here, {}
+        else:
+            self.below, self.here = {}, {}
+        self.at, self.L = at, L
+
+
+def verify_cell(at: AffineType, lam, L: int, levels=None):
     """Certify one cell; returns (ok, row, failure).
 
     row is (|RC|, |P|, Xbar, Mbar) with the sums as strings.  failure is
     None or {"check": name from CHECKS, "rc": the configuration as rc
     JSON, or None for the checks on the whole cell}.  A map raising
-    InvalidRC or NoPreimage fails the check it was called for.
+    InvalidRC or NoPreimage fails the check it was called for.  Each
+    check runs over every configuration before the next begins.
+
+    levels is the ``Levels`` table of the run this cell belongs to, or
+    None for an empty one.  phi of the smaller configuration comes from
+    the table, or from the recursion where the table lacks it.
     """
     paths = enumerate_highest(at, lam, L)
     rcs = enumerate_rc(at, lam, L)
@@ -80,29 +114,50 @@ def verify_cell(at: AffineType, lam, L: int):
         return fail("fermionic_m=rc_genfun")
     if len(paths) != len(rcs):
         return fail("|rc|=|paths|")
+    if levels is None:
+        levels = Levels()
+    levels.enter(at, L)
+    below = levels.below
     unhit = set(paths)
-    check = rc = None
+    words = {}  # rc -> phi(rc)
+    steps = []  # (rc, its letter, the weight left, delta(rc))
+    rc = None
     try:
+        check = "phi"
         for rc in rcs:
-            check = "phi"
-            word = phi(at, lam, L, rc)
+            if L == 0:
+                word = phi(at, lam, L, rc)
+            else:
+                b, rc_small, _tr = delta(at, lam, L, rc)
+                rho = rest_weight(at, lam, b)
+                steps.append((rc, b, rho, rc_small))
+                tail = below.get((rho, rc_small))
+                if tail is None:
+                    tail = phi(at, rho, L - 1, rc_small)
+                word = (b,) + tail
             if word not in unhit:  # not a path, or the image of an earlier rc
                 return fail(check, rc)
             unhit.remove(word)
-            check = "cc=2dbar"
-            if cc2_total(at, rc) != 2 * dbar(at, phi_tilde(at, lam, L, rc)):
+            words[rc] = word
+        check = "cc=2dbar"
+        for rc in rcs:
+            # phi-tilde(rc) is the word of the complement, in the same cell
+            dual = complement(at, L, rc)
+            word = words.get(dual)
+            if word is None:
+                word = phi(at, lam, L, dual)
+            if cc2_total(at, rc) != 2 * dbar(at, word):
                 return fail(check, rc)
-            if L >= 1:
-                check = "delta_inverse"
-                b, rc_small, _tr = delta(at, lam, L, rc)
-                rho = rest_weight(at, lam, b)
-                if delta_inverse(at, b, rho, L - 1, rc_small) != rc:
-                    return fail(check, rc)
+        check = "delta_inverse"
+        for rc, b, rho, rc_small in steps:
+            if delta_inverse(at, b, rho, L - 1, rc_small) != rc:
+                return fail(check, rc)
         if rcs:
             check, rc = "phi_inverse", rcs[0]
-            if phi_inverse(at, lam, L, phi(at, lam, L, rc)) != rc:
+            if phi_inverse(at, lam, L, words[rc]) != rc:
                 return fail(check, rc)
     except (InvalidRC, NoPreimage):
         # a map that gives up on a configuration fails the check it was in
         return fail(check, rc)
+    levels.here.update(((lam, rc), word) for rc, word in words.items())
     return True, row, None

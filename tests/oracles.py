@@ -139,20 +139,16 @@ def is_admissible_config_full(at: AffineType, L: int, nu) -> bool:
     return True
 
 
-def delta_inverse_bruteforce(at: AffineType, b, rho, L_small: int, rc_small):
-    """Enumerate the whole target cell and filter by delta output."""
-    lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
-    L = L_small + 1
-    matches = [
-        rc
-        for rc in enumerate_rc(at, lam, L)
-        if delta(at, lam, L, rc)[:2] == (b, rc_small)
-    ]
-    if len(matches) != 1:
-        raise NoPreimage(
-            "expected exactly one preimage, found %d" % len(matches)
-        )
-    return matches[0]
+def delta_preimages(at: AffineType, lam, L: int):
+    """Every configuration of the cell grouped by its delta image.
+
+    Runs delta once over the whole cell; maps each (letter, smaller rc)
+    to the configurations giving it, in enumeration order.
+    """
+    groups = {}
+    for rc in enumerate_rc(at, lam, L):
+        groups.setdefault(delta(at, lam, L, rc)[:2], []).append(rc)
+    return groups
 
 
 def _config_with(nodes, grown):

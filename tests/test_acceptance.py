@@ -26,10 +26,10 @@ from rcbij.energy import b_natural, dbar, local_hbar
 from rcbij.qpoly import qbinom
 from rcbij.rc import cc2_total, complement, enumerate_rc
 from rcbij.bijection import delta, delta_inverse, phi
-from rcbij.verify import CHECKS, cells_for, verify_cell
+from rcbij.verify import CHECKS, Levels, cells_for, verify_cell
 from oracles import (
-    delta_inverse_bruteforce,
     delta_inverse_search,
+    delta_preimages,
     tensor_e,
     tensor_f,
     verify_delta_identities,
@@ -44,10 +44,11 @@ def grid():
     t0 = time.monotonic()
     cells = {}
     for gt in GRID_TYPES:
+        levels = Levels()  # one level run per type
         for at, lam, L in cells_for(gt, MAX_LEN):
             cells[(at, lam, L)] = (
                 enumerate_rc(at, lam, L),
-                verify_cell(at, lam, L),
+                verify_cell(at, lam, L, levels),
             )
     elapsed = time.monotonic() - t0
     assert elapsed < 600, "runtime budget exceeded"
@@ -82,16 +83,19 @@ def test_criterion_3_round_trips(grid):
     for (at, lam, L), (rcs, _cert) in grid.items():
         if L == 0:
             continue
+        # brute force: delta over the whole cell, grouped by its image
+        groups = delta_preimages(at, lam, L)
         for rc in rcs:
             b, small, _tr = delta(at, lam, L, rc)
             rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
             # three independent inverses: box addition (the certificate's
-            # delta_inverse check), candidate search and brute force
-            for inverse in (delta_inverse, delta_inverse_search,
-                            delta_inverse_bruteforce):
+            # delta_inverse check), candidate search and the brute-force
+            # group, which must hold rc alone
+            for inverse in (delta_inverse, delta_inverse_search):
                 assert inverse(at, b, rho, L - 1, small) == rc, (
                     inverse.__name__, at, lam, L, rc,
                 )
+            assert groups[b, small] == [rc], (at, lam, L, rc)
             nsteps += 1
     print("ACCEPTANCE 3 (round trips + two oracles): PASS  [%d steps]"
           % nsteps)

@@ -130,11 +130,21 @@ def test_verify_grid_file(tmp_path):
     assert "A2dag" in out and "C1" in out
 
 
-def test_verify_parallel_matches_serial():
-    argv = ["verify", "--type", "C1", "--n", "2", "--max-len", "2"]
-    _c, serial = run(argv)
-    _c, par = run(argv + ["--jobs", "2"])
-    assert serial == par
+def test_verify_parallel_matches_serial(tmp_path):
+    gridfile = tmp_path / "grid.json"
+    gridfile.write_text(json.dumps({"cells": [
+        {"type": "C1", "n": 2, "max_len": 3},
+        # below the level the run has reached: certified without the table
+        {"type": "C1", "n": 2, "L": 2, "lambda": [1, 1]},
+        {"type": "A2dag", "n": 1, "max_len": 2},
+    ]}))
+    for argv in (["verify", "--max-len", "2"],
+                 ["verify", "--grid", str(gridfile)]):
+        code, serial = run(argv)
+        assert code == 0
+        assert run(argv + ["--jobs", "2"]) == (0, serial)
+    # the pinned cell's row matches the same cell's row in the run
+    assert serial.count("C1\t2\t2\t1,1\t1\t1\tq\tq\tyes\n") == 2
 
 
 def test_graph_dot():

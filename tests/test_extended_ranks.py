@@ -1,6 +1,7 @@
 """Coverage beyond the standard grid: higher ranks and the deep B cases.
 
-The whole default battery is certified at six factors.  The type-B double
+The whole default battery is certified up to six factors, one level run
+per type.  The type-B double
 selection at the spin node first occurs there, outside the standard grid,
 so its three smallest steps are frozen here as well; they exercise both
 new-rigging branches of the second selected string (singular when the
@@ -17,7 +18,7 @@ from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import wt_letter
 from rcbij.bijection import delta, delta_inverse
 from rcbij.rc import enumerate_rc
-from rcbij.verify import BATTERY, cells_for, verify_cell
+from rcbij.verify import BATTERY, Levels, cells_for, verify_cell
 from oracles import delta_inverse_search
 
 B_QS_STEPS = [
@@ -59,17 +60,19 @@ def test_b_double_selection_frozen_steps():
 
 
 def test_battery_at_length_6():
+    """Every battery cell with L <= 6, in one level run per type."""
     for fam, n in BATTERY:
-        at = AffineType(fam, n)
-        for lam in dominant_weights(at, 6):
-            ok, _row, failure = verify_cell(at, lam, 6)
-            assert ok, (at, lam, failure)
+        levels = Levels()
+        for cell in cells_for(AffineType(fam, n), 6):
+            ok, _row, failure = verify_cell(*cell, levels)
+            assert ok, (cell, failure)
 
 
 def test_extended_ranks_full_checks():
     for at in EXTENDED:
+        levels = Levels()
         for cell in cells_for(at, 4):
-            ok, _row, failure = verify_cell(*cell)
+            ok, _row, failure = verify_cell(*cell, levels)
             assert ok, (cell, failure)
 
 

@@ -9,10 +9,21 @@ from rcbij.bijection import NoPreimage
 from rcbij.cartan import AffineType
 from rcbij.cli import main
 from rcbij.qpoly import QPoly
-from rcbij.rc import InvalidRC, enumerate_rc, rc_from_json, rc_to_json
+from rcbij.rc import (
+    InvalidRC,
+    complement,
+    enumerate_rc,
+    rc_from_json,
+    rc_to_json,
+)
 
 # several configurations and a removal step each
 CELL = (AffineType("C1", 2), (1, 0), 3)
+
+# types certified in level runs, L <= 4
+LEVEL_TYPES = [AffineType(fam, n) for fam, n in (
+    ("C1", 2), ("B1", 3), ("D2", 2), ("A2", 2), ("A2dag", 1),
+)]
 
 
 def raising(exc):
@@ -67,3 +78,36 @@ def test_verify_writes_failure_record(monkeypatch, capsys, tmp_path):
     assert list(record) == ["type", "n", "L", "lambda", "check", "rc"]
     assert record["check"] == "cc=2dbar"
     assert record["rc"]["lambda"] == [1, 0]
+
+
+def test_level_table_changes_no_answer():
+    for at in LEVEL_TYPES:
+        levels = verify.Levels()
+        for cell in verify.cells_for(at, 4):
+            assert verify.verify_cell(*cell, levels) == \
+                verify.verify_cell(*cell), cell
+
+
+@pytest.mark.parametrize("at", LEVEL_TYPES, ids=str)
+def test_level_run_catches_wrong_delta(monkeypatch, at):
+    """A delta that complements its smaller configuration is caught.
+
+    The words of the smaller configurations then come from the table of
+    the level below, so a table hit must not hide the wrong step.
+    """
+    real = verify.delta
+
+    def wrong(at, lam, L, rc):
+        b, small, tr = real(at, lam, L, rc)
+        return b, complement(at, L - 1, small), tr
+
+    monkeypatch.setattr(verify, "delta", wrong)
+    levels = verify.Levels()
+    checks = []
+    for cell in verify.cells_for(at, 4):
+        ok, _row, failure = verify.verify_cell(*cell, levels)
+        if not ok:
+            checks.append(failure["check"])
+    # complementing is a bijection of the smaller cell, so phi stays
+    # injective; the statistic breaks
+    assert checks and set(checks) == {"cc=2dbar"}
