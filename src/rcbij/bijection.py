@@ -11,8 +11,14 @@ complementation gives the statistic-preserving variant.
 
 delta_inverse adds the boxes back: the same scans run in reverse over the
 smaller configuration, with the same case flags and one node-n routine,
-choose the strings to lengthen, and one forward delta on the result
-checks it.
+choose the strings to lengthen.
+
+Neither step re-checks its result; the callers that cannot vouch for it
+do.  phi validates each smaller configuration delta gives it, and
+phi_inverse validates each box addition and runs one delta on it to
+confirm the image.  ``rcbij.verify`` validates a smaller configuration
+only where its level table of certified ones lacks it, and compares each
+box addition with the enumerated configuration it must give back.
 
 Traces record the selected lengths (doubled, INF when undefined) and the
 case flags, which is what the change-of-vacancy and change-of-statistic
@@ -62,7 +68,12 @@ _QUASI2 = {"B1": 2, "D2": 2, "A2dag": 1}
 
 
 def delta(at: AffineType, lam, L: int, rc):
-    """One box-removal step: returns (letter, smaller rc, trace)."""
+    """One box-removal step: returns (letter, smaller rc, trace).
+
+    Raises InvalidRC when the letter cannot come off lam.  The smaller
+    configuration is not validated here: for a valid rc it is valid, and
+    phi checks it on the way down.
+    """
     if L < 1:
         raise ValueError("delta needs L >= 1")
     n = at.n
@@ -230,7 +241,6 @@ def delta(at: AffineType, lam, L: int, rc):
     rc2 = _move_strings(
         cf, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
     )
-    validate_rc(at, rho, L - 1, rc2)
     trace = DeltaTrace(
         ell=tuple(ell.get(a, INF) for a in range(1, n + 1)),
         ellbar=tuple(ellbar.get(a, INF) for a in range(1, n + 1)),
@@ -263,13 +273,18 @@ def _move_strings(cf, L2, moves):
 
 
 def phi(at: AffineType, lam, L: int, rc):
-    """The full bijection: iterate delta L times, collecting the letters."""
+    """The full bijection: iterate delta L times, collecting the letters.
+
+    rc itself is taken as valid; each smaller configuration delta steps
+    to is validated, so a faulty step raises InvalidRC.
+    """
     word = []
     cur_lam, cur_rc = tuple(lam), rc
     for step in range(L, 0, -1):
         b, cur_rc, _tr = delta(at, cur_lam, step, cur_rc)
         word.append(b)
         cur_lam = rest_weight(at, cur_lam, b)
+        validate_rc(at, cur_lam, step - 1, cur_rc)
     if any(cur_lam):
         raise InvalidRC("letters do not exhaust the weight")
     return tuple(word)
@@ -403,47 +418,51 @@ def _reverse_scan(at, b, fs):
 
 
 def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
-    """The unique rc with rank b mapping to rc_small; raises NoPreimage.
+    """The rc with rank b that delta maps to rc_small, by box addition.
 
     The reverse scan runs delta's scans backwards: node by node it takes
     the longest singular string of rc_small within the bound the previous
     node set, or a new string, with delta's S, Q, QS and P cases mirrored,
-    and lengthens the chosen strings.  The result must be a valid rigged
-    configuration that delta maps back to (b, rc_small); otherwise there
-    is no preimage.
+    and lengthens the chosen strings.  Raises NoPreimage when b is not a
+    letter or cannot come off the larger weight.  The result is not
+    checked: when (b, rc_small) is no image of delta it need not be valid
+    or map back, which phi_inverse checks.
     """
     if b not in letters(at):
         raise NoPreimage("%r is not a letter of %s" % (b, at))
     lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
-    L = L_small + 1
     if not is_dominant(at, lam) or rest_weight(at, lam, b) is None:
         raise NoPreimage("letter %s cannot come off the weight %r" % (b, lam))
     fs = _Fill(Config(at, L_small, rc_small))
     _reverse_scan(at, b, fs)
-    try:
-        rc = _move_strings(fs.cf, L, [
-            (a, i2, o, i2 + d2, p) for a, i2, o, d2, p in fs.additions
-        ])
-        validate_rc(at, lam, L, rc)
-        image = delta(at, lam, L, rc)[:2]
-    except InvalidRC as exc:
-        raise NoPreimage("box addition gives no preimage: %s" % exc)
-    if image != (b, rc_small):
-        raise NoPreimage("box addition does not invert delta")
-    return rc
+    return _move_strings(fs.cf, L_small + 1, [
+        (a, i2, o, i2 + d2, p) for a, i2, o, d2, p in fs.additions
+    ])
 
 
 def phi_inverse(at: AffineType, lam, L: int, word):
-    """Right-to-left fold of delta_inverse; inverse of phi."""
+    """Right-to-left fold of delta_inverse; inverse of phi.
+
+    Each box addition must be a valid rigged configuration that one delta
+    maps back to the letter and the configuration it grew from; otherwise
+    the word is not a classically restricted path and NoPreimage is raised.
+    """
     if len(word) != L:
         raise ValueError("word of length %d, expected %d" % (len(word), L))
     rc = tuple(tuple() for _ in range(at.n))
     rho = tuple([0] * at.weight_len)
     for j in range(L - 1, -1, -1):
         b = word[j]
-        rc = delta_inverse(at, b, rho, L - 1 - j, rc)
+        big = delta_inverse(at, b, rho, L - 1 - j, rc)
         rho = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
+        try:
+            validate_rc(at, rho, L - j, big)
+            image = delta(at, rho, L - j, big)[:2]
+        except InvalidRC as exc:
+            raise NoPreimage("box addition gives no preimage: %s" % exc)
+        if image != (b, rc):
+            raise NoPreimage("box addition does not invert delta")
+        rc = big
     if rho != tuple(lam):
         raise NoPreimage("the word's weight is not %r" % (tuple(lam),))
     return rc
-

@@ -8,6 +8,7 @@ is deterministic given the flags; half-integers print as k/2.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -282,7 +283,9 @@ def cmd_graph(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused after."""
     p = argparse.ArgumentParser(prog="rcbij")
     sub = p.add_subparsers(dest="cmd", required=True)
 

@@ -9,6 +9,13 @@ phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so a run
 of one type's cells in increasing L (the order of ``cells_for``) shares a
 ``Levels`` table: the words of the configurations certified one level
 down.  Each configuration then costs one delta step.
+
+That step is checked once.  A smaller configuration found in the table
+is an enumerated configuration of its cell, which proves it valid; only
+one the table lacks is validated, before the recursion gives its word.
+The ``delta_inverse`` check compares the box addition with rc itself,
+which holds more than the image check of ``phi_inverse``: rc is
+enumerated, and its step is already in hand.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .rc import (
     fermionic_m,
     rc_genfun,
     rc_to_json,
+    validate_rc,
 )
 
 # The default battery: every family at desk-scale ranks.
@@ -96,7 +104,8 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
 
     levels is the ``Levels`` table of the run this cell belongs to, or
     None for an empty one.  phi of the smaller configuration comes from
-    the table, or from the recursion where the table lacks it.
+    the table, or, where the table lacks it, from validate_rc and the
+    recursion.
     """
     paths = enumerate_highest(at, lam, L)
     rcs = enumerate_rc(at, lam, L)
@@ -133,6 +142,7 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
                 steps.append((rc, b, rho, rc_small))
                 tail = below.get((rho, rc_small))
                 if tail is None:
+                    validate_rc(at, rho, L - 1, rc_small)
                     tail = phi(at, rho, L - 1, rc_small)
                 word = (b,) + tail
             if word not in unhit:  # not a path, or the image of an earlier rc

@@ -1,10 +1,14 @@
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rcbij.cartan import AffineType  # noqa: E402
-from rcbij.verify import BATTERY  # noqa: E402
+from rcbij.rc import Config, enumerate_rc  # noqa: E402
+from rcbij.verify import BATTERY, Levels, cells_for, verify_cell  # noqa: E402
 
 # The verification grid: the default battery of ``rcbij verify``.
 GRID_TYPES = [AffineType(fam, n) for fam, n in BATTERY]
@@ -20,3 +24,40 @@ EXTENDED = [
     AffineType("A2odd", 3),
     AffineType("D2", 4),
 ]
+
+# The battery is certified once per session, up to this length.
+BATTERY_MAX_LEN = 6
+
+
+@pytest.fixture(scope="session")
+def battery():
+    """cell -> (its configurations, verify_cell's answer), L <= 6.
+
+    One level run per battery type, as ``rcbij verify`` runs it.
+    """
+    t0 = time.monotonic()
+    cells = {}
+    for gt in GRID_TYPES:
+        levels = Levels()
+        for cell in cells_for(gt, BATTERY_MAX_LEN):
+            cells[cell] = (enumerate_rc(*cell), verify_cell(*cell, levels))
+    elapsed = time.monotonic() - t0
+    assert elapsed < 600, "runtime budget exceeded"
+    print("\n[battery] %d cells certified in %.1fs" % (len(cells), elapsed))
+    return cells
+
+
+def out_of_box(at, L, rc):
+    """rc with its first string's rigging raised above its box, or rc.
+
+    The result is no rigged configuration at all; rc without strings is
+    returned as it is.
+    """
+    cf = Config(at, L, rc)
+    for a, node in enumerate(rc, 1):
+        if node:
+            ln, _rg = node[0]
+            raised = sorted(node[1:] + ((ln, cf.vac(a, ln) + 2),),
+                            reverse=True)
+            return rc[:a - 1] + (tuple(raised),) + rc[a:]
+    return rc

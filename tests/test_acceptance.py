@@ -7,7 +7,6 @@ offending cell attached.
 """
 
 import random
-import time
 
 import pytest
 
@@ -26,7 +25,7 @@ from rcbij.energy import b_natural, dbar, local_hbar
 from rcbij.qpoly import qbinom
 from rcbij.rc import cc2_total, complement, enumerate_rc
 from rcbij.bijection import delta, delta_inverse, phi
-from rcbij.verify import CHECKS, Levels, cells_for, verify_cell
+from rcbij.verify import CHECKS
 from oracles import (
     delta_inverse_search,
     delta_preimages,
@@ -39,21 +38,13 @@ MAX_LEN = 5
 
 
 @pytest.fixture(scope="module")
-def grid():
-    """Per-cell rigged configurations and certificate, shared."""
-    t0 = time.monotonic()
-    cells = {}
-    for gt in GRID_TYPES:
-        levels = Levels()  # one level run per type
-        for at, lam, L in cells_for(gt, MAX_LEN):
-            cells[(at, lam, L)] = (
-                enumerate_rc(at, lam, L),
-                verify_cell(at, lam, L, levels),
-            )
-    elapsed = time.monotonic() - t0
-    assert elapsed < 600, "runtime budget exceeded"
-    print("\n[grid] %d cells certified in %.1fs" % (len(cells), elapsed))
-    return cells
+def grid(battery):
+    """Per-cell rigged configurations and certificate, L <= 5.
+
+    Read from the session's level runs over the battery (conftest), which
+    reach L = 6 for ``test_extended_ranks``.
+    """
+    return {cell: v for cell, v in battery.items() if cell[2] <= MAX_LEN}
 
 
 def _failures(grid, last_check):

@@ -1,9 +1,10 @@
 import pytest
 
-from conftest import GRID_TYPES
+from conftest import GRID_TYPES, out_of_box
+from rcbij import bijection
 from rcbij.cartan import AffineType, dominant_weights, is_dominant
 from rcbij.crystal import EMPTY, wt_letter
-from rcbij.rc import INF, complement, enumerate_rc, validate_rc
+from rcbij.rc import INF, InvalidRC, complement, enumerate_rc, validate_rc
 from rcbij.bijection import (
     NoPreimage,
     delta,
@@ -144,6 +145,46 @@ def test_phi_inverse_round_trip():
                     assert phi_inverse(at, lam, L, word) == rc
                     trc = phi_inverse(at, lam, L, phi_tilde(at, lam, L, rc))
                     assert complement(at, L, trc) == rc
+
+
+# five configurations, each leaving strings after its first step
+FIVE = (AffineType("C1", 2), (1, 1), 4)
+
+
+def test_phi_validates_each_step(monkeypatch):
+    """phi rejects a smaller configuration that left its box."""
+    real = bijection.delta
+
+    def wrong(at, lam, L, rc):
+        b, small, tr = real(at, lam, L, rc)
+        return b, out_of_box(at, L - 1, small), tr
+
+    rcs = enumerate_rc(*FIVE)
+    assert len(rcs) == 5
+    monkeypatch.setattr(bijection, "delta", wrong)
+    for rc in rcs:
+        # validate_rc's own words: the first step is caught
+        with pytest.raises(InvalidRC, match="rigging out of box"):
+            phi(*FIVE, rc)
+
+
+@pytest.mark.parametrize("breaker,why", [
+    (complement, "does not invert delta"),  # valid, but not the preimage
+    (out_of_box, "no preimage: rigging out of box"),  # not valid
+], ids=("complement", "out_of_box"))
+def test_phi_inverse_checks_each_box_addition(monkeypatch, breaker, why):
+    """phi_inverse rejects a box addition that is invalid or wrong."""
+    at, lam, L = FIVE
+    words = [phi(at, lam, L, rc) for rc in enumerate_rc(*FIVE)]
+    real = bijection.delta_inverse
+
+    def wrong(at, b, rho, L_small, rc_small):
+        return breaker(at, L_small + 1, real(at, b, rho, L_small, rc_small))
+
+    monkeypatch.setattr(bijection, "delta_inverse", wrong)
+    for word in words:
+        with pytest.raises(NoPreimage, match=why):
+            phi_inverse(at, lam, L, word)
 
 
 def test_identities_over_grid():

@@ -3,9 +3,10 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from rcbij import cli
 from rcbij.cli import main
 from rcbij.rc import complement, rc_from_json
 from rcbij.verify import BATTERY
@@ -260,3 +261,31 @@ def test_relax_rank_flag():
     code, out = run(["x", "--type", "C1", "--n", "1", "--relax-rank",
                      "--len", "1", "--weight", "1"])
     assert code == 0 and out.strip() == "1"
+
+
+def test_one_parser_many_commands(monkeypatch):
+    """main reuses one parser; each run prints what a fresh process prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this
+    path = json.dumps({"type": "C1", "n": 2, "word": ["-1", "1", "1"]})
+    rc = run(["map", "--dir", "path2rc"], stdin_text=path)[1]
+    commands = [
+        (["map", "--dir", "path2rc"], path),
+        (["map", "--dir", "rc2path"], rc),
+        (["map", "--dir", "sideways"], path),  # argparse usage error
+        (["verify", "--max-len", "1"], ""),
+    ]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    fresh = []
+    for argv, stdin_text in commands:
+        proc = subprocess.run([sys.executable, "-m", "rcbij"] + argv,
+                              env=env, input=stdin_text, capture_output=True,
+                              text=True, timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [f[0] for f in fresh] == [0, 0, 2, 0]
+    for _twice in range(2):
+        for (argv, stdin_text), want in zip(commands, fresh):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run(argv, stdin_text)
+            assert (code, out, err.getvalue()) == want, argv
+    assert cli._build_parser.cache_info().misses == 1

@@ -1,7 +1,7 @@
 """Coverage beyond the standard grid: higher ranks and the deep B cases.
 
-The whole default battery is certified up to six factors, one level run
-per type.  The type-B double
+The whole default battery is certified up to six factors, in the
+session's one level run per type (conftest).  The type-B double
 selection at the spin node first occurs there, outside the standard grid,
 so its three smallest steps are frozen here as well; they exercise both
 new-rigging branches of the second selected string (singular when the
@@ -18,7 +18,7 @@ from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import wt_letter
 from rcbij.bijection import delta, delta_inverse
 from rcbij.rc import enumerate_rc
-from rcbij.verify import BATTERY, Levels, cells_for, verify_cell
+from rcbij.verify import Levels, cells_for, verify_cell
 from oracles import delta_inverse_search
 
 B_QS_STEPS = [
@@ -59,13 +59,15 @@ def test_b_double_selection_frozen_steps():
         assert delta_inverse(at, b, rho, L - 1, rc2) == rc
 
 
-def test_battery_at_length_6():
-    """Every battery cell with L <= 6, in one level run per type."""
-    for fam, n in BATTERY:
-        levels = Levels()
-        for cell in cells_for(AffineType(fam, n), 6):
-            ok, _row, failure = verify_cell(*cell, levels)
-            assert ok, (cell, failure)
+def test_battery_at_length_6(battery):
+    """Every battery cell with L <= 6 passes, L = 6 included.
+
+    The session's level runs (conftest) certify them once; the acceptance
+    grid reads its L <= 5 cells from the same runs.
+    """
+    for cell, (_rcs, (ok, _row, failure)) in battery.items():
+        assert ok, (cell, failure)
+    assert {L for _at, _lam, L in battery} == set(range(7))
 
 
 def test_extended_ranks_full_checks():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import out_of_box
 from rcbij import verify
 from rcbij.bijection import NoPreimage
 from rcbij.cartan import AffineType
@@ -111,3 +112,39 @@ def test_level_run_catches_wrong_delta(monkeypatch, at):
     # complementing is a bijection of the smaller cell, so phi stays
     # injective; the statistic breaks
     assert checks and set(checks) == {"cc=2dbar"}
+
+
+def test_level_run_validates_a_missed_step(monkeypatch):
+    """A delta whose smaller configuration leaves its box fails phi.
+
+    That configuration is in no table, so the miss is validated before
+    the recursion would run on it; the failure names the first
+    configuration whose step went wrong.
+    """
+    real = verify.delta
+
+    def wrong(at, lam, L, rc):
+        b, small, tr = real(at, lam, L, rc)
+        return b, out_of_box(at, L - 1, small), tr
+
+    monkeypatch.setattr(verify, "delta", wrong)
+    recursed = []  # the configurations verify_cell runs phi on
+    real_phi = verify.phi
+    monkeypatch.setattr(
+        verify, "phi", lambda *a: recursed.append(a[3]) or real_phi(*a))
+    at = AffineType("C1", 2)
+    levels = verify.Levels()
+    failed = 0
+    for cell in verify.cells_for(at, 4):
+        ok, _row, failure = verify.verify_cell(*cell, levels)
+        # the configurations whose smaller configuration has a string
+        broken = [rc for rc in enumerate_rc(*cell)
+                  if cell[2] and any(real(*cell, rc)[1])]
+        assert ok == (not broken), cell
+        if not ok:
+            assert failure["check"] == "phi"
+            assert rc_from_json(failure["rc"]) == cell + (broken[0],)
+            failed += 1
+    assert failed == 7
+    # validated before the recursion: phi ran on no broken configuration
+    assert recursed and not any(any(rc) for rc in recursed)
