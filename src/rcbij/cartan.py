@@ -29,6 +29,12 @@ _MIN_RANK = {
     "A2": 1, "A2dag": 1, "A2odd": 2, "D2": 2,
 }
 
+# The least rank with a diagram to read, relaxed or not.  Below it _labels
+# gives the family or its dual the wrong number of labels (B1 n=1, D1
+# n<=2, A2odd n=1); D2 n=1 has node 1 as node n too, and its rigged
+# configurations miss paths: lam = (0), L = 1 has the path E but none.
+_LEAST_RANK = {"B1": 2, "D1": 3, "A2odd": 2, "D2": 2}
+
 # Classical subalgebra used for weights and dominance (gbar), and the one
 # whose root realization carries the normalized form (g0bar).  They differ
 # only for A2, where gbar = C_n but the form lives on B_n.
@@ -71,10 +77,9 @@ class AffineType:
                 "family %s needs rank >= %d (got %d); pass relax_rank to "
                 "override" % (self.family, _MIN_RANK[self.family], self.n)
             )
-        if self.family == "D2" and self.n == 1:
-            # node 1 is node n too, and the rigged configurations miss
-            # paths: lam = (0), L = 1 has the path E but no configuration
-            raise RankError("family D2 needs rank >= 2, even relaxed")
+        if self.n < _LEAST_RANK.get(self.family, 1):
+            raise RankError("family %s needs rank >= %d, even relaxed"
+                            % (self.family, _LEAST_RANK[self.family]))
 
     @property
     def gbar(self) -> str:
@@ -205,6 +210,14 @@ def simple_root_vectors(at: AffineType, which: str = "g0bar"):
         last[n - 2], last[n - 1] = 1, 1
     vecs.append(tuple(last))
     return vecs
+
+
+def theta0(at: AffineType) -> tuple:
+    """theta_0 = (1/a_0) sum_{i>=1} a_i alpha_i over the gbar roots, in eps."""
+    a = kac_data(at).a
+    roots = simple_root_vectors(at, which="gbar")
+    return tuple(sum(a[i] * r[k] for i, r in enumerate(roots, 1)) // a[0]
+                 for k in range(at.weight_len))
 
 
 @lru_cache(maxsize=None)

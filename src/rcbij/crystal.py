@@ -5,37 +5,32 @@ and the empty letter (phi) is the sentinel EMPTY.  A path is a tuple of
 letters with index 0 holding the leftmost tensor factor b_L and index -1
 the rightmost factor b_1.
 
-The arrow tables are hand-transcribed adjacency data; the tests pin them
-down through the weight-step invariants, which leave no freedom.
+The crystal is read off the root data: f_i lowers the weight of a letter
+by the gbar simple root alpha_i, and f_0 raises it by theta_0.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import AffineType, RankError, is_dominant
+from .cartan import AffineType, is_dominant, simple_root_vectors, theta0
 
 EMPTY = 10 ** 6  # the letter usually written phi
 
 
+@lru_cache(maxsize=None)
 def letters(at: AffineType) -> tuple:
-    """All letters, in the displayed chain order (phi last where present)."""
+    """All letters, in the displayed chain order (phi last where present).
+
+    Type A has 1..n+1; the others 1..n, then 0 where gbar is B, then
+    -n..-1, then phi where theta_0 = eps_1.
+    """
     n = at.n
-    if at.family == "A1":
+    if at.gbar == "A":
         return tuple(range(1, n + 2))
-    ks = list(range(1, n + 1))
-    bars = [-k for k in range(n, 0, -1)]
-    if at.family in ("B1", "A2dag"):
-        return tuple(ks + [0] + bars)
-    if at.family in ("C1", "A2odd"):
-        return tuple(ks + bars)
-    if at.family == "A2":
-        return tuple(ks + bars + [EMPTY])
-    if at.family == "D2":
-        return tuple(ks + [0] + bars + [EMPTY])
-    if at.family == "D1":
-        return tuple(ks[:-1] + [n, -n] + bars[1:])
-    raise ValueError(at.family)
+    zero = (0,) if at.gbar == "B" else ()
+    empty = (EMPTY,) if theta0(at) == wt_letter(at, 1) else ()
+    return tuple(range(1, n + 1)) + zero + tuple(range(-n, 0)) + empty
 
 
 def letter_str(b) -> str:
@@ -44,45 +39,26 @@ def letter_str(b) -> str:
 
 @lru_cache(maxsize=None)
 def arrows(at: AffineType):
-    """(f, e): for each node i, the partial maps b -> f_i(b) and b -> e_i(b)."""
-    n = at.n
-    fam = at.family
-    f = {i: {} for i in range(n + 1)}
-    if fam == "A1":
-        for k in range(1, n + 1):
-            f[k][k] = k + 1
-        f[0][n + 1] = 1
-    else:
-        for k in range(1, n):
-            f[k][k] = k + 1
-            f[k][-(k + 1)] = -k
-        if fam in ("B1", "A2dag", "D2"):
-            f[n][n] = 0
-            f[n][0] = -n
-        elif fam in ("C1", "A2", "A2odd"):
-            f[n][n] = -n
-        elif fam == "D1":
-            # the fork: two arrows out of n-1 and two into -(n-1)
-            f[n - 1][n - 1] = n
-            f[n][n - 1] = -n
-            f[n][n] = -(n - 1)
-            f[n - 1][-n] = -(n - 1)
-        if fam in ("B1", "D1", "A2odd"):
-            f[0][-1] = 2
-            f[0][-2] = 1
-        elif fam in ("C1", "A2dag"):
-            f[0][-1] = 1
-        elif fam in ("A2", "D2"):
-            f[0][-1] = EMPTY
-            f[0][EMPTY] = 1
-    known = set(letters(at))  # a relaxed rank can have arrows out of them
-    e = {}
-    for i in f:
-        if not known.issuperset(f[i].values()):
-            raise RankError("%s: arrow %d leads out of the letters" % (at, i))
+    """(f, e): for each node i, the partial maps b -> f_i(b) and b -> e_i(b).
+
+    f_i(b) is the letter of weight wt(b) - alpha_i, and f_0(b) the letter
+    of weight wt(b) + theta_0.  phi lies on no classical string; on the
+    0-string it is the letter of weight 0 instead of 0.
+    """
+    steps = [theta0(at)] + [
+        tuple(-x for x in r) for r in simple_root_vectors(at, which="gbar")
+    ]
+    bs = letters(at)
+    f, e = {}, {}
+    for i, step in enumerate(steps):
+        off = EMPTY if i else (0 if EMPTY in bs else None)  # on no i-string
+        on = {wt_letter(at, b): b for b in bs if b != off}
+        f[i] = {}
+        for w, b in on.items():
+            v = on.get(tuple(x + y for x, y in zip(w, step)))
+            if v is not None:
+                f[i][b] = v
         e[i] = {v: k for k, v in f[i].items()}
-        if len(e[i]) != len(f[i]):
-            raise RankError("%s: two %d-arrows end at one letter" % (at, i))
     return f, e
 
 

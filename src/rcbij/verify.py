@@ -127,7 +127,7 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
         levels = Levels()
     levels.enter(at, L)
     below = levels.below
-    unhit = set(paths)
+    unhit = {p: p for p in paths}  # each word maps to the enumerated tuple
     words = {}  # rc -> phi(rc)
     steps = []  # (rc, its letter, the weight left, delta(rc))
     rc = None
@@ -145,18 +145,16 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
                     validate_rc(at, rho, L - 1, rc_small)
                     tail = phi(at, rho, L - 1, rc_small)
                 word = (b,) + tail
-            if word not in unhit:  # not a path, or the image of an earlier rc
+            word = unhit.pop(word, None)
+            if word is None:  # not a path, or the image of an earlier rc
                 return fail(check, rc)
-            unhit.remove(word)
             words[rc] = word
         check = "cc=2dbar"
         for rc in rcs:
-            # phi-tilde(rc) is the word of the complement, in the same cell
-            dual = complement(at, L, rc)
-            word = words.get(dual)
-            if word is None:
-                word = phi(at, lam, L, dual)
-            if cc2_total(at, rc) != 2 * dbar(at, word):
+            # phi-tilde(rc) is the word of the complement, which the cell
+            # enumerates; a complement outside it is itself a fault
+            word = words.get(complement(at, L, rc))
+            if word is None or cc2_total(at, rc) != 2 * dbar(at, word):
                 return fail(check, rc)
         check = "delta_inverse"
         for rc, b, rho, rc_small in steps:

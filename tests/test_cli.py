@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -154,6 +155,90 @@ def test_graph_dot():
     assert '"3" -> "-4" [label="4"];' in out
 
 
+# sha256 of `graph --dot` and `x --dump-h` per type, recorded from the
+# transcribed arrow tables that the derivation from the root data replaced
+CRYSTAL_DIGESTS = {
+    ("A1", 1): (
+        "3e8e7348a785be8fee5122b2d29312e10d232d33f4472783676a58420202bbfa",
+        "bf0a75a61ffaa1ed4e581061f295aa1a69390b68507cce3afa75cb1546dcee68",
+    ),
+    ("A1", 2): (
+        "e63a0de293c3c6cd7a7a13dda1d3ef6bb3e6d5ad300e5af71fa5e1fe43153074",
+        "1e88154211508a914cc880a1854e9f4e1f57a7c15305aa08256efe91b53ffad2",
+    ),
+    ("A1", 3): (
+        "8fcf6d16efce381753ef27c55ccbcead1a8b1275d4cb8aadce7a56e69dbe9bf7",
+        "15b6e338c5657135944dd66f3ccfec15b70ef5d8e309fb8f5a501dc14496157d",
+    ),
+    ("B1", 3): (
+        "dde013dffc8d67bd9fc254ef075a266aeeb4abca1c5b45703bd620fd59e0c68f",
+        "20b16bc7b023674e19b15872a742fad3c9aabe3c3de68d008b149a11a2839cb5",
+    ),
+    ("C1", 2): (
+        "341ab3d342c9901be96f5bd6511325545f315449f18e760b83a7e656f7acd7ac",
+        "25a575ed2dc4f329f955b04b2e58a0d2c614b999e84ca3b14679fbe6648df966",
+    ),
+    ("C1", 3): (
+        "d2619379ac6ae1451a2fe5e7e726a0769e447c282de20fdfaaefbbb25bf1263b",
+        "6b46e786d7eb7ef1eb1d7578ce98bf628f23fa70ac8b59e665affcd5f797ff1c",
+    ),
+    ("D1", 4): (
+        "0b279ae2edea039c4fa84cd1d703a4f3249ae6f693f76f538cf33c99d5facd3a",
+        "6a622582f4a18f798f25ad71a662e546787726e6078eeb3d1034c0974dbdd337",
+    ),
+    ("A2", 1): (
+        "9d78ca1bcf74c3c053436b0deb9f4eb5a5f529cb3c6fac616e4b7583a6cf737c",
+        "ed3233f315d5883c271566bc1fda609d1438faadd9a48cd34fd44f0ba1fe6c46",
+    ),
+    ("A2", 2): (
+        "8af88a48a4d767074e80fa4562a7b74f422c6da2352b65e56a859cac3f872447",
+        "f9822d7869c0901e270b0efb1b3d1272601dba7cea153f63769f808bdcf09e5e",
+    ),
+    ("A2dag", 1): (
+        "d21fea124273559f3d59025757527e0e0739ae968cbb48f50bbbf60b12008ab9",
+        "693f44f29426e06ee605f02cb93e4fe994908c1db31fcff1f38d0489afab59af",
+    ),
+    ("A2dag", 2): (
+        "815c6cae7a0bcc880b6f2899d8757b133ec59d3059e2574cc94fbd877b3a8252",
+        "3441d763562997785093229064d253cf7daa56807fdae6dcab2efe64cb26b1d4",
+    ),
+    ("A2odd", 2): (
+        "90421850ab4bf8f0987c31d7569d912b01be67b9279ef07d6b0e42bfca141ac2",
+        "33cfbef064e9b5fcbc0e46c51e5fcdd305b08969d4ef0b056fe0a684af9724f0",
+    ),
+    ("D2", 2): (
+        "05367e1f742a5c0ceba8ca70b129a182d02d27e66437db3dee31afbe95b2a818",
+        "196587c20e28a9d523ee26d222852641bb403e96c07f38a24ecdfe9b6d4424be",
+    ),
+    ("D2", 3): (
+        "0ad531a11bd39def517db96b774eda3fe6db05afb0f36d0e6b99305279947c8d",
+        "c702c3f9c06ed5e0a4b11c3d349feed6a152529c6a9f37bf51e1acb22d5d94b8",
+    ),
+    ("C1", 1): (
+        "560936dfe79c21a9f3b0e670443ea485da605003989129a2518aec952b893849",
+        "d8cb5c42417004e08b31550ec1a6a7b50cf8a78f42ddeab7c8fa76a159424dd2",
+    ),
+    ("B1", 2): (
+        "7701b870c2414ce365c1c89f88b73e93b64a4681689b467ac0f8c543baf8d96f",
+        "a5c897768d40e905cbd75959e04a4e78cc139317960c2679aca1c1c6810153b6",
+    ),
+    ("D1", 3): (
+        "4e22f9d0a81181e3c1ed0a5f8d89885b9b20942df024710e4255de39f561f46b",
+        "eff3400716172b5675b734aff573464013209d0ef765f67c91481daab58c400d",
+    ),
+}
+
+
+def test_crystal_output_pinned():
+    for (fam, n), digests in CRYSTAL_DIGESTS.items():
+        rank = ["--type", fam, "--n", str(n), "--relax-rank"]
+        for argv, want in zip((["graph"] + rank + ["--dot"],
+                               ["x"] + rank + ["--dump-h"]), digests):
+            code, out = run(argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
 def test_usage_errors(capsys, tmp_path):
     assert main(["x", "--type", "C1", "--n", "2"]) == 2  # missing weight
     assert main(["nonsense"]) == 2
@@ -177,9 +262,6 @@ def test_usage_errors(capsys, tmp_path):
                  "--max-len", "-1"]) == 2  # negative length
     for jobs in ("0", "-3"):  # not a positive worker count
         assert main(["verify", "--max-len", "1", "--jobs", jobs]) == 2
-    for fam, n in (("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1)):  # not built
-        assert main(["verify", "--type", fam, "--n", str(n), "--relax-rank",
-                     "--max-len", "2"]) == 2
     rc = {"type": "C1", "n": 2, "L": 3, "lambda": [1, 0],
           "nu": [{"a": 1, "strings": [{"len2": 4, "rig2": 2}]},
                  {"a": 2, "strings": [{"len2": 4, "rig2": 0}]}]}
@@ -210,7 +292,19 @@ def test_usage_errors(capsys, tmp_path):
         gridfile.write_text(json.dumps({"cells": [cell]}))
         assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 37 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 33 and all(ln.startswith("error: ") for ln in lines)
+    # relaxed ranks with no diagram to read, and D2 n=1, are refused by
+    # every command that takes a type
+    for fam, n in (("D1", 1), ("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1)):
+        rank = ["--type", fam, "--n", str(n), "--relax-rank"]
+        cell = rank + ["--len", "2", "--weight", ",".join("0" * n)]
+        for argv in ([[cmd] + cell for cmd in ("x", "m", "f", "rc-enum",
+                                                "path-enum")]
+                     + [["graph"] + rank + ["--dot"],
+                        ["verify"] + rank + ["--max-len", "2"]]):
+            assert run(argv) == (2, ""), argv
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: "), argv
 
 
 def test_verify_same_under_optimize(tmp_path):

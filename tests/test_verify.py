@@ -1,6 +1,10 @@
 """Faults planted in one layer, as ``rcbij.verify`` sees it, are caught."""
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,8 @@ PLANTED = [
     ("enumerate_highest", lambda f: lambda *a: f(*a)[1:], "|rc|=|paths|"),
     ("phi", lambda f: lambda *a: (), "phi"),
     ("dbar", lambda f: lambda *a: f(*a) + 1, "cc=2dbar"),
+    ("complement", lambda f: lambda at, L, rc: out_of_box(at, L, f(at, L, rc)),
+     "cc=2dbar"),
     ("delta_inverse", lambda f: lambda *a: (), "delta_inverse"),
     ("phi_inverse", lambda f: lambda *a: (), "phi_inverse"),
     pytest.param("delta_inverse", raising(NoPreimage("planted")),
@@ -79,6 +85,28 @@ def test_verify_writes_failure_record(monkeypatch, capsys, tmp_path):
     assert list(record) == ["type", "n", "L", "lambda", "check", "rc"]
     assert record["check"] == "cc=2dbar"
     assert record["rc"]["lambda"] == [1, 0]
+
+
+def test_verify_tsv_matches_bench_reference():
+    """``verify --max-len 4`` prints the TSV the benchmark gates on.
+
+    bench/reference.json holds the first 16 hex digits of the sha256 of
+    the header and of each row, keyed by the row's first four columns.
+    """
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+    ref = json.loads(path.read_text())
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["verify", "--max-len", "4"])
+    header, *rows = buf.getvalue().splitlines()
+
+    def digest(line):
+        return hashlib.sha256(line.encode()).hexdigest()[:16]
+
+    assert code == 0 and digest(header) == ref["verify_header"]
+    assert {" ".join(row.split("\t")[:4]): digest(row) for row in rows} \
+        == ref["verify"]
+    assert len(rows) == len(ref["verify"])
 
 
 def test_level_table_changes_no_answer():
