@@ -11,6 +11,17 @@ Families are named by the short codes used in the CLI and JSON formats:
     A2odd twisted A, odd case, rank n >= 2
     D2    twisted D, rank n >= 2
 
+Everything is read off one root datum per family (``_ROOT_DATUM``): the
+kind of the classical subalgebra gbar and theta_0, the classical part of
+-alpha_0, in the epsilon basis.  The Kac labels a are the coefficients of
+theta_0 = sum_{i>=1} (a_i/a_0) alpha_i over the gbar roots, the dual
+labels a^vee are proportional to a_i (alpha_i|alpha_i) with alpha_0 =
+-theta_0, and t, t^vee, the box widths and the normalized form follow
+from them (Kac, Infinite dimensional Lie algebras, Tables Aff 1-2).  Three
+exceptions are named where they apply: A2dag's t_lat and the box width of
+relaxed C1 n=1 (``kac_data``), and A2's form, which the paper puts on B_n
+(``AffineType.g0bar``, ``form2_matrix``).
+
 All rationals that occur here have denominator 1 or 2.  Quantities that can
 be half-integral are stored doubled (suffix ``2``); everything else is a
 plain int.
@@ -21,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2", "A2dag", "A2odd", "D2")
 
@@ -29,29 +41,23 @@ _MIN_RANK = {
     "A2": 1, "A2dag": 1, "A2odd": 2, "D2": 2,
 }
 
-# The least rank with a diagram to read, relaxed or not.  Below it _labels
-# gives the family or its dual the wrong number of labels (B1 n=1, D1
+# The least rank with a diagram to read, relaxed or not.  Below it theta_0
+# is no positive combination of all the gbar simple roots (B1 n=1, D1
 # n<=2, A2odd n=1); D2 n=1 has node 1 as node n too, and its rigged
 # configurations miss paths: lam = (0), L = 1 has the path E but none.
 _LEAST_RANK = {"B1": 2, "D1": 3, "A2odd": 2, "D2": 2}
 
-# Classical subalgebra used for weights and dominance (gbar), and the one
-# whose root realization carries the normalized form (g0bar).  They differ
-# only for A2, where gbar = C_n but the form lives on B_n.
-_GBAR = {
-    "A1": "A", "B1": "B", "C1": "C", "D1": "D",
-    "A2": "C", "A2dag": "B", "A2odd": "C", "D2": "B",
-}
-_G0BAR = {
-    "A1": "A", "B1": "B", "C1": "C", "D1": "D",
-    "A2": "B", "A2dag": "B", "A2odd": "C", "D2": "B",
-}
-
-# Doubled value of the form normalization kappa, where (eps_i|eps_j) is
-# kappa * delta_ij in the g0bar realization.
-_KAPPA2 = {
-    "A1": 2, "B1": 2, "C1": 1, "D1": 2,
-    "A2": 4, "A2dag": 2, "A2odd": 2, "D2": 4,
+# The root datum: gbar's kind and theta_0 as {epsilon index: coefficient},
+# where index -1 is the last coordinate.
+_ROOT_DATUM = {
+    "A1": ("A", {0: 1, -1: -1}),  # eps_1 - eps_{n+1}
+    "B1": ("B", {0: 1, 1: 1}),    # eps_1 + eps_2
+    "C1": ("C", {0: 2}),          # 2 eps_1
+    "D1": ("D", {0: 1, 1: 1}),    # eps_1 + eps_2
+    "A2": ("C", {0: 1}),          # eps_1
+    "A2dag": ("B", {0: 2}),       # 2 eps_1
+    "A2odd": ("C", {0: 1, 1: 1}),  # eps_1 + eps_2
+    "D2": ("B", {0: 1}),          # eps_1
 }
 
 
@@ -83,11 +89,14 @@ class AffineType:
 
     @property
     def gbar(self) -> str:
-        return _GBAR[self.family]
+        """Kind of the classical subalgebra: weights, dominance, crystal."""
+        return _ROOT_DATUM[self.family][0]
 
     @property
     def g0bar(self) -> str:
-        return _G0BAR[self.family]
+        """Kind whose roots carry the normalized form: gbar, but B_n for A2,
+        where the paper puts the form."""
+        return "B" if self.family == "A2" else self.gbar
 
     @property
     def weight_len(self) -> int:
@@ -102,7 +111,7 @@ class AffineType:
 class KacData:
     """Kac labels and the scaling constants derived from them.
 
-    a, a_vee are indexed 0..n.  t, t_vee, eps are indexed 1..n (stored as
+    a, a_vee are indexed 0..n.  t, t_vee, up2 are indexed 1..n (stored as
     tuples of length n).  up2 holds the doubled box widths upsilon_a.
     t_lat is the scaling actually used in the vacancy/cc formulas; it is
     t with the single exception of A2dag (see the A2dag remark below).
@@ -110,54 +119,51 @@ class KacData:
 
     a: tuple
     a_vee: tuple
-    r: int
     t: tuple
     t_vee: tuple
     up2: tuple
-    eps: tuple
     t_lat: tuple
 
-    @property
-    def a0_vee(self) -> int:
-        return self.a_vee[0]
+
+def _dot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
-def _labels(family: str, n: int) -> tuple:
-    """Kac labels a_0..a_n, read off the expansion of the null root."""
-    if family == "A1":
-        return (1,) * (n + 1)
-    if family == "B1":
-        return ((1, 1) + (2,) * (n - 1))[: n + 1]
-    if family == "C1":
-        return (1,) + (2,) * (n - 1) + (1,)
-    if family == "D1":
-        return (1, 1) + (2,) * (n - 3) + (1, 1)
-    if family == "A2":
-        return (2,) * n + (1,)
-    if family == "A2dag":
-        return (1,) + (2,) * n
-    if family == "A2odd":
-        return (1, 1) + (2,) * (n - 2) + (1,)
-    if family == "D2":
-        return (1,) * (n + 1)
-    raise ValueError(family)
+def _primitive(xs) -> tuple:
+    """The primitive integer vector on the ray of the rationals xs."""
+    den = lcm(*(Fraction(x).denominator for x in xs))
+    ints = [int(x * den) for x in xs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
-# Reversing all arrows maps each diagram onto the one whose labels give the
-# dual labels: A1<->A1, B1<->A2odd's diagram, C1<->D2's, D1<->D1,
-# A2<->A2dag's diagram.
-_DUAL_DIAGRAM = {
-    "A1": "A1", "B1": "A2odd", "C1": "D2", "D1": "D1",
-    "A2": "A2dag", "A2dag": "A2", "A2odd": "B1", "D2": "C1",
-}
+def _root_coords(kind: str, v, n: int) -> list:
+    """Coordinates of the epsilon vector v in the simple roots of kind_n.
+
+    For type A, v has n+1 entries and lies in the root span only when
+    they sum to 0; the callers see to that.
+    """
+    partial = []
+    run = Fraction(0)
+    for x in v[:n]:
+        run += x
+        partial.append(run)
+    if kind in ("A", "B"):
+        return partial
+    if kind == "C":
+        return partial[:-1] + [partial[-1] / 2]
+    s = partial[n - 2]
+    return partial[: n - 2] + [(s - v[n - 1]) / 2, (s + v[n - 1]) / 2]
 
 
 @lru_cache(maxsize=None)
 def kac_data(at: AffineType) -> KacData:
-    fam, n = at.family, at.n
-    a = _labels(fam, n)
-    a_vee = _labels(_DUAL_DIAGRAM[fam], n)
-    r = 1 if fam in ("A1", "B1", "C1", "D1") else 2
+    n = at.n
+    th = theta0(at)
+    a = _primitive([1] + _root_coords(at.gbar, th, n))
+    # (alpha_0|alpha_0) = (theta_0|theta_0)
+    roots = [th] + simple_root_vectors(at, which="gbar")
+    a_vee = _primitive([ai * _dot(r, r) for ai, r in zip(a, roots)])
     # t_i = max(a_i/a_i^vee, a_0^vee), t_i^vee = max(a_i^vee/a_i, a_0);
     # both are always 1 or 2 for these families.
     t = tuple(max(Fraction(a[i], a_vee[i]), a_vee[0]) for i in range(1, n + 1))
@@ -166,17 +172,17 @@ def kac_data(at: AffineType) -> KacData:
         raise ValueError("%s: t or t^vee is not integral" % at)
     t = tuple(int(x) for x in t)
     t_vee = tuple(int(x) for x in t_vee)
-    up2 = [2] * n
-    if fam == "C1":
-        up2[n - 1] = 4
-    elif fam == "B1":
-        up2[n - 1] = 1
-    eps = tuple(2 if (fam == "A2" and i == n) else 1 for i in range(1, n + 1))
     # A2dag: its rigged-configuration combinatorics (vacancy formula shaped
     # like C1 with integer indices everywhere, plain area statistic) is the
     # t == 1 normalization, not the raw t == 2 of the Kac labels.
-    t_lat = (1,) * n if fam == "A2dag" else t
-    return KacData(a, a_vee, r, t, t_vee, tuple(up2), eps, t_lat)
+    t_lat = (1,) * n if at.family == "A2dag" else t
+    up2 = tuple(2 * t_lat[0] // x for x in t_lat)
+    # Relaxed C1 n=1 keeps C1's width 2 at node n, where the rule gives 1:
+    # with width 1, verify --type C1 --n 1 --relax-rank fails from L = 2
+    # on, at the delta_inverse check (first at lam = (0), nu = ((1,),)).
+    if at.family == "C1" and n == 1:
+        up2 = (4,)
+    return KacData(a, a_vee, t, t_vee, up2, t_lat)
 
 
 def simple_root_vectors(at: AffineType, which: str = "g0bar"):
@@ -206,40 +212,41 @@ def simple_root_vectors(at: AffineType, which: str = "g0bar"):
         last[n - 1] = 1
     elif kind == "C":
         last[n - 1] = 2
-    elif kind == "D":
+    else:  # D
         last[n - 2], last[n - 1] = 1, 1
     vecs.append(tuple(last))
     return vecs
 
 
 def theta0(at: AffineType) -> tuple:
-    """theta_0 = (1/a_0) sum_{i>=1} a_i alpha_i over the gbar roots, in eps."""
-    a = kac_data(at).a
-    roots = simple_root_vectors(at, which="gbar")
-    return tuple(sum(a[i] * r[k] for i, r in enumerate(roots, 1)) // a[0]
-                 for k in range(at.weight_len))
+    """theta_0, the classical part of -alpha_0, in the epsilon basis."""
+    v = [0] * at.weight_len
+    for k, c in _ROOT_DATUM[at.family][1].items():
+        v[k] += c
+    return tuple(v)
 
 
 @lru_cache(maxsize=None)
 def form2_matrix(at: AffineType):
-    """Doubled form matrix: entry [a][b] is 2*(alpha~_a | alpha~_b)."""
-    vecs = simple_root_vectors(at)
-    k2 = _KAPPA2[at.family]
-    n = at.n
-    return tuple(
-        tuple(k2 * sum(x * y for x, y in zip(vecs[i], vecs[j])) for j in range(n))
-        for i in range(n)
-    )
+    """Doubled form matrix: entry [a][b] is 2*(alpha~_a | alpha~_b).
+
+    Kac's normalization 2(alpha_1|alpha_1) = 4 a_1^vee / a_1 scales the
+    epsilon products of the gbar roots.
+    """
+    if at.family == "A2":  # on B_n, where the paper puts it: twice A2dag's
+        return tuple(tuple(2 * x for x in row)
+                     for row in form2_matrix(AffineType("A2dag", at.n)))
+    kd = kac_data(at)
+    vecs = simple_root_vectors(at, which="gbar")
+    k2 = Fraction(4 * kd.a_vee[1], kd.a[1] * _dot(vecs[0], vecs[0]))
+    return tuple(tuple(int(k2 * _dot(u, v)) for v in vecs) for u in vecs)
 
 
 def coroot_pairings(at: AffineType, lam) -> list:
     """<lam, h_a> for the classical (gbar) coroots, via 2(lam|alpha)/(alpha|alpha)."""
-    vecs = simple_root_vectors(at, which="gbar")
-    k2 = _KAPPA2[at.family]
     out = []
-    for v in vecs:
-        num = 2 * k2 * sum(x * y for x, y in zip(lam, v))
-        den = k2 * sum(x * x for x in v)
+    for v in simple_root_vectors(at, which="gbar"):
+        num, den = 2 * _dot(lam, v), _dot(v, v)
         if num % den:
             raise ValueError("%r is not an integral weight" % (lam,))
         out.append(num // den)
@@ -278,26 +285,11 @@ def iota_image(at: AffineType, lam, L: int):
         raise ValueError("weight %r is not dominant for %s" % (lam, at))
     if L < 0:
         raise ValueError("L must be nonnegative")
-    n = at.n
     v = [Fraction(-x) for x in lam]
     v[0] += L
-    kind = at.g0bar
-    partial = []
-    run = Fraction(0)
-    for a in range(n):
-        run += v[a]
-        partial.append(run)
-    if kind in ("A", "B"):
-        # for type A, v has n+1 entries and this is an image only when
-        # they sum to 0; normalized_sizes checks that
-        return tuple(partial)
-    if kind == "C":
-        out = partial[:-1] + [partial[-1] / 2]
-        return tuple(out)
-    if kind == "D":
-        s = sum(v[: n - 1])
-        return tuple(partial[: n - 2] + [(s - v[n - 1]) / 2, (s + v[n - 1]) / 2])
-    raise ValueError(kind)
+    # for type A this is an image only when v sums to 0;
+    # normalized_sizes checks that
+    return tuple(_root_coords(at.g0bar, v, at.n))
 
 
 def dominant_weights(at: AffineType, L: int):

@@ -2,8 +2,10 @@
 
 Nothing in the package imports this module.  Each oracle computes the same
 quantity as a production function by a different route (brute force, a
-hand-written per-family formula, exact Fractions), so agreement is evidence
-that both are right.  The tensor rule on words (``tensor_e``, ``tensor_f``)
+hand-written per-family formula or table, exact Fractions), so agreement
+is evidence that both are right.  The Kac data by hand tables
+(``kac_by_table``, ``form2_by_table``, ``theta0_by_table``) check what
+``rcbij.cartan`` derives from one root datum per family.  The tensor rule on words (``tensor_e``, ``tensor_f``)
 is the crystal's definition, which ``enumerate_highest_bruteforce`` applies
 to every word.  ``verify_delta_identities`` checks the paper's
 per-step identities (the change of the vacancy numbers and of cc across one
@@ -45,6 +47,86 @@ from rcbij.rc import (
     validate_rc,
     vacancy2,
 )
+
+
+# The Kac data as hand tables (Kac, Infinite dimensional Lie algebras,
+# Tables Aff 1-2).  gbar carries weights and the crystal, g0bar the form;
+# they differ only for A2, where the paper puts the form on B_n.
+GBAR = {
+    "A1": "A", "B1": "B", "C1": "C", "D1": "D",
+    "A2": "C", "A2dag": "B", "A2odd": "C", "D2": "B",
+}
+G0BAR = dict(GBAR, A2="B")
+
+# Doubled form normalization kappa: (eps_i|eps_j) = kappa delta_ij in the
+# g0bar realization.
+KAPPA2 = {
+    "A1": 2, "B1": 2, "C1": 1, "D1": 2,
+    "A2": 4, "A2dag": 2, "A2odd": 2, "D2": 4,
+}
+
+# Reversing all arrows maps each diagram onto the one whose labels give the
+# dual labels.
+DUAL_DIAGRAM = {
+    "A1": "A1", "B1": "A2odd", "C1": "D2", "D1": "D1",
+    "A2": "A2dag", "A2dag": "A2", "A2odd": "B1", "D2": "C1",
+}
+
+
+def labels_by_table(family: str, n: int) -> tuple:
+    """Kac labels a_0..a_n, read off the expansion of the null root."""
+    return {
+        "A1": (1,) * (n + 1),
+        "B1": ((1, 1) + (2,) * (n - 1))[: n + 1],
+        "C1": (1,) + (2,) * (n - 1) + (1,),
+        "D1": (1, 1) + (2,) * (n - 3) + (1, 1),
+        "A2": (2,) * n + (1,),
+        "A2dag": (1,) + (2,) * n,
+        "A2odd": (1, 1) + (2,) * (n - 2) + (1,),
+        "D2": (1,) * (n + 1),
+    }[family]
+
+
+def kac_by_table(at: AffineType) -> dict:
+    """The Kac data from the hand tables, with r and eps as well.
+
+    r is the twist order; eps_a is 2 at A2's node n, where the gbar root
+    is twice the g0bar root, and 1 elsewhere.  The box widths are 2 at
+    C1's node n, 1/2 at B1's and 1 elsewhere.
+    """
+    fam, n = at.family, at.n
+    a = labels_by_table(fam, n)
+    a_vee = labels_by_table(DUAL_DIAGRAM[fam], n)
+    nodes = range(1, n + 1)
+    t = tuple(int(max(Fraction(a[i], a_vee[i]), a_vee[0])) for i in nodes)
+    t_vee = tuple(int(max(Fraction(a_vee[i], a[i]), a[0])) for i in nodes)
+    last = {"C1": 4, "B1": 1}.get(fam, 2)
+    return {
+        "a": a,
+        "a_vee": a_vee,
+        "r": 1 if fam in ("A1", "B1", "C1", "D1") else 2,
+        "t": t,
+        "t_vee": t_vee,
+        "up2": tuple(last if i == n else 2 for i in nodes),
+        "eps": tuple(2 if fam == "A2" and i == n else 1 for i in nodes),
+        "t_lat": (1,) * n if fam == "A2dag" else t,
+    }
+
+
+def form2_by_table(at: AffineType):
+    """Doubled form matrix: KAPPA2 times the epsilon products of g0bar."""
+    vecs = simple_root_vectors(at, which="g0bar")
+    k2 = KAPPA2[at.family]
+    return tuple(tuple(k2 * sum(x * y for x, y in zip(u, v)) for v in vecs)
+                 for u in vecs)
+
+
+def theta0_by_table(at: AffineType) -> tuple:
+    """theta_0 = (1/a_0) sum_{i>=1} a_i alpha_i over the gbar roots."""
+    a = labels_by_table(at.family, at.n)
+    roots = simple_root_vectors(at, which="gbar")
+    return tuple(sum(a[i] * r[k] for i, r in enumerate(roots, 1)) // a[0]
+                 for k in range(at.weight_len))
 
 
 def vacancy2_by_family(at: AffineType, L: int, nu, a: int, i2: int) -> int:

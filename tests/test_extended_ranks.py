@@ -11,6 +11,8 @@ A2dag, with the quasi-singular riggings and A2dag's half-odd box tops, are
 common enough to compare the box-addition inverse with the candidate
 search on every step; so is D1's fork, where the return scan bounds node
 n-2 by the shorter of the two strings it took at nodes n-1 and n.
+The relaxed ranks below the enforced bounds are certified in full too:
+their Kac data and box widths come from the smallest diagrams.
 """
 
 from conftest import EXTENDED
@@ -70,10 +72,18 @@ def test_battery_at_length_6(battery):
     assert {L for _at, _lam, L in battery} == set(range(7))
 
 
+# Relaxed ranks with the length each is certified to.
+RELAXED = [
+    (AffineType("C1", 1, relax_rank=True), 6),
+    (AffineType("B1", 2, relax_rank=True), 5),
+    (AffineType("D1", 3, relax_rank=True), 4),
+]
+
+
 def test_extended_ranks_full_checks():
-    for at in EXTENDED:
+    for at, max_len in [(at, 4) for at in EXTENDED] + RELAXED:
         levels = Levels()
-        for cell in cells_for(at, 4):
+        for cell in cells_for(at, max_len):
             ok, _row, failure = verify_cell(*cell, levels)
             assert ok, (cell, failure)
 
