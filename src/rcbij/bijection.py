@@ -2,39 +2,35 @@
 
 delta extracts one letter from a rigged configuration by a scan over
 singular strings out to node n and back, shortening the selected strings
-and resetting their riggings.  The families differ only at the end of
-the diagram: D1's fork, A2odd's single string, and the cases S, P, Q and
-QS at node n of B1, C1, A2, D2 and A2dag, which one routine handles, with
-the quasi-singular offsets of _QUASI2.  Iterating delta gives the
-bijection onto classically restricted paths; composing with rigging
+and resetting their riggings; delta_inverse adds the boxes back.  The
+diagrams differ only at their end: the tail of type A, the fork of nodes
+n-1 and n, a single string at node n that both scans select, or the
+cases S, P, Q and QS at node n.  Each end is one object, read off the
+type's form, box widths and letters by ``_end``: its forward(sc, n) runs
+delta's scans into the end and back, and its backward(fs, n, b) runs them
+in reverse for each letter b that is not positive.  Iterating delta gives
+the bijection onto classically restricted paths; composing with rigging
 complementation gives the statistic-preserving variant.
 
-delta_inverse adds the boxes back: the same scans run in reverse over the
-smaller configuration, with the same case flags and one node-n routine,
-choose the strings to lengthen.
-
-Neither step re-checks its result; the callers that cannot vouch for it
-do.  phi validates each smaller configuration delta gives it, and
-phi_inverse validates each box addition and runs one delta on it to
-confirm the image.  ``rcbij.verify`` validates a smaller configuration
-only where its level table of certified ones lacks it, and compares each
-box addition with the enumerated configuration it must give back.
-
-Traces record the selected lengths (doubled, INF when undefined) and the
-case flags, which is what the change-of-vacancy and change-of-statistic
-identities are stated in terms of (tests/oracles.py checks them).
+Neither step re-checks its result: phi and phi_inverse check each step,
+and ``rcbij.verify`` each one its level table of certified configurations
+lacks.  Traces record the selected lengths (doubled, INF when undefined)
+and the case flags, in which the change-of-vacancy and change-of-statistic
+identities are stated (tests/oracles.py checks them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .cartan import AffineType, is_dominant
+from .cartan import AffineType, form2_matrix, is_dominant, kac_data
 from .crystal import EMPTY, letters, rest_weight, wt_letter
 from .rc import (
     INF,
     Config,
     InvalidRC,
+    box,
     complement,
     validate_rc,
     vacancy2,
@@ -60,11 +56,212 @@ class DeltaTrace:
     rank: object
 
 
-# Doubled offset below the vacancy of the rigging delta takes as
-# quasi-singular at node n: a whole unit for B1 and D2; for A2dag the top
-# of a half-odd box, whose doubled vacancy is even.  C1 and A2 have no
-# case Q: their offset 0 is the singular string itself.
-_QUASI2 = {"B1": 2, "D2": 2, "A2dag": 1}
+class _Scan:
+    """One delta run on the Config of rc: the lengths its scans selected,
+    their cases, the letter b, and the removals the standard rule misses."""
+
+    def __init__(self, cf):
+        self.cf = cf
+        self.ell, self.ellbar, self.cases = {}, {}, {}
+        self.removals, self.b = [], None
+
+    def min_sing(self, a, lo, need_two_at=None):
+        """Minimal occupied length >= lo with a singular string, or two
+        where it is need_two_at (the forward scan claimed one there)."""
+        cf = self.cf
+        for i2 in sorted(cf.by[a - 1]):
+            if i2 < lo:
+                continue
+            cnt = cf.count(a, i2)
+            if cnt >= 2 or (cnt == 1 and i2 != need_two_at):
+                return i2
+        return None
+
+    def fwd(self, last):
+        """Scan nodes 1..last forward: the last length, or None if it stops."""
+        prev = 0
+        for a in range(1, last + 1):
+            i2 = self.min_sing(a, prev)
+            if i2 is None:
+                self.b = a
+                return None
+            self.ell[a] = prev = i2
+        return prev
+
+    def ret(self, first_node, prevbar, merge):
+        """The return scan from first_node down, bounded below by prevbar.
+
+        With merge, a length the forward scan selected that equals the bound
+        is taken by both scans, merged into one double shortening (case S);
+        without it such a length needs a second singular string.
+        """
+        ell, ellbar = self.ell, self.ellbar
+        for a in range(first_node, 0, -1):
+            if merge and ell.get(a) == prevbar:
+                self.cases[a] = "S"
+                ellbar[a], ell[a] = prevbar, prevbar - 2
+                continue
+            i2 = self.min_sing(a, prevbar, None if merge else ell.get(a))
+            if i2 is None:
+                self.b = -(a + 1)
+                return
+            ellbar[a] = prevbar = i2
+        self.b = -1
+
+
+class _Tail:
+    """The forward scan runs through node n; all letters are positive."""
+
+    def forward(self, sc, n):
+        if sc.fwd(n) is not None:
+            sc.b = n + 1
+
+
+class _Fork:
+    """Nodes n-1 and n each take a string from node n-2's length up."""
+
+    def forward(self, sc, n):
+        prev = sc.fwd(n - 2)
+        if prev is None:
+            return
+        i2, j2 = sc.min_sing(n - 1, prev), sc.min_sing(n, prev)
+        if i2 is None and j2 is None:
+            sc.b = n - 1
+        elif j2 is None:
+            sc.ell[n - 1], sc.b = i2, n
+        elif i2 is None:
+            sc.ell[n], sc.b = j2, -n
+        else:
+            sc.ell[n - 1], sc.ell[n] = i2, j2
+            sc.ret(n - 2, max(i2, j2), False)
+
+    def backward(self, fs, n, b):
+        if b == -n:  # only node n of the fork was selected
+            fs.chain((n,) + tuple(range(n - 2, 0, -1)), INF)
+        else:  # both fork nodes, then below the shorter of the two
+            hi = _outward(fs, -b, n - 1)[0]
+            fs.chain(range(n - 2, 0, -1),
+                     min(fs.chain((n - 1,), hi), fs.chain((n,), hi)))
+
+
+class _Single:
+    """One string at node n, selected by both scans, loses one column."""
+
+    def forward(self, sc, n):
+        i2 = sc.fwd(n)
+        if i2 is not None:
+            sc.ellbar[n] = i2
+            sc.removals.append((n, i2, 0, 2, 0))
+            sc.ret(n - 1, i2, False)
+
+    def backward(self, fs, n, b):
+        fs.chain(range(n, 0, -1), _outward(fs, -b, n)[0])
+
+
+@dataclass(frozen=True)
+class _NodeN:
+    """Node n: the shortest length from the bound up takes a singular string
+    (case S, or P on a one-column string where E is a letter) or one quasi
+    below its vacancy (case Q, QS when a longer singular string exists).
+
+    A string loses a column, or half a column (half) where node n is
+    narrower than node 1: then the bound is half a column lower, a singular
+    string there is taken as Q, the return scan does not merge, and the QS
+    string can keep a singular rigging (Qprime).
+    """
+
+    half: bool
+    quasi: int
+    case_p: bool
+
+    def forward(self, sc, n):
+        prev = sc.fwd(n - 1)
+        if prev is None:
+            return
+        cf, half, quasi = sc.cf, self.half, self.quasi
+        col = 1 if half else 2  # doubled
+        for i2 in sorted(cf.by[n - 1]):
+            if i2 < (prev - 1 if half else prev):
+                continue
+            if cf.count(n, i2):
+                off = 0
+                break
+            if quasi and i2 >= prev and cf.count(n, i2, quasi):
+                off = quasi
+                break
+        else:
+            sc.b = n
+            return
+        if not off and i2 >= prev:
+            if i2 == col and self.case_p:  # case P
+                sc.ell[n], sc.cases[n], sc.b = i2, "P", EMPTY
+                return
+            # case S: both scans take the string, two columns come off
+            sc.ellbar[n], sc.ell[n], sc.cases[n] = i2, i2 - col, "S"
+            sc.removals.append((n, i2, 0, 2 * col, 0))
+            sc.ret(n - 1, i2, not half)
+            return
+        # case Q: the string loses a column and becomes singular
+        sc.ell[n] = i2
+        sc.removals.append((n, i2, off, col, 0))
+        j2 = sc.min_sing(n, i2 + 1)
+        if j2 is None:
+            sc.cases[n], sc.b = "Q", 0
+            return
+        # case QS: a longer singular string loses a column too, and its
+        # new rigging is quasi-singular, except with a half column when
+        # the return scan took its length at node n-1 (Qprime)
+        sc.ellbar[n], sc.cases[n] = j2, "QS"
+        sc.ret(n - 1, j2, not half)
+        qs_off = 0 if half and j2 == sc.ellbar.get(n - 1) else quasi
+        sc.removals.append((n, j2, 0, col, qs_off))
+
+    def backward(self, fs, n, b):
+        if b == EMPTY:  # case P: a singular string of length one at every node
+            fs.chain(range(n, 0, -1), 0)
+            return
+        half, quasi = self.half, self.quasi
+        col = 1 if half else 2  # doubled
+        # the zero letter is case Q alone; below it the return scan ran
+        hi, outward = (None, {}) if b == 0 else _outward(fs, -b, n)
+        s = fs.longest(n, INF if hi is None else hi)
+        if hi is not None:
+            if half and hi < INF and fs.free(n, hi + 1, 0):
+                # QS, the second string kept singular (Qprime)
+                t, toff = hi + 1, 0
+            else:  # without case Q, t is s
+                t, toff = fs.longest(n, hi, quasi), quasi
+            if t <= s:  # case S: the singular string gains two columns
+                fs.additions.append((n, s, 0, 2 * col, 0))
+                if half:
+                    fs.chain(range(n - 1, 0, -1), s)
+                else:
+                    fs.merge_back(s, outward)
+                return
+            fs.additions.append((n, t, toff, col, 0))  # case QS, second string
+        # case Q: the singular string gains a column and was quasi-singular,
+        # but singular with a half column below ell^(n-1)
+        below = range(n - 1, 0, -1)
+        s1 = fs.chain(below[:1], s)
+        fs.additions.append((n, s, 0, col, 0 if half and s1 == s else quasi))
+        fs.chain(below[1:], s1)
+
+
+@lru_cache(maxsize=None)
+def _end(at: AffineType):
+    """The end of the diagram of at, read off its form, widths and letters."""
+    n, form2, up2 = at.n, form2_matrix(at), kac_data(at).up2
+    if at.weight_len > n:  # weights of n+1 coordinates
+        return _Tail()
+    if n >= 3 and form2[-1][-3]:  # alpha_n meets alpha_{n-2}
+        return _Fork()
+    if n >= 2 and form2[-1][-1] > form2[-2][-2] and up2[-1] == up2[-2]:
+        return _Single()  # node n is long and as wide as node n-1
+    bs = letters(at)
+    # case Q where 0 is a letter, at the rigging next below a vacancy p2
+    p2 = 2
+    quasi = p2 - max(r for r in box(at, n, up2[-1], p2) if r < p2)
+    return _NodeN(up2[-1] < up2[0], quasi if 0 in bs else 0, EMPTY in bs)
 
 
 def delta(at: AffineType, lam, L: int, rc):
@@ -77,147 +274,9 @@ def delta(at: AffineType, lam, L: int, rc):
     if L < 1:
         raise ValueError("delta needs L >= 1")
     n = at.n
-    fam = at.family
-    cf = Config(at, L, rc)
-    ell: dict[int, int] = {}
-    ellbar: dict[int, int] = {}
-    cases: dict[int, str] = {}
-    # removals: (node, len2, old rigging's offset below the vacancy,
-    # shrink2, new rigging's offset)
-    removals: list = []
-    b = None
-
-    def min_sing(a, lo, need_two_at=None):
-        """Minimal occupied length >= lo with a singular string.
-
-        When the candidate equals need_two_at, two singular strings are
-        required there (the forward scan already claimed one).
-        """
-        for i2 in sorted(cf.by[a - 1]):
-            if i2 < lo:
-                continue
-            cnt = cf.count(a, i2)
-            if cnt >= 2 or (cnt == 1 and i2 != need_two_at):
-                return i2
-        return None
-
-    def fwd(last):
-        nonlocal b
-        prev = 0
-        for a in range(1, last + 1):
-            i2 = min_sing(a, prev)
-            if i2 is None:
-                b = a
-                return False
-            ell[a] = i2
-            prev = i2
-        return True
-
-    def ret(first_node, prevbar, merge):
-        """The return scan from first_node down, bounded below by prevbar.
-
-        With merge (the C shape), a length the forward scan selected that
-        equals the bound is taken by both scans, merged into one double
-        shortening (case S); without it (D, B, A2odd) such a length needs
-        a second singular string.
-        """
-        nonlocal b
-        for a in range(first_node, 0, -1):
-            if merge and ell.get(a) == prevbar:
-                cases[a] = "S"
-                ellbar[a], ell[a] = prevbar, prevbar - 2
-                continue
-            i2 = min_sing(a, prevbar, None if merge else ell.get(a))
-            if i2 is None:
-                b = -(a + 1)
-                return
-            ellbar[a] = prevbar = i2
-        b = -1
-
-    def last_node():
-        """Node n of B1, C1, A2, D2 and A2dag: case S, P, Q or QS.
-
-        The shortest length from the bound up takes a singular string
-        (case S, or P on a one-column string where the letter E exists) or
-        one _QUASI2 below its vacancy (case Q, QS when a longer singular
-        string exists).  For B1 the bound is half a column lower and a
-        singular string there is taken as Q, the return scan does not
-        merge, and the QS string can keep a singular rigging.
-        """
-        nonlocal b
-        b1 = fam == "B1"
-        col = 1 if b1 else 2  # doubled: a column, half a column for B1
-        quasi = _QUASI2.get(fam, 0)
-        prev = ell.get(n - 1, 0)
-        for i2 in sorted(cf.by[n - 1]):
-            if i2 < (prev - 1 if b1 else prev):
-                continue
-            if cf.count(n, i2):
-                off = 0
-                break
-            if quasi and i2 >= prev and cf.count(n, i2, quasi):
-                off = quasi
-                break
-        else:
-            b = n
-            return
-        if not off and i2 >= prev:
-            if i2 == col and EMPTY in letters(at):  # case P
-                ell[n], cases[n], b = i2, "P", EMPTY
-                return
-            # case S: both scans take the string, two columns come off
-            ellbar[n], ell[n], cases[n] = i2, i2 - col, "S"
-            removals.append((n, i2, 0, 2 * col, 0))
-            ret(n - 1, i2, not b1)
-            return
-        # case Q: the string loses a column and becomes singular
-        ell[n] = i2
-        removals.append((n, i2, off, col, 0))
-        j2 = next((c2 for c2 in sorted(cf.by[n - 1])
-                   if c2 > i2 and cf.count(n, c2)), None)
-        if j2 is None:
-            cases[n], b = "Q", 0
-            return
-        # case QS: a longer singular string loses a column too, and its
-        # new rigging is quasi-singular, except for B1 when the return
-        # scan took its length at node n-1 (the Qprime rigging)
-        ellbar[n], cases[n] = j2, "QS"
-        ret(n - 1, j2, not b1)
-        qs_off = 0 if b1 and j2 == ellbar.get(n - 1) else quasi
-        removals.append((n, j2, 0, col, qs_off))
-
-    # Each block scans and appends the removals at its last node or fork
-    # that the standard rule below does not describe.
-    if fam == "A1":
-        if fwd(n):
-            b = n + 1
-
-    elif fam == "D1":
-        if fwd(n - 2):
-            prev = ell.get(n - 2, 0)
-            i2 = min_sing(n - 1, prev)
-            j2 = min_sing(n, prev)
-            if i2 is None and j2 is None:
-                b = n - 1
-            elif i2 is not None and j2 is None:
-                ell[n - 1] = i2
-                b = n
-            elif j2 is not None and i2 is None:
-                ell[n] = j2
-                b = -n
-            else:
-                ell[n - 1], ell[n] = i2, j2
-                ret(n - 2, max(i2, j2), False)
-
-    elif fam == "A2odd":
-        if fwd(n):
-            # one string, selected by both scans, loses one column
-            ellbar[n] = ell[n]
-            removals.append((n, ell[n], 0, 2, 0))
-            ret(n - 1, ellbar[n], False)
-
-    elif fwd(n - 1):  # B1, C1, A2, D2, A2dag
-        last_node()
+    sc = _Scan(Config(at, L, rc))
+    _end(at).forward(sc, n)
+    ell, ellbar, cases, removals = sc.ell, sc.ellbar, sc.cases, sc.removals
 
     # The standard rule at every other node: a selected string loses one
     # column, or two under case S, where both scans selected the same
@@ -228,18 +287,17 @@ def delta(at: AffineType, lam, L: int, rc):
             continue
         if cases.get(a) == "S":
             removals.append((a, ellbar[a], 0, 4, 0))
-            continue
-        if a in ell:
-            removals.append((a, ell[a], 0, 2, 0))
-        if a in ellbar:
-            removals.append((a, ellbar[a], 0, 2, 0))
+        else:
+            removals.extend((a, sel[a], 0, 2, 0) for sel in (ell, ellbar)
+                            if a in sel)
 
+    b = sc.b
     rho = rest_weight(at, lam, b)
     if rho is None:
         raise InvalidRC("letter %s cannot come off the weight %r" % (b, lam))
 
     rc2 = _move_strings(
-        cf, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
+        sc.cf, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
     )
     trace = DeltaTrace(
         ell=tuple(ell.get(a, INF) for a in range(1, n + 1)),
@@ -332,7 +390,7 @@ class _Fill:
         return hi
 
     def merge_back(self, hi, outward):
-        """The return half for case S at node n of C1, A2, D2 and A2dag.
+        """The return half for case S at node n where the scans merge.
 
         outward maps a node to the index of its record from the outward
         scan.  Where that string is as long as the bound, delta had merged
@@ -346,75 +404,13 @@ class _Fill:
                 hi = self.chain((a,), hi)
 
 
-def _last_node(fs, at, hi, outward):
-    """Node n of B1, C1, A2, D2 and A2dag: case S, Q or QS, then the way back.
-
-    hi is the bound the outward scan left, or None for the zero letter,
-    where case Q stands alone.
-    """
-    n = at.n
-    b1 = at.family == "B1"
-    col = 1 if b1 else 2  # doubled: a column, half a column for B1
-    quasi = _QUASI2.get(at.family, 0)
-    s = fs.longest(n, INF if hi is None else hi)
-    if hi is not None:
-        if b1 and hi < INF and fs.free(n, hi + 1, 0):
-            # QS where ellbar^(n) = ellbar^(n-1) left the second string
-            # singular (the Qprime rigging)
-            t, toff = hi + 1, 0
-        else:  # for C1 and A2 t is s
-            t, toff = fs.longest(n, hi, quasi), quasi
-        if t <= s:  # case S: the singular string gains two columns
-            fs.additions.append((n, s, 0, 2 * col, 0))
-            if b1:
-                fs.chain(range(n - 1, 0, -1), s)
-            else:
-                fs.merge_back(s, outward)
-            return
-        fs.additions.append((n, t, toff, col, 0))  # case QS: the second string
-    # case Q: the singular string gains a column and was quasi-singular,
-    # except for B1 half a column below ell^(n-1), where delta takes it
-    # singular
-    below = range(n - 1, 0, -1)
-    s1 = fs.chain(below[:1], s)
-    fs.additions.append((n, s, 0, col, 0 if b1 and s1 == s else quasi))
-    fs.chain(below[1:], s1)
-
-
-def _reverse_scan(at, b, fs):
-    """Fill fs.additions with the records that undo a delta step giving b.
-
-    The letter tells where delta's scans stopped.  From there the scans
-    run backwards: forward, each selected length bounds the next from
-    below, so backwards each choice bounds the next from above.
-    """
-    n = at.n
-    fam = at.family
-    if b == EMPTY:  # case P: a singular string of length one at every node
-        fs.chain(range(n, 0, -1), 0)
-        return
-    if b > 0:  # the forward scan stopped at node b
-        fs.chain(range(b - 1, 0, -1), INF)
-        return
-    if b == 0:
-        _last_node(fs, at, None, {})
-        return
-    # b = -k: the return scan stopped below node k; run it outwards first
-    if fam == "D1" and b == -n:  # only node n of the fork was selected
-        fs.chain((n,) + tuple(range(n - 2, 0, -1)), INF)
-        return
-    outward = {}
-    hi = INF
-    for a in range(-b, n - 1 if fam == "D1" else n):
+def _outward(fs, first, stop):
+    """Undo the return scan over nodes first..stop-1: (bound, records)."""
+    outward, hi = {}, INF
+    for a in range(first, stop):
         outward[a] = len(fs.additions)
         hi = fs.chain((a,), hi)
-    if fam == "D1":  # both fork nodes, then below the shorter of the two
-        fs.chain(range(n - 2, 0, -1),
-                 min(fs.chain((n - 1,), hi), fs.chain((n,), hi)))
-    elif fam == "A2odd":  # one string at node n, selected by both scans
-        fs.chain(range(n, 0, -1), hi)
-    else:  # B1, C1, A2, D2, A2dag
-        _last_node(fs, at, hi, outward)
+    return hi, outward
 
 
 def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
@@ -434,7 +430,10 @@ def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
     if not is_dominant(at, lam) or rest_weight(at, lam, b) is None:
         raise NoPreimage("letter %s cannot come off the weight %r" % (b, lam))
     fs = _Fill(Config(at, L_small, rc_small))
-    _reverse_scan(at, b, fs)
+    if 0 < b < EMPTY:  # the forward scan stopped at node b
+        fs.chain(range(b - 1, 0, -1), INF)
+    else:
+        _end(at).backward(fs, at.n, b)
     return _move_strings(fs.cf, L_small + 1, [
         (a, i2, o, i2 + d2, p) for a, i2, o, d2, p in fs.additions
     ])

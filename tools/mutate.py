@@ -1,0 +1,160 @@
+"""Mutation testing of one rcbij module against the tier-1 tests.
+
+    python tools/mutate.py src/rcbij/bijection.py
+
+Each mutant changes one spot of the module: one comparison swapped
+(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``) or one integer
+literal raised by 1.  ``src``, ``tests``, ``bench`` and ``pyproject.toml``
+are copied into a temporary directory once, the working tree is never
+written, and each mutant replaces the module in the copy before
+``pytest -x`` runs there, for at most ``TIMEOUT`` seconds.  A mutant is
+killed when the tests fail, error or time out.
+
+The mutants are written with ``ast.unparse``, so the module is first run
+unmutated in that form: if the tests fail on it, nothing is reported.
+The survivors are printed with the reason for each one known to be
+equivalent (``EQUIVALENT``); the exit code is 1 when a survivor has no
+recorded reason, and 2 when the unmutated run fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+TIMEOUT = 120  # seconds per test run; the tier-1 suite takes under 10
+SWAPS = {
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt,
+    ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+}
+SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
+          ast.Eq: "==", ast.NotEq: "!="}
+
+# Survivors known to be equivalent: (module, a piece of the mutated
+# spot's source line, mutation, why no test can tell the mutant apart).
+EQUIVALENT = [
+    ("bijection.py", "prev = 0", "0 -> 1",
+     "every doubled length is >= 1, so a bound of 0 or 1 excludes nothing"),
+    ("bijection.py", "for a in range(1, n + 1):", "1 -> 2",
+     "range(1, n + 2) reaches node n+1, which has no selection"),
+    ("bijection.py", "hi < INF and fs.free(n, hi + 1, 0)", "< -> <=",
+     "no string has length INF + 1"),
+    ("bijection.py", "fs.chain(range(n, 0, -1), 0)", "0 -> 1",
+     "case P: no doubled length 1 where E is a letter"),
+    ("bijection.py", "form2[-1][-1] > form2[-2][-2]", "> -> >=",
+     "past the tail and the fork, no diagram has roots of one length at "
+     "nodes n-1 and n"),
+    ("bijection.py", "quasi if 0 in bs else 0", "0 -> 1",
+     "where 0 is no letter (C1, A2) the doubled riggings and vacancies at "
+     "node n are even, so no string sits 1 below its vacancy"),
+]
+
+
+def known_reason(module, text, desc):
+    """The recorded reason a survivor is equivalent, or None."""
+    for mod, piece, mutation, reason in EQUIVALENT:
+        if (mod, mutation) == (module, desc) and piece in text:
+            return reason
+    return None
+
+
+def sites(tree):
+    """Every mutable spot of tree, in a fixed walk order.
+
+    A spot is (node, index of the operator or None for a literal,
+    description).
+    """
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for k, op in enumerate(node.ops):
+                if type(op) in SWAPS:
+                    new = SWAPS[type(op)]
+                    out.append((node, k, "%s -> %s" % (SYMBOL[type(op)],
+                                                       SYMBOL[new])))
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            out.append((node, None, "%d -> %d" % (node.value,
+                                                  node.value + 1)))
+    return out
+
+
+def mutant_source(source, index):
+    """source with its index-th spot mutated, unparsed."""
+    tree = ast.parse(source)
+    node, k, _desc = sites(tree)[index]
+    if k is None:
+        node.value += 1
+    else:
+        node.ops[k] = SWAPS[type(node.ops[k])]()
+    return ast.unparse(tree)
+
+
+def run_tests(copy):
+    """True when the tests pass on the copy within TIMEOUT seconds."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(copy / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", "tests"],
+            cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return False
+    return proc.returncode == 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("module", help="path of the module, e.g. "
+                    "src/rcbij/bijection.py")
+    args = ap.parse_args(argv)
+    module = Path(args.module).resolve()
+    rel = module.relative_to(ROOT)
+    source = module.read_text()
+    lines = source.splitlines()
+    spots = [(node.lineno, desc)
+             for node, _k, desc in sites(ast.parse(source))]
+    with tempfile.TemporaryDirectory(prefix="rcbij-mutate-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(src, copy / name)
+        target = copy / rel
+        target.write_text(ast.unparse(ast.parse(source)))
+        if not run_tests(copy):
+            print("the tests fail on the unmutated module; no report")
+            return 2
+        survivors = []
+        t0 = time.monotonic()
+        for index, (line, desc) in enumerate(spots):
+            target.write_text(mutant_source(source, index))
+            if run_tests(copy):
+                survivors.append((line, lines[line - 1].strip(), desc))
+        elapsed = time.monotonic() - t0
+    print("%s: %d of %d mutants killed in %.0f s"
+          % (rel, len(spots) - len(survivors), len(spots), elapsed))
+    unexplained = 0
+    for line, text, desc in survivors:
+        reason = known_reason(module.name, text, desc)
+        unexplained += reason is None
+        print("  survivor %s:%d  %s  [%s]  %s"
+              % (rel, line, text, desc, reason or "NOT KNOWN EQUIVALENT"))
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
