@@ -20,7 +20,11 @@ labels a^vee are proportional to a_i (alpha_i|alpha_i) with alpha_0 =
 from them (Kac, Infinite dimensional Lie algebras, Tables Aff 1-2).  Three
 exceptions are named where they apply: A2dag's t_lat and the box width of
 relaxed C1 n=1 (``kac_data``), and A2's form, which the paper puts on B_n
-(``AffineType.g0bar``, ``form2_matrix``).
+(``AffineType.g0bar``, ``form2_matrix``).  The weight space is read off
+the gbar simple roots (``simple_root_vectors``): a weight has as many
+entries as a root (``weight_len``), it is dominant when it pairs
+nonnegatively with every root (``is_dominant``), and it has column sums
+when L*eps_1 - lam lies in the roots' span (``iota_image``).
 
 All rationals that occur here have denominator 1 or 2.  Quantities that can
 be half-integral are stored doubled (suffix ``2``); everything else is a
@@ -31,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2", "A2dag", "A2odd", "D2")
@@ -58,6 +63,12 @@ _ROOT_DATUM = {
     "A2dag": ("B", {0: 2}),       # 2 eps_1
     "A2odd": ("C", {0: 1, 1: 1}),  # eps_1 + eps_2
     "D2": ("B", {0: 1}),          # eps_1
+}
+
+# The last simple root alpha_n of each kind in the same encoding; alpha_a =
+# eps_a - eps_{a+1} before it, and type A has n+1 coordinates.
+_LAST_ROOT = {
+    "A": {-2: 1, -1: -1}, "B": {-1: 1}, "C": {-1: 2}, "D": {-2: 1, -1: 1},
 }
 
 
@@ -98,10 +109,23 @@ class AffineType:
         where the paper puts the form."""
         return "B" if self.family == "A2" else self.gbar
 
-    @property
+    @cached_property
     def weight_len(self) -> int:
-        """Length of classical weight vectors (n+1 for type A, else n)."""
-        return self.n + 1 if self.family == "A1" else self.n
+        """Length of a gbar simple-root vector: n+1 for type A, else n."""
+        return len(simple_root_vectors(self, which="gbar")[0])
+
+    @cached_property
+    def root_entries(self) -> tuple:
+        """(i, c, j, d) per gbar simple root: its nonzero entries, so that
+        it pairs with lam as c lam_i + d lam_j (d = 0 where it has one)."""
+        nz = [[(k, x) for k, x in enumerate(v) if x] + [(0, 0)]
+              for v in simple_root_vectors(self, which="gbar")]
+        return tuple(e[0] + e[1] for e in nz)
+
+    @cached_property
+    def roots_sum_zero(self) -> bool:
+        """Every gbar simple root sums to 0 (type A), so all of their span."""
+        return not any(map(sum, simple_root_vectors(self, which="gbar")))
 
     def __str__(self):
         return "%s(n=%d)" % (self.family, self.n)
@@ -195,26 +219,13 @@ def simple_root_vectors(at: AffineType, which: str = "g0bar"):
     """
     n = at.n
     kind = at.g0bar if which == "g0bar" else at.gbar
-    if kind == "A":
-        vecs = []
-        for a in range(1, n + 1):
-            v = [0] * (n + 1)
-            v[a - 1], v[a] = 1, -1
-            vecs.append(tuple(v))
-        return vecs
     vecs = []
-    for a in range(1, n):
-        v = [0] * n
-        v[a - 1], v[a] = 1, -1
+    for a in range(1, n + 1):
+        v = [0] * (n + 1 if kind == "A" else n)
+        root = _LAST_ROOT[kind] if a == n else {a - 1: 1, a: -1}
+        for k, c in root.items():
+            v[k] = c
         vecs.append(tuple(v))
-    last = [0] * n
-    if kind == "B":
-        last[n - 1] = 1
-    elif kind == "C":
-        last[n - 1] = 2
-    else:  # D
-        last[n - 2], last[n - 1] = 1, 1
-    vecs.append(tuple(last))
     return vecs
 
 
@@ -254,20 +265,15 @@ def coroot_pairings(at: AffineType, lam) -> list:
 
 
 def is_dominant(at: AffineType, lam) -> bool:
-    """Dominance for the classical subalgebra gbar."""
-    lam = tuple(lam)
+    """Dominance for gbar: lam pairs nonnegatively with every simple root."""
     if len(lam) != at.weight_len:
         raise ValueError(
             "weight length %d, expected %d" % (len(lam), at.weight_len)
         )
-    n = at.n
-    if at.family == "A1":
-        return all(lam[a] >= lam[a + 1] for a in range(n))
-    if at.family == "D1":
-        head = all(lam[a] >= lam[a + 1] for a in range(n - 1))
-        return head and lam[n - 2] + lam[n - 1] >= 0
-    head = all(lam[a] >= lam[a + 1] for a in range(n - 1))
-    return head and lam[n - 1] >= 0
+    for i, c, j, d in at.root_entries:
+        if c * lam[i] + d * lam[j] < 0:
+            return False
+    return True
 
 
 def iota_image(at: AffineType, lam, L: int):
@@ -275,7 +281,8 @@ def iota_image(at: AffineType, lam, L: int):
 
     These are the prescribed column sums of the quasipartitions of a
     lam-configuration (in normalized units, i.e. counting boxes of width
-    upsilon_a as one).  Returned as a tuple of Fractions.
+    upsilon_a as one).  Returned as a tuple of Fractions, or None off the
+    roots' span (in type A, where lam must sum to L).
 
     iota is the identity on epsilon coordinates for every family, including
     A2 where the factor 2 on the last fundamental weight exactly cancels
@@ -287,33 +294,24 @@ def iota_image(at: AffineType, lam, L: int):
         raise ValueError("L must be nonnegative")
     v = [Fraction(-x) for x in lam]
     v[0] += L
-    # for type A this is an image only when v sums to 0;
-    # normalized_sizes checks that
+    if at.roots_sum_zero and sum(v):
+        return None
     return tuple(_root_coords(at.g0bar, v, at.n))
 
 
 def dominant_weights(at: AffineType, L: int):
-    """All dominant weights with entries bounded by L, sorted.
-
-    For type A these are the partitions of exactly L (other weights index
-    empty cells by the weight-sum constraint); for the other families the
-    whole dominance cone intersected with the size-L box.
-    """
+    """The dominant lam with entries at most L and L*eps_1 - lam in the
+    root span (in type A, of size L), sorted.  The last entry may go
+    negative only where eps_1 - theta_0 has a negative entry: never in type
+    A, whose weights with one have no paths, and dominance keeps it in D."""
     n = at.weight_len
+    signed = any(x > (k == 0) for k, x in enumerate(theta0(at)))
+    sized = at.roots_sum_zero
     out = []
-
-    def rec(acc):
-        if len(acc) == n - 1:
-            hi = acc[-1] if acc else L
-            lo = -hi if at.family == "D1" else 0
-            for v in range(lo, hi + 1):
-                out.append(tuple(acc) + (v,))
-            return
-        hi = acc[-1] if acc else L
-        for v in range(hi, -1, -1):
-            rec(acc + [v])
-
-    rec([])
-    if at.family == "A1":
-        out = [lam for lam in out if sum(lam) == L]
+    for head in combinations_with_replacement(range(L, -1, -1), n - 1):
+        hi = head[-1] if head else L
+        for v in range(-hi if signed else 0, hi + 1):
+            lam = head + (v,)
+            if is_dominant(at, lam) and (sum(lam) == L or not sized):
+                out.append(lam)
     return sorted(out)

@@ -95,14 +95,9 @@ def phi_letter(at: AffineType, i: int, b) -> int:
 
 def wt_letter(at: AffineType, b) -> tuple:
     """Weight of a letter in the epsilon basis (Z^n, or Z^(n+1) for type A)."""
-    ln = at.weight_len
-    v = [0] * ln
-    if b == EMPTY or b == 0:
-        return tuple(v)
-    if b > 0:
-        v[b - 1] = 1
-    else:
-        v[-b - 1] = -1
+    v = [0] * at.weight_len
+    if b != EMPTY and b != 0:
+        v[abs(b) - 1] = 1 if b > 0 else -1
     return tuple(v)
 
 
@@ -127,29 +122,41 @@ def wt_path(at: AffineType, word) -> tuple:
     return tuple(v)
 
 
-@lru_cache(maxsize=None)
+_PATHS = {}  # type -> {(lam, L): its paths, sorted}, shared by all cells
+
+
 def _highest(at: AffineType, lam: tuple, L: int):
-    if L == 0:
-        return (tuple(),) if all(x == 0 for x in lam) else tuple()
-    out = []
-    for b in letters(at):
-        rho = rest_weight(at, lam, b)
-        if rho is None:
+    """The paths of (lam, L), built on an explicit stack: no recursion."""
+    memo = _PATHS.setdefault(at, {})
+    todo = [(lam, L, None)]  # a state, with its steps once they are found
+    while todo:
+        wt, ln, steps = todo.pop()
+        if (wt, ln) in memo:
             continue
-        for rest in _highest(at, rho, L - 1):
-            out.append((b,) + rest)
-    return tuple(sorted(out))
+        if ln == 0 or sum(map(abs, wt)) > ln:  # a letter moves |wt|_1 by <= 1
+            memo[wt, ln] = () if any(wt) else ((),)
+        elif steps is None:
+            steps = [(b, rho) for b in letters(at)
+                     if (rho := rest_weight(at, wt, b)) is not None]
+            todo.append((wt, ln, steps))
+            todo.extend((rho, ln - 1, None) for _b, rho in steps)
+        else:
+            memo[wt, ln] = tuple(sorted((b,) + word for b, rho in steps
+                                        for word in memo[rho, ln - 1]))
+    return memo[lam, L]
 
 
 def enumerate_highest(at: AffineType, lam, L: int):
     """All classically restricted paths of weight lam in the L-fold power.
 
-    Uses the prefix recursion of rest_weight, which avoids scanning all
+    Peels letters off the left with rest_weight, which avoids scanning all
     |B|^L words.
     """
     lam = tuple(lam)
     if not is_dominant(at, lam):
         raise ValueError("weight %r is not dominant for %s" % (lam, at))
+    if L < 0:
+        raise ValueError("L must be nonnegative")
     return _highest(at, lam, L)
 
 

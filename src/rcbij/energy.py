@@ -122,8 +122,3 @@ def xbar(at: AffineType, lam, L: int) -> QPoly:
         e2 = 2 * dbar(at, word)
         out[e2] = out.get(e2, 0) + 1
     return QPoly(out)
-
-
-def one_dim_sum(at: AffineType, lam, L: int) -> QPoly:
-    """The one-dimensional sum X itself (in q, with nonpositive exponents)."""
-    return xbar(at, lam, L).invert_q()

@@ -41,9 +41,9 @@ def normalized_sizes(at: AffineType, lam, L: int):
 
 @lru_cache(maxsize=None)
 def _normalized_sizes(at: AffineType, lam: tuple, L: int):
-    if at.family == "A1" and sum(lam) != L:  # a type A weight has size L
-        return None
     c = iota_image(at, lam, L)
+    if c is None:  # L*eps_1 - lam is outside the root span
+        return None
     out = []
     for x in c:
         if x.denominator != 1 or x < 0:

@@ -5,11 +5,14 @@ quantity as a production function by a different route (brute force, a
 hand-written per-family formula or table, exact Fractions), so agreement
 is evidence that both are right.  The Kac data by hand tables
 (``kac_by_table``, ``form2_by_table``, ``theta0_by_table``) check what
-``rcbij.cartan`` derives from one root datum per family.  The tensor rule on words (``tensor_e``, ``tensor_f``)
-is the crystal's definition, which ``enumerate_highest_bruteforce`` applies
-to every word.  ``verify_delta_identities`` checks the paper's
-per-step identities (the change of the vacancy numbers and of cc across one
-removal step) against ``delta``.
+``rcbij.cartan`` derives from one root datum per family, and the weight
+space by hand (``is_dominant_by_family`` and its neighbours) what it reads
+off the gbar simple roots.  The tensor rule on words (``tensor_e``,
+``tensor_f``) is the crystal's definition, which
+``enumerate_highest_bruteforce`` applies to every word.
+``verify_delta_identities`` checks the paper's per-step identities (the
+change of the vacancy numbers and of cc across one removal step) against
+``delta``.
 """
 
 from fractions import Fraction
@@ -20,6 +23,7 @@ from rcbij.bijection import DeltaTrace, NoPreimage, delta
 from rcbij.cartan import (
     AffineType,
     form2_matrix,
+    iota_image,
     is_dominant,
     kac_data,
     simple_root_vectors,
@@ -127,6 +131,58 @@ def theta0_by_table(at: AffineType) -> tuple:
     roots = simple_root_vectors(at, which="gbar")
     return tuple(sum(a[i] * r[k] for i, r in enumerate(roots, 1)) // a[0]
                  for k in range(at.weight_len))
+
+
+# The weight space by hand, per family: what ``rcbij.cartan`` reads off the
+# gbar simple roots.
+
+
+def weight_len_by_family(at: AffineType) -> int:
+    """n+1 coordinates for type A, n otherwise."""
+    return at.n + 1 if at.family == "A1" else at.n
+
+
+def is_dominant_by_family(at: AffineType, lam) -> bool:
+    """Dominance by three rules: type A, D1, and B/C-shaped the rest."""
+    n = at.n
+    if at.family == "A1":
+        return all(lam[a] >= lam[a + 1] for a in range(n))
+    head = all(lam[a] >= lam[a + 1] for a in range(n - 1))
+    if at.family == "D1":
+        return head and lam[n - 2] + lam[n - 1] >= 0
+    return head and lam[n - 1] >= 0
+
+
+def dominant_weights_by_family(at: AffineType, L: int):
+    """Non-increasing weights with entries in [0, L], the last one in
+    [-hi, hi] for D1; for A1, only those of size L.  Sorted."""
+    n = weight_len_by_family(at)
+    out = []
+
+    def rec(acc):
+        hi = acc[-1] if acc else L
+        if len(acc) == n - 1:
+            lo = -hi if at.family == "D1" else 0
+            out.extend(tuple(acc) + (v,) for v in range(lo, hi + 1))
+            return
+        for v in range(hi, -1, -1):
+            rec(acc + [v])
+
+    rec([])
+    if at.family == "A1":
+        out = [lam for lam in out if sum(lam) == L]
+    return sorted(out)
+
+
+def normalized_sizes_by_family(at: AffineType, lam, L: int):
+    """The column sums when they are nonnegative integers, else None; a
+    type A weight has them only when it has size L."""
+    if at.family == "A1" and sum(lam) != L:
+        return None
+    c = iota_image(at, lam, L)
+    if any(x.denominator != 1 or x < 0 for x in c):
+        return None
+    return tuple(int(x) for x in c)
 
 
 def vacancy2_by_family(at: AffineType, L: int, nu, a: int, i2: int) -> int:

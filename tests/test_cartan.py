@@ -1,5 +1,7 @@
+import inspect
 import re
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -8,9 +10,13 @@ from conftest import GRID_TYPES
 from oracles import (
     G0BAR,
     GBAR,
+    dominant_weights_by_family,
     form2_by_table,
+    is_dominant_by_family,
     kac_by_table,
+    normalized_sizes_by_family,
     theta0_by_table,
+    weight_len_by_family,
 )
 from rcbij.cartan import (
     FAMILIES,
@@ -25,6 +31,7 @@ from rcbij.cartan import (
     simple_root_vectors,
     theta0,
 )
+from rcbij.rc import _normalized_sizes, normalized_sizes
 
 
 def test_rank_ranges_enforced():
@@ -144,29 +151,64 @@ def test_forms_crosscheck():
             assert lhs == rhs, (at, b)
 
 
+def buildable_types():
+    """Every family at ranks 1-8 that can be built, relaxed ranks included."""
+    out = []
+    for fam in FAMILIES:
+        for n in range(1, 9):
+            try:
+                out.append(AffineType(fam, n, relax_rank=True))
+            except RankError:
+                pass
+    # no diagram at B1 n=1, D1 n<=2, A2odd n=1; D2 n=1 is refused too
+    assert len(out) == 8 * 8 - 5
+    return out
+
+
 def test_root_datum_matches_hand_tables():
     """The data derived from (gbar, theta_0) equal the hand tables.
 
     Every family at ranks 1-8, relaxed ranks included.
     """
     fields = ("a", "a_vee", "t", "t_vee", "up2", "t_lat")
-    seen = 0
-    for fam in FAMILIES:
-        for n in range(1, 9):
-            try:
-                at = AffineType(fam, n, relax_rank=True)
-            except RankError:
-                continue
-            want = kac_by_table(at)
-            kd = kac_data(at)
-            assert (at.gbar, at.g0bar) == (GBAR[fam], G0BAR[fam]), at
-            assert {k: getattr(kd, k) for k in fields} == {
-                k: want[k] for k in fields}, at
-            assert form2_matrix(at) == form2_by_table(at), at
-            assert theta0(at) == theta0_by_table(at), at
-            seen += 1
-    # no diagram at B1 n=1, D1 n<=2, A2odd n=1; D2 n=1 is refused too
-    assert seen == 8 * 8 - 5
+    for at in buildable_types():
+        want = kac_by_table(at)
+        kd = kac_data(at)
+        assert (at.gbar, at.g0bar) == (GBAR[at.family],
+                                       G0BAR[at.family]), at
+        assert {k: getattr(kd, k) for k in fields} == {
+            k: want[k] for k in fields}, at
+        assert form2_matrix(at) == form2_by_table(at), at
+        assert theta0(at) == theta0_by_table(at), at
+
+
+def test_weight_space_matches_hand_rules():
+    """Weight length, dominance, the cells' weights and their column sums,
+    read off the gbar roots, equal the per-family hand rules.
+
+    Dominance on the signed box [-2, 2]^k for k <= 5; the weights for
+    L <= 7 at ranks <= 3 and L <= 4 above; the column sums on all of those
+    cells, and on type A weights at a length they do not sum to.
+    """
+    cells = 0
+    for at in buildable_types():
+        k = at.weight_len
+        assert k == weight_len_by_family(at), at
+        if k <= 5:
+            for lam in product(range(-2, 3), repeat=k):
+                assert is_dominant(at, lam) == is_dominant_by_family(
+                    at, lam), (at, lam)
+        for L in range(8 if at.n <= 3 else 5):
+            weights = dominant_weights(at, L)
+            assert weights == dominant_weights_by_family(at, L), (at, L)
+            for lam in weights:
+                cells += 1
+                assert normalized_sizes(at, lam, L) == (
+                    normalized_sizes_by_family(at, lam, L)), (at, lam, L)
+                if at.family == "A1":  # no column sums at another length
+                    assert normalized_sizes(at, lam, L + 1) is None
+                    assert normalized_sizes_by_family(at, lam, L + 1) is None
+    assert cells == 17274
 
 
 def test_dominance_examples():
@@ -187,8 +229,6 @@ def test_dominance_matches_coroot_pairings():
         n = at.weight_len
         if n > 3:
             continue
-        from itertools import product
-
         for lam in product(range(-2, 3), repeat=n):
             want = min(coroot_pairings(at, lam)) >= 0
             assert is_dominant(at, lam) == want, (at, lam)
@@ -258,8 +298,14 @@ KIND_TEST = re.compile(r'(==|!=|\bin) *\(?"[ABCD]"')
 
 def test_family_name_tests_ratchet():
     text = "".join(p.read_text() for p in sorted(SRC.glob("*.py")))
-    assert len(FAMILY_TEST.findall(text)) <= 11
-    assert len(KIND_TEST.findall(text)) <= 7
+    assert len(FAMILY_TEST.findall(text)) <= 5
+    assert len(KIND_TEST.findall(text)) <= 5
+    # the weight space is read off the gbar roots, with no family or kind
+    for fn in (AffineType.weight_len.func, AffineType.root_entries.func,
+               AffineType.roots_sum_zero.func, is_dominant, iota_image,
+               dominant_weights, _normalized_sizes):
+        body = inspect.getsource(fn)
+        assert ".family" not in body and not KIND_TEST.search(body), fn
     # the diagram's ends are read off its data, never off the family code,
     # which a table keyed by family would read without a test the grep sees
     assert ".family" not in (SRC / "bijection.py").read_text()

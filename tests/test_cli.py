@@ -42,6 +42,15 @@ def test_x_and_m_agree():
     assert out1 == out2 == out3
 
 
+def test_long_path_needs_no_deep_recursion():
+    # one path of 1200 letters: its enumeration once overflowed the stack
+    args = ["--type", "A1", "--n", "1", "--len", "1200", "--weight", "1200,0"]
+    for cmd in ("x", "m"):
+        assert run([cmd] + args) == (0, "1\n")
+    code, out = run(["path-enum"] + args)
+    assert code == 0 and out.count("\n") == 1
+
+
 def test_dump_h():
     code, out = run(["x", "--type", "A2", "--n", "1", "--dump-h"])
     assert code == 0

@@ -6,7 +6,6 @@ from rcbij.energy import (
     dbar,
     ebar,
     local_hbar,
-    one_dim_sum,
     xbar,
 )
 from rcbij.qpoly import QPoly
@@ -197,11 +196,6 @@ def test_xbar_examples():
     assert xbar(at, (2, 0), 2) == QPoly.one()
     assert xbar(AffineType("A2", 1), (0,), 1) == QPoly.q_power(2)
     assert xbar(at, (0, 0), 2) == QPoly.q_power(2)
-
-
-def test_x_is_xbar_inverted():
-    at = AffineType("D2", 2)
-    assert one_dim_sum(at, (0, 0), 2) == xbar(at, (0, 0), 2).invert_q()
 
 
 def test_xbar_nonnegative_exponents():

@@ -57,6 +57,9 @@ EQUIVALENT = [
     ("bijection.py", "quasi if 0 in bs else 0", "0 -> 1",
      "where 0 is no letter (C1, A2) the doubled riggings and vacancies at "
      "node n are even, so no string sits 1 below its vacancy"),
+    ("cartan.py", "combinations_with_replacement(range(L, -1, -1)", "1 -> 2",
+     "a head entry of -1 makes the head end in -1, so the last entry's "
+     "range(1 or 0, 0) is empty and the weight is never built"),
 ]
 
 
