@@ -12,6 +12,10 @@ Representation conventions, used across the package:
   (delta, its inverse, ``validate_rc``, ``complement``): the strings
   grouped by length at each node, and each vacancy number computed once,
   when first asked for, by ``vacancy2``.
+* Enumeration builds no ``Config``: ``_admissible`` places a
+  configuration node by node and reads the vacancies of each occupied
+  length once, pruning as it goes; ``enumerate_configs``,
+  ``enumerate_rc``, ``rc_genfun`` and ``fermionic_m`` all read it.
 
 Everything is exact integer arithmetic.  The vacancy numbers and cc come
 from one integer matrix per type, derived from the normalized form, and
@@ -21,7 +25,7 @@ every family's rigging box comes from ``box``.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .cartan import AffineType, form2_matrix, iota_image, kac_data
 from .qpoly import QPoly, qbinom
@@ -160,17 +164,21 @@ class Config:
         return box(self.at, a, i2, self.vac(a, i2))
 
 
-def _occupied(at: AffineType, L: int, nu):
-    """(a, len2, multiplicity, box) for every occupied length of nu.
+def _node_groups(at: AffineType, L: int, nu, a: int):
+    """(a, len2, multiplicity, box) for each occupied length at node a.
 
-    Nodes come in order, lengths in their order in nu (longest first for
-    a configuration in normal form).
+    The lengths come in their order in nu.  None if a box is empty, i.e.
+    node a is inadmissible.  Only the nodes of a's row of
+    ``_vacancy_table`` are read.
     """
-    for a in range(1, at.n + 1):
-        node = nu[a - 1]
-        for i2 in dict.fromkeys(node):
-            p2 = vacancy2(at, L, nu, a, i2)
-            yield a, i2, node.count(i2), box(at, a, i2, p2)
+    node = nu[a - 1]
+    out = []
+    for i2 in dict.fromkeys(node):
+        bx = box(at, a, i2, vacancy2(at, L, nu, a, i2))
+        if not bx:
+            return None
+        out.append((a, i2, node.count(i2), bx))
+    return out
 
 
 def is_admissible_config(at: AffineType, L: int, nu) -> bool:
@@ -178,76 +186,80 @@ def is_admissible_config(at: AffineType, L: int, nu) -> bool:
 
     Checking occupied lengths only is equivalent to checking every index.
     """
-    return all(bx for _a, _i2, _m, bx in _occupied(at, L, nu))
+    return all(_node_groups(at, L, nu, a) is not None
+               for a in range(1, at.n + 1))
 
 
 @lru_cache(maxsize=None)
-def _partitions(total: int):
-    """All weakly decreasing tuples of positive ints with the given sum."""
+def _partitions(total: int, most: int = INF):
+    """All weakly decreasing tuples of positive ints at most ``most`` with
+    the given sum, in reverse lexicographic order."""
     if total == 0:
-        return (tuple(),)
-    out = []
-
-    def rec(remaining, maxpart, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(remaining, maxpart), 0, -1):
-            acc.append(p)
-            rec(remaining - p, p, acc)
-            acc.pop()
-
-    rec(total, total, [])
-    return tuple(out)
+        return ((),)
+    return tuple((p,) + rest for p in range(min(total, most), 0, -1)
+                 for rest in _partitions(total - p, p))
 
 
-def enumerate_configs(at: AffineType, lam, L: int):
-    """All admissible lam-configurations (configuration parts only)."""
+def _admissible(at: AffineType, lam, L: int):
+    """(nu, its occupied groups) for every admissible lam-configuration.
+
+    The nodes are placed in order, each running through the partitions of
+    its column sum, so the configurations come in the order of the product
+    of those lists.  Node a is checked (``_node_groups``) once every node
+    of its row of ``_vacancy_table`` is placed, on a chain one node later,
+    and a prefix that fails is not extended.
+    """
     sizes = normalized_sizes(at, lam, L)
     if sizes is None:
-        return []
-    up2 = kac_data(at).up2
+        return ()
+    up2, rows = _vacancy_table(at)
+    n = at.n
     per_node = [
         [tuple(p * up2[a] for p in part) for part in _partitions(c)]
         for a, c in enumerate(sizes)
     ]
-    out = []
-    for nu in product(*per_node):
-        if is_admissible_config(at, L, nu):
-            out.append(nu)
-    return out
+    due = [[] for _ in range(n)]  # the nodes checked once node d is placed
+    for a, row in enumerate(rows, 1):
+        due[max(b for b, _c in row)].append(a)
+    nu = [()] * n
+    groups = [None] * n
+
+    def place(d):
+        for part in per_node[d]:
+            nu[d] = part
+            for a in due[d]:
+                groups[a - 1] = _node_groups(at, L, nu, a)
+                if groups[a - 1] is None:
+                    break
+            else:
+                if d + 1 < n:
+                    yield from place(d + 1)
+                else:
+                    yield tuple(nu), [g for gs in groups for g in gs]
+
+    return place(0)
 
 
-def _multisets(values, m: int):
-    """Weakly decreasing m-tuples drawn (with repetition) from values."""
-    values = sorted(values, reverse=True)
-
-    def rec(idx, left, acc):
-        if left == 0:
-            yield tuple(acc)
-            return
-        for j in range(idx, len(values)):
-            acc.append(values[j])
-            yield from rec(j, left - 1, acc)
-            acc.pop()
-
-    yield from rec(0, m, [])
+def enumerate_configs(at: AffineType, lam, L: int):
+    """All admissible lam-configurations (configuration parts only)."""
+    return [nu for nu, _groups in _admissible(at, lam, L)]
 
 
 def enumerate_rc(at: AffineType, lam, L: int):
-    """All rigged configurations for the weight lam, in normal form."""
+    """All rigged configurations for the weight lam, in normal form.
+
+    The groups come longest first at each node and each rigging multiset
+    largest first, so every node's strings are already sorted.
+    """
     out = []
-    for nu in enumerate_configs(at, lam, L):
-        groups = list(_occupied(at, L, nu))
-        choice_lists = [list(_multisets(bx, m)) for _a, _i2, m, bx in groups]
+    for _nu, groups in _admissible(at, lam, L):
+        choice_lists = [list(combinations_with_replacement(bx[::-1], m))
+                        for _a, _i2, m, bx in groups]
         for picks in product(*choice_lists):
             nodes = [[] for _ in range(at.n)]
             for (a, i2, _m, _bx), rigs in zip(groups, picks):
                 nodes[a - 1].extend((i2, rg) for rg in rigs)
-            rc = tuple(
-                tuple(sorted(node, reverse=True)) for node in nodes
-            )
-            out.append(rc)
+            out.append(tuple(map(tuple, nodes)))
     return out
 
 
@@ -315,11 +327,25 @@ def complement(at: AffineType, L: int, rc):
 
 
 def rc_genfun(at: AffineType, lam, L: int) -> QPoly:
-    """Generating function of rigged configurations by cc."""
+    """Generating function of rigged configurations by cc.
+
+    Every rigging multiset of every admissible configuration is counted
+    one by one: cc2_config of the configuration, read once, plus
+    t^vee_a times the sum of the riggings chosen at node a.
+    """
     out: dict[int, int] = {}
-    for rc in enumerate_rc(at, lam, L):
-        e2 = cc2_total(at, rc)
-        out[e2] = out.get(e2, 0) + 1
+    for nu, groups in _admissible(at, lam, L):
+        # read per configuration: most cells have none, and need no t^vee
+        t_vee = kac_data(at).t_vee
+        e2 = cc2_config(at, nu)
+        choice_lists = [
+            [t_vee[a - 1] * sum(rigs)
+             for rigs in combinations_with_replacement(bx, m)]
+            for a, _i2, m, bx in groups
+        ]
+        for picks in product(*choice_lists):
+            e = e2 + sum(picks)
+            out[e] = out.get(e, 0) + 1
     return QPoly(out)
 
 
@@ -331,14 +357,16 @@ def fermionic_m(at: AffineType, lam, L: int) -> QPoly:
     multisets drawn from the box: with m strings and a box of k values
     starting at s (doubled), that is q^(t^vee m s / 2) times
     [k - 1 + m choose m] at q^(t^vee).  Only A2dag's half-odd boxes have
-    s > 0.  The result is computed independently of rc_genfun.
+    s > 0.  It shares the admissible configurations with rc_genfun and
+    nothing else: rc_genfun counts the riggings one by one, this sum by
+    the Gaussian binomials.
     """
     t_vee = kac_data(at).t_vee
     total = QPoly.zero()
-    for nu in enumerate_configs(at, lam, L):
+    for nu, groups in _admissible(at, lam, L):
         e2 = cc2_config(at, nu)
         binoms = []
-        for a, _i2, m, bx in _occupied(at, L, nu):
+        for a, _i2, m, bx in groups:
             e2 += t_vee[a - 1] * m * bx.start
             binoms.append(qbinom(len(bx) - 1, m, t_vee[a - 1]))
         term = QPoly.q_power(e2)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -218,15 +219,30 @@ def test_asymptotic_vacancies():
                     assert got == want
 
 
+# Relaxed ranks, the D1 fork included, whose vacancy tables tier-1 builds.
+RELAXED = [
+    AffineType("C1", 1, relax_rank=True),
+    AffineType("B1", 2, relax_rank=True),
+    AffineType("D1", 3, relax_rank=True),
+    AffineType("A2odd", 2, relax_rank=True),
+]
+
+
 def test_admissibility_equivalence():
-    # checking only occupied lengths is equivalent to the full check
-    for at in GRID_TYPES:
-        for L in range(0, 4):
+    # checking only occupied lengths is equivalent to the full check, and
+    # the pruned enumeration keeps exactly the admissible configurations
+    # of the full product, in its order (at the D1 fork the check of node
+    # n-2 waits for the last node)
+    for at in GRID_TYPES + EXTENDED + RELAXED:
+        for L in range(0, 5 if at.n <= 3 else 4):
             for lam in dominant_weights(at, L):
+                full = []
                 for nu in all_sized_configs(at, lam, L):
-                    assert is_admissible_config(
-                        at, L, nu
-                    ) == is_admissible_config_full(at, L, nu)
+                    ok = is_admissible_config_full(at, L, nu)
+                    assert is_admissible_config(at, L, nu) == ok, (at, L, nu)
+                    if ok:
+                        full.append(nu)
+                assert enumerate_configs(at, lam, L) == full, (at, lam, L)
 
 
 def test_enumerate_rc_trivial():
@@ -258,6 +274,9 @@ def test_enumerate_rc_validates():
                 assert len(set(rcs)) == len(rcs)
                 for rc in rcs:
                     validate_rc(at, lam, L, rc)
+                    assert rc == tuple(
+                        tuple(sorted(node, reverse=True)) for node in rc
+                    ), "not in normal form"
 
 
 def test_validate_rc_rejects_lengths_off_lattice(capsys, monkeypatch):
@@ -350,12 +369,17 @@ def test_complement():
 
 
 def test_fermionic_m_equals_rc_genfun():
-    for at in GRID_TYPES:
+    # rc_genfun reads cc2_config once per configuration; the oracle is
+    # cc2_total on each enumerated rigged configuration
+    for at in GRID_TYPES + EXTENDED:
         for L in range(0, 4):
             for lam in dominant_weights(at, L):
-                assert fermionic_m(at, lam, L) == rc_genfun(at, lam, L), (
-                    at, lam, L,
+                gf = rc_genfun(at, lam, L)
+                assert fermionic_m(at, lam, L) == gf, (at, lam, L)
+                counts = Counter(
+                    cc2_total(at, rc) for rc in enumerate_rc(at, lam, L)
                 )
+                assert gf == QPoly(counts), (at, lam, L)
 
 
 def test_fermionic_m_examples():
