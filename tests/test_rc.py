@@ -17,6 +17,7 @@ from rcbij.rc import (
     Config,
     InvalidRC,
     _partitions,
+    _vacancy_table,
     cc2_config,
     cc2_total,
     complement,
@@ -37,6 +38,15 @@ from oracles import (
     vacancy2_by_family,
     vacancy2_general,
 )
+
+
+# Relaxed ranks, the D1 fork included, whose vacancy tables tier-1 builds.
+RELAXED = [
+    AffineType("C1", 1, relax_rank=True),
+    AffineType("B1", 2, relax_rank=True),
+    AffineType("D1", 3, relax_rank=True),
+    AffineType("A2odd", 2, relax_rank=True),
+]
 
 
 def all_sized_configs(at, lam, L):
@@ -67,6 +77,17 @@ def test_vacancy_A2_example():
     # rank 1, L = 1, single box: vacancy 0 at length 1
     at = AffineType("A2", 1)
     assert vacancy2(at, 1, ((2,),), 1, 2) == 0
+
+
+def test_doubled_vacancies_even():
+    # box's step-2 range needs an even doubled vacancy: each term
+    # C[a][b] min(x, i2) of vacancy2 is even, because the coefficient is
+    # even wherever node a's or node b's lattice is odd
+    for at in GRID_TYPES + EXTENDED + RELAXED:
+        up2, rows = _vacancy_table(at)
+        for a, row in enumerate(rows):
+            for b, c in row:
+                assert c % 2 == 0 or up2[a] % 2 == up2[b] % 2 == 0, (at, a, b)
 
 
 def test_vacancy_off_lattice_rejected():
@@ -217,15 +238,6 @@ def test_asymptotic_vacancies():
                     else:
                         want = 2 * lam[n - 1]
                     assert got == want
-
-
-# Relaxed ranks, the D1 fork included, whose vacancy tables tier-1 builds.
-RELAXED = [
-    AffineType("C1", 1, relax_rank=True),
-    AffineType("B1", 2, relax_rank=True),
-    AffineType("D1", 3, relax_rank=True),
-    AffineType("A2odd", 2, relax_rank=True),
-]
 
 
 def test_admissibility_equivalence():

@@ -60,6 +60,17 @@ EQUIVALENT = [
     ("cartan.py", "combinations_with_replacement(range(L, -1, -1)", "1 -> 2",
      "a head entry of -1 makes the head end in -1, so the last entry's "
      "range(1 or 0, 0) is empty and the weight is never built"),
+    ("rc.py", "return range(lo, p2 - lo + 1, 2)", "1 -> 2",
+     "every doubled vacancy is even (C[a][b] is even wherever node a's or "
+     "node b's lattice is odd), so the end p2 - lo + 2 adds no value to "
+     "the step-2 range"),
+    ("rc.py", "total += c * (x if x < i2 else i2)", "< -> <=",
+     "x if x <= i2 else i2 is min(x, i2) as well"),
+    ("rc.py", "area = sum(x if x < y else y", "< -> <=",
+     "x if x <= y else y is min(x, y) as well"),
+    ("rc.py", "e2 += t_vee[a - 1] * m * bx.start", "1 -> 2",
+     "a box starts above 0 only at A2dag's node n, and A2dag's t^vee is 1 "
+     "at every node"),
 ]
 
 
