@@ -14,9 +14,11 @@ complementation gives the statistic-preserving variant.
 
 Neither step re-checks its result: phi and phi_inverse check each step,
 and ``rcbij.verify`` each one its level table of certified configurations
-lacks.  Traces record the selected lengths (doubled, INF when undefined)
-and the case flags, in which the change-of-vacancy and change-of-statistic
-identities are stated (tests/oracles.py checks them).
+lacks.  phi and phi_inverse build one ``Config`` per configuration, which
+the step, its check and the next step all read.  Traces record the
+selected lengths (doubled, INF when undefined) and the case flags, in
+which the change-of-vacancy and change-of-statistic identities are stated
+(tests/oracles.py checks them).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .rc import (
     InvalidRC,
     box,
     complement,
-    validate_rc,
     vacancy2,
+    validate_config,
 )
 
 
@@ -271,10 +273,15 @@ def delta(at: AffineType, lam, L: int, rc):
     configuration is not validated here: for a valid rc it is valid, and
     phi checks it on the way down.
     """
+    return _delta(Config(at, L, rc), lam)
+
+
+def _delta(cf, lam):
+    """delta of cf.rc at the weight lam, reading cf's vacancies."""
+    at, L, n = cf.at, cf.L, cf.at.n
     if L < 1:
         raise ValueError("delta needs L >= 1")
-    n = at.n
-    sc = _Scan(Config(at, L, rc))
+    sc = _Scan(cf)
     _end(at).forward(sc, n)
     ell, ellbar, cases, removals = sc.ell, sc.ellbar, sc.cases, sc.removals
 
@@ -297,7 +304,7 @@ def delta(at: AffineType, lam, L: int, rc):
         raise InvalidRC("letter %s cannot come off the weight %r" % (b, lam))
 
     rc2 = _move_strings(
-        sc.cf, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
+        cf, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
     )
     trace = DeltaTrace(
         ell=tuple(ell.get(a, INF) for a in range(1, n + 1)),
@@ -337,12 +344,13 @@ def phi(at: AffineType, lam, L: int, rc):
     to is validated, so a faulty step raises InvalidRC.
     """
     word = []
-    cur_lam, cur_rc = tuple(lam), rc
+    cur_lam, cf = tuple(lam), Config(at, L, rc)
     for step in range(L, 0, -1):
-        b, cur_rc, _tr = delta(at, cur_lam, step, cur_rc)
+        b, small, _tr = _delta(cf, cur_lam)
         word.append(b)
         cur_lam = rest_weight(at, cur_lam, b)
-        validate_rc(at, cur_lam, step - 1, cur_rc)
+        cf = Config(at, step - 1, small)
+        validate_config(cf, cur_lam)
     if any(cur_lam):
         raise InvalidRC("letters do not exhaust the weight")
     return tuple(word)
@@ -424,17 +432,23 @@ def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
     checked: when (b, rc_small) is no image of delta it need not be valid
     or map back, which phi_inverse checks.
     """
+    return _delta_inverse(Config(at, L_small, rc_small), b, rho)
+
+
+def _delta_inverse(cf, b, rho):
+    """delta_inverse onto cf.rc at the weight rho, reading cf's vacancies."""
+    at = cf.at
     if b not in letters(at):
         raise NoPreimage("%r is not a letter of %s" % (b, at))
     lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
     if not is_dominant(at, lam) or rest_weight(at, lam, b) is None:
         raise NoPreimage("letter %s cannot come off the weight %r" % (b, lam))
-    fs = _Fill(Config(at, L_small, rc_small))
+    fs = _Fill(cf)
     if 0 < b < EMPTY:  # the forward scan stopped at node b
         fs.chain(range(b - 1, 0, -1), INF)
     else:
         _end(at).backward(fs, at.n, b)
-    return _move_strings(fs.cf, L_small + 1, [
+    return _move_strings(cf, cf.L + 1, [
         (a, i2, o, i2 + d2, p) for a, i2, o, d2, p in fs.additions
     ])
 
@@ -448,20 +462,20 @@ def phi_inverse(at: AffineType, lam, L: int, word):
     """
     if len(word) != L:
         raise ValueError("word of length %d, expected %d" % (len(word), L))
-    rc = tuple(tuple() for _ in range(at.n))
+    cf = Config(at, 0, tuple(tuple() for _ in range(at.n)))
     rho = tuple([0] * at.weight_len)
     for j in range(L - 1, -1, -1):
         b = word[j]
-        big = delta_inverse(at, b, rho, L - 1 - j, rc)
+        big = Config(at, L - j, _delta_inverse(cf, b, rho))
         rho = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
         try:
-            validate_rc(at, rho, L - j, big)
-            image = delta(at, rho, L - j, big)[:2]
+            validate_config(big, rho)
+            image = _delta(big, rho)[:2]
         except InvalidRC as exc:
             raise NoPreimage("box addition gives no preimage: %s" % exc)
-        if image != (b, rc):
+        if image != (b, cf.rc):
             raise NoPreimage("box addition does not invert delta")
-        rc = big
+        cf = big
     if rho != tuple(lam):
         raise NoPreimage("the word's weight is not %r" % (tuple(lam),))
-    return rc
+    return cf.rc

@@ -95,11 +95,14 @@ def b_natural(at: AffineType):
 
 def ebar(at: AffineType, word) -> int:
     """Barred total energy of a word (leftmost factor first)."""
+    return _ebar(local_hbar(at), b_natural(at), word)
+
+
+def _ebar(h, bnat, word) -> int:
+    """ebar, given the local energy table and b natural."""
     L = len(word)
     if L == 0:
         return 0
-    h = local_hbar(at)
-    bnat = b_natural(at)
     total = L * h[(word[-1], bnat)]
     for idx in range(L - 1):
         total += (idx + 1) * h[(word[idx], word[idx + 1])]
@@ -108,17 +111,11 @@ def ebar(at: AffineType, word) -> int:
 
 def dbar(at: AffineType, word) -> int:
     """Barred intrinsic energy: ebar relative to the all-ones word."""
-    L = len(word)
-    if L == 0:
-        return 0
-    h = local_hbar(at)
-    return ebar(at, word) - L * h[(1, b_natural(at))]
+    h, bnat = local_hbar(at), b_natural(at)
+    return _ebar(h, bnat, word) - len(word) * h[(1, bnat)]
 
 
 def xbar(at: AffineType, lam, L: int) -> QPoly:
     """One-dimensional sum in the barred variable: sum of q^dbar over paths."""
-    out: dict[int, int] = {}
-    for word in enumerate_highest(at, lam, L):
-        e2 = 2 * dbar(at, word)
-        out[e2] = out.get(e2, 0) + 1
-    return QPoly(out)
+    return QPoly.count([2 * dbar(at, word)
+                        for word in enumerate_highest(at, lam, L)])

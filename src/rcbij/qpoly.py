@@ -36,6 +36,14 @@ class QPoly:
         """coeff * q^(exp2/2)."""
         return QPoly({exp2: coeff})
 
+    @staticmethod
+    def count(exps2) -> "QPoly":
+        """The sum of q^(e/2) over the doubled exponents e, one term each."""
+        out: dict[int, int] = {}
+        for e in exps2:
+            out[e] = out.get(e, 0) + 1
+        return QPoly(out)
+
     def __bool__(self):
         return bool(self.terms)
 

@@ -8,14 +8,22 @@ Representation conventions, used across the package:
 * a rigged configuration ``rc`` is the same shape with (len2, rig2)
   pairs, sorted descending; riggings are doubled too.  This normal form
   is the value that is compared, hashed and written as JSON.
-* ``Config`` wraps one rc for the code that reads it string by string
-  (delta, its inverse, ``validate_rc``, ``complement``): the strings
-  grouped by length at each node, and each vacancy number computed once,
-  when first asked for, by ``vacancy2``.
+* ``Config`` wraps one rc for the code that reads it string by string:
+  the strings grouped by length at each node, and each vacancy number
+  computed once, when first asked for, by ``vacancy2``.  One is built per
+  configuration a map reads: ``phi`` builds one for rc and one for each
+  smaller configuration, which ``validate_config`` checks and the next
+  delta steps on; a ``phi_inverse`` step builds one for the box addition,
+  which ``validate_config``, the confirming delta and the next box
+  addition all read.  ``delta``, ``delta_inverse``, ``validate_rc`` and
+  ``complement`` build one for the rc they are given.
 * Enumeration builds no ``Config``: ``_admissible`` places a
   configuration node by node and reads the vacancies of each occupied
-  length once, pruning as it goes; ``enumerate_configs``,
-  ``enumerate_rc``, ``rc_genfun`` and ``fermionic_m`` all read it.
+  length once, pruning as it goes.  ``cc_configs`` pairs each admissible
+  configuration's groups with its ``cc2_config``; ``rigged``,
+  ``rigged_cc2``, ``complements`` and ``fermionic`` read that one list,
+  and ``enumerate_rc``, ``rc_genfun`` and ``fermionic_m`` read them.  The
+  complement of an enumerated rc comes off its boxes.
 
 Everything is exact integer arithmetic.  The vacancy numbers and cc come
 from one integer matrix per type, derived from the normalized form, and
@@ -245,29 +253,90 @@ def enumerate_configs(at: AffineType, lam, L: int):
     return [nu for nu, _groups in _admissible(at, lam, L)]
 
 
-def enumerate_rc(at: AffineType, lam, L: int):
-    """All rigged configurations for the weight lam, in normal form.
+def cc_configs(at: AffineType, lam, L: int):
+    """(cc2_config(nu), occupied groups) for each admissible nu, in order.
 
-    The groups come longest first at each node and each rigging multiset
-    largest first, so every node's strings are already sorted.
+    The one admissible pass of a cell: ``rigged``, ``rigged_cc2``,
+    ``complements`` and ``fermionic`` all read this list.
+    """
+    return [(cc2_config(at, nu), groups)
+            for nu, groups in _admissible(at, lam, L)]
+
+
+def _multisets(bx: range, m: int):
+    """The multisets of m riggings from the box bx, each largest first, in
+    the order of ``rigged``."""
+    return combinations_with_replacement(bx[::-1], m)
+
+
+def _build(n: int, groups, picks):
+    """The rc in normal form whose group g carries the riggings picks[g]."""
+    nodes = [[] for _ in range(n)]
+    for (a, i2, _m, _bx), rigs in zip(groups, picks):
+        nodes[a - 1].extend((i2, rg) for rg in rigs)
+    return tuple(map(tuple, nodes))
+
+
+def rigged(at: AffineType, configs):
+    """Every rigged configuration of configs, in normal form.
+
+    configs holds pairs whose second entry is a configuration's occupied
+    groups.  The groups come longest first at each node and each rigging
+    multiset largest first, so every node's strings are already sorted.
+    """
+    return [_build(at.n, groups, picks) for _x, groups in configs
+            for picks in product(*[_multisets(bx, m)
+                                   for _a, _i2, m, bx in groups])]
+
+
+def rigged_cc2(at: AffineType, configs):
+    """The doubled cc of each rigged configuration, in the order of rigged.
+
+    configs is ``cc_configs``'s list: cc2_config of the configuration,
+    read once, plus t^vee_a times the sum of the riggings at node a.
+    """
+    if not configs:  # most cells have none, and need no t^vee
+        return []
+    t_vee = kac_data(at).t_vee
+    out = []
+    for e2, groups in configs:
+        weights = [[t_vee[a - 1] * sum(rigs) for rigs in _multisets(bx, m)]
+                   for a, _i2, m, bx in groups]
+        out += [e2 + sum(picks) for picks in product(*weights)]
+    return out
+
+
+def complements(at: AffineType, configs):
+    """The complement of each rigged configuration, in the order of rigged.
+
+    A rigging r in the box bx goes to bx[0] + bx[-1] - r, which turns a
+    multiset largest first into one smallest first, so each is reversed;
+    no vacancy is read again.
     """
     out = []
-    for _nu, groups in _admissible(at, lam, L):
-        choice_lists = [list(combinations_with_replacement(bx[::-1], m))
-                        for _a, _i2, m, bx in groups]
-        for picks in product(*choice_lists):
-            nodes = [[] for _ in range(at.n)]
-            for (a, i2, _m, _bx), rigs in zip(groups, picks):
-                nodes[a - 1].extend((i2, rg) for rg in rigs)
-            out.append(tuple(map(tuple, nodes)))
+    for _x, groups in configs:
+        flipped = [[tuple(bx[0] + bx[-1] - r for r in reversed(rigs))
+                    for rigs in _multisets(bx, m)]
+                   for _a, _i2, m, bx in groups]
+        out += [_build(at.n, groups, picks) for picks in product(*flipped)]
     return out
+
+
+def enumerate_rc(at: AffineType, lam, L: int):
+    """All rigged configurations for the weight lam, in normal form."""
+    return rigged(at, _admissible(at, lam, L))
 
 
 def validate_rc(at: AffineType, lam, L: int, rc) -> None:
     """Check every structural invariant; raises InvalidRC on failure."""
-    cf = Config(at, L, rc)
+    validate_config(Config(at, L, rc), lam)
+
+
+def validate_config(cf: Config, lam) -> None:
+    """validate_rc of cf.rc at the weight lam, reading cf's vacancies."""
+    at = cf.at
     up2 = kac_data(at).up2
-    sizes = normalized_sizes(at, lam, L)
+    sizes = normalized_sizes(at, lam, cf.L)
     if sizes is None:
         raise InvalidRC("no configurations exist for this weight")
     for a in range(at.n):
@@ -330,41 +399,33 @@ def rc_genfun(at: AffineType, lam, L: int) -> QPoly:
     """Generating function of rigged configurations by cc.
 
     Every rigging multiset of every admissible configuration is counted
-    one by one: cc2_config of the configuration, read once, plus
-    t^vee_a times the sum of the riggings chosen at node a.
+    one by one, by ``rigged_cc2``.
     """
-    out: dict[int, int] = {}
-    for nu, groups in _admissible(at, lam, L):
-        # read per configuration: most cells have none, and need no t^vee
-        t_vee = kac_data(at).t_vee
-        e2 = cc2_config(at, nu)
-        choice_lists = [
-            [t_vee[a - 1] * sum(rigs)
-             for rigs in combinations_with_replacement(bx, m)]
-            for a, _i2, m, bx in groups
-        ]
-        for picks in product(*choice_lists):
-            e = e2 + sum(picks)
-            out[e] = out.get(e, 0) + 1
-    return QPoly(out)
+    return QPoly.count(rigged_cc2(at, cc_configs(at, lam, L)))
 
 
 def fermionic_m(at: AffineType, lam, L: int) -> QPoly:
-    """The fermionic sum: q^cc times a product of Gaussian binomials.
+    """The fermionic sum: q^cc times a product of Gaussian binomials."""
+    return fermionic(at, cc_configs(at, lam, L))
+
+
+def fermionic(at: AffineType, configs) -> QPoly:
+    """fermionic_m of ``cc_configs``'s list.
 
     Each admissible configuration contributes q^cc of its configuration
     times, for every occupied length, the generating function of rigging
     multisets drawn from the box: with m strings and a box of k values
     starting at s (doubled), that is q^(t^vee m s / 2) times
     [k - 1 + m choose m] at q^(t^vee).  Only A2dag's half-odd boxes have
-    s > 0.  It shares the admissible configurations with rc_genfun and
-    nothing else: rc_genfun counts the riggings one by one, this sum by
-    the Gaussian binomials.
+    s > 0.  It shares the admissible configurations and their cc2_config
+    with rc_genfun and nothing else: rc_genfun counts the riggings one by
+    one, this sum by the Gaussian binomials.
     """
+    if not configs:  # most cells have none, and need no t^vee
+        return QPoly.zero()
     t_vee = kac_data(at).t_vee
     total = QPoly.zero()
-    for nu, groups in _admissible(at, lam, L):
-        e2 = cc2_config(at, nu)
+    for e2, groups in configs:
         binoms = []
         for a, _i2, m, bx in groups:
             e2 += t_vee[a - 1] * m * bx.start

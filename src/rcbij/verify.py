@@ -5,6 +5,17 @@ runs the checks of ``CHECKS`` in order, with exact arithmetic, and reports
 the first that fails with the configuration it failed on, as JSON that
 ``rcbij map --dir rc2path`` reads.
 
+Each side of the cell is built once.  The path side enumerates the
+highest paths and reads dbar once per path; Xbar and the ``cc=2dbar``
+check read those energies, and nothing of the rc side.  The rc side is
+one admissible pass (``rc.cc_configs``), with cc2_config once per
+configuration: the rigged configurations, each one's cc, the
+rigged-configuration sum, the closed fermionic sum and the complements
+all read its list, the complements off the enumerated boxes.  These are
+the functions ``xbar``, ``enumerate_rc``, ``rc_genfun`` and
+``fermionic_m`` read too, so ``rcbij x``, ``rc-enum``, ``f`` and ``m``
+print what the certificate certifies.
+
 phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so a run
 of one type's cells in increasing L (the order of ``cells_for``) shares a
 ``Levels`` table: the words of the configurations certified one level
@@ -29,15 +40,16 @@ from .bijection import (
 )
 from .cartan import AffineType, dominant_weights
 from .crystal import enumerate_highest, rest_weight
-from .energy import dbar, xbar
+from .energy import dbar
+from .qpoly import QPoly
 from .rc import (
     InvalidRC,
-    cc2_total,
-    complement,
-    enumerate_rc,
-    fermionic_m,
-    rc_genfun,
+    cc_configs,
+    complements,
+    fermionic,
     rc_to_json,
+    rigged,
+    rigged_cc2,
     validate_rc,
 )
 
@@ -107,10 +119,14 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
     the table, or, where the table lacks it, from validate_rc and the
     recursion.
     """
+    # the path side, which reads nothing of the rc side
     paths = enumerate_highest(at, lam, L)
-    rcs = enumerate_rc(at, lam, L)
-    xb = xbar(at, lam, L)
-    mb = rc_genfun(at, lam, L)
+    energy2 = {p: 2 * dbar(at, p) for p in paths}
+    # the rc side: one admissible pass, and everything read off it
+    configs = cc_configs(at, lam, L)
+    rcs = rigged(at, configs)
+    cc2s = rigged_cc2(at, configs)
+    xb, mb = QPoly.count(energy2.values()), QPoly.count(cc2s)
     row = (len(rcs), len(paths), str(xb), str(mb))
 
     def fail(check, rc=None):
@@ -119,7 +135,7 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
 
     if xb != mb:
         return fail("xbar=rc_genfun")
-    if fermionic_m(at, lam, L) != mb:
+    if fermionic(at, configs) != mb:
         return fail("fermionic_m=rc_genfun")
     if len(paths) != len(rcs):
         return fail("|rc|=|paths|")
@@ -150,11 +166,11 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
                 return fail(check, rc)
             words[rc] = word
         check = "cc=2dbar"
-        for rc in rcs:
+        for rc, cc2, rc_c in zip(rcs, cc2s, complements(at, configs)):
             # phi-tilde(rc) is the word of the complement, which the cell
             # enumerates; a complement outside it is itself a fault
-            word = words.get(complement(at, L, rc))
-            if word is None or cc2_total(at, rc) != 2 * dbar(at, word):
+            word = words.get(rc_c)
+            if word is None or cc2 != energy2[word]:
                 return fail(check, rc)
         check = "delta_inverse"
         for rc, b, rho, rc_small in steps:

@@ -152,16 +152,20 @@ FIVE = (AffineType("C1", 2), (1, 1), 4)
 
 
 def test_phi_validates_each_step(monkeypatch):
-    """phi rejects a smaller configuration that left its box."""
-    real = bijection.delta
+    """phi rejects a smaller configuration that left its box.
 
-    def wrong(at, lam, L, rc):
-        b, small, tr = real(at, lam, L, rc)
-        return b, out_of_box(at, L - 1, small), tr
+    phi steps on each configuration's Config, so the fault is planted in
+    the step that reads one.
+    """
+    real = bijection._delta
+
+    def wrong(cf, lam):
+        b, small, tr = real(cf, lam)
+        return b, out_of_box(cf.at, cf.L - 1, small), tr
 
     rcs = enumerate_rc(*FIVE)
     assert len(rcs) == 5
-    monkeypatch.setattr(bijection, "delta", wrong)
+    monkeypatch.setattr(bijection, "_delta", wrong)
     for rc in rcs:
         # validate_rc's own words: the first step is caught
         with pytest.raises(InvalidRC, match="rigging out of box"):
@@ -173,15 +177,19 @@ def test_phi_validates_each_step(monkeypatch):
     (out_of_box, "no preimage: rigging out of box"),  # not valid
 ], ids=("complement", "out_of_box"))
 def test_phi_inverse_checks_each_box_addition(monkeypatch, breaker, why):
-    """phi_inverse rejects a box addition that is invalid or wrong."""
+    """phi_inverse rejects a box addition that is invalid or wrong.
+
+    Each step hands the Config of the smaller configuration to the box
+    addition, so the fault is planted in the addition that reads one.
+    """
     at, lam, L = FIVE
     words = [phi(at, lam, L, rc) for rc in enumerate_rc(*FIVE)]
-    real = bijection.delta_inverse
+    real = bijection._delta_inverse
 
-    def wrong(at, b, rho, L_small, rc_small):
-        return breaker(at, L_small + 1, real(at, b, rho, L_small, rc_small))
+    def wrong(cf, b, rho):
+        return breaker(cf.at, cf.L + 1, real(cf, b, rho))
 
-    monkeypatch.setattr(bijection, "delta_inverse", wrong)
+    monkeypatch.setattr(bijection, "_delta_inverse", wrong)
     for word in words:
         with pytest.raises(NoPreimage, match=why):
             phi_inverse(at, lam, L, word)

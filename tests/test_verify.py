@@ -3,23 +3,34 @@
 import hashlib
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from conftest import out_of_box
-from rcbij import verify
+from conftest import EXTENDED, out_of_box
+from rcbij import energy, rc as rc_mod, verify
 from rcbij.bijection import NoPreimage
 from rcbij.cartan import AffineType
 from rcbij.cli import main
+from rcbij.crystal import enumerate_highest
+from rcbij.energy import xbar
 from rcbij.qpoly import QPoly
 from rcbij.rc import (
+    Config,
     InvalidRC,
+    cc2_total,
+    cc_configs,
     complement,
+    complements,
+    enumerate_configs,
     enumerate_rc,
+    fermionic_m,
     rc_from_json,
+    rc_genfun,
     rc_to_json,
+    rigged_cc2,
 )
 
 # several configurations and a removal step each
@@ -38,16 +49,31 @@ def raising(exc):
     return lambda f: broken
 
 
-# (layer, how to break it given the real function, the check that fails)
+def complements_out_of_box(f):
+    """Every complement raised out of its box, as for CELL's length."""
+    return lambda at, configs: [out_of_box(at, CELL[2], rc_c)
+                                for rc_c in f(at, configs)]
+
+
+# (layer, how to break it given the real function, the check that fails).
+# The rigged-configuration sum, the fermionic sum and the complements are
+# read off the cell's one admissible pass, so their faults are planted in
+# the functions verify_cell reads them from; their ids are the ones of the
+# faults they replace.  The path energies feed Xbar as well as the cc
+# check, so a wrong dbar or a lost path now fails Xbar first, and a lost
+# rigged configuration is what |rc|=|paths| is left to catch.
 PLANTED = [
-    ("rc_genfun", lambda f: lambda *a: f(*a) + QPoly.one(), "xbar=rc_genfun"),
-    ("fermionic_m", lambda f: lambda *a: f(*a) + QPoly.one(),
-     "fermionic_m=rc_genfun"),
-    ("enumerate_highest", lambda f: lambda *a: f(*a)[1:], "|rc|=|paths|"),
+    pytest.param("rigged_cc2", lambda f: lambda *a: f(*a) + [0],
+                 "xbar=rc_genfun", id="rc_genfun-<lambda>-xbar=rc_genfun"),
+    pytest.param("fermionic", lambda f: lambda *a: f(*a) + QPoly.one(),
+                 "fermionic_m=rc_genfun",
+                 id="fermionic_m-<lambda>-fermionic_m=rc_genfun"),
+    ("enumerate_highest", lambda f: lambda *a: f(*a)[1:], "xbar=rc_genfun"),
+    ("rigged", lambda f: lambda *a: f(*a)[1:], "|rc|=|paths|"),
     ("phi", lambda f: lambda *a: (), "phi"),
-    ("dbar", lambda f: lambda *a: f(*a) + 1, "cc=2dbar"),
-    ("complement", lambda f: lambda at, L, rc: out_of_box(at, L, f(at, L, rc)),
-     "cc=2dbar"),
+    ("dbar", lambda f: lambda *a: f(*a) + 1, "xbar=rc_genfun"),
+    pytest.param("complements", complements_out_of_box, "cc=2dbar",
+                 id="complement-<lambda>-cc=2dbar"),
     ("delta_inverse", lambda f: lambda *a: (), "delta_inverse"),
     ("phi_inverse", lambda f: lambda *a: (), "phi_inverse"),
     pytest.param("delta_inverse", raising(NoPreimage("planted")),
@@ -67,12 +93,20 @@ def test_planted_fault_names_its_check(monkeypatch, layer, breaker, check):
         return
     at, lam, L, rc = rc_from_json(failure["rc"])
     assert (at, lam, L) == CELL
-    assert rc in enumerate_rc(*CELL)
+    # every planted fault breaks the cell's first configuration
+    assert rc == enumerate_rc(*CELL)[0]
     assert rc_to_json(at, lam, L, rc) == failure["rc"]
 
 
+def test_planted_faults_cover_every_check():
+    planted = {p.values[2] if hasattr(p, "values") else p[2]
+               for p in PLANTED}
+    assert planted == set(verify.CHECKS)
+
+
 def test_verify_writes_failure_record(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(verify, "dbar", lambda at, word: 99)
+    monkeypatch.setattr(verify, "complements", complements_out_of_box(
+        verify.complements))
     gridfile = tmp_path / "grid.json"
     gridfile.write_text(json.dumps(
         {"cells": [{"type": "C1", "n": 2, "L": 3, "lambda": [1, 0]}]}
@@ -109,12 +143,22 @@ def test_verify_tsv_matches_bench_reference():
     assert len(rows) == len(ref["verify"])
 
 
-def test_level_table_changes_no_answer():
+def test_level_table_changes_no_answer(monkeypatch):
+    """A level run gives each cell's answer, and its table holds every
+    smaller configuration: phi runs only on the one configuration at
+    L = 0, and no smaller configuration is validated."""
+    calls = Counter()
+    for name in ("phi", "validate_rc"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, _name=name, _real=real:
+                            calls.update([_name]) or _real(*a))
     for at in LEVEL_TYPES:
         levels = verify.Levels()
         for cell in verify.cells_for(at, 4):
-            assert verify.verify_cell(*cell, levels) == \
-                verify.verify_cell(*cell), cell
+            calls.clear()
+            in_run = verify.verify_cell(*cell, levels)
+            assert calls == (Counter(phi=1) if cell[2] == 0 else Counter())
+            assert in_run == verify.verify_cell(*cell), cell
 
 
 @pytest.mark.parametrize("at", LEVEL_TYPES, ids=str)
@@ -176,3 +220,93 @@ def test_level_run_validates_a_missed_step(monkeypatch):
     assert failed == 7
     # validated before the recursion: phi ran on no broken configuration
     assert recursed and not any(any(rc) for rc in recursed)
+
+
+# cells whose configurations step down to smaller ones with strings
+PINNED = [
+    CELL,
+    (AffineType("A2", 2), (2, 1), 5),
+    (AffineType("D2", 3), (2, 1, 0), 4),
+    (AffineType("B1", 3), (1, 1, 0), 4),
+]
+
+
+@pytest.mark.parametrize("cell", PINNED, ids=str)
+def test_one_pass_per_cell(monkeypatch, cell):
+    """verify_cell builds each side of a cell once.
+
+    One path enumeration and one dbar per path; one admissible pass and
+    one cc2_config per configuration; and inside each phi and phi_inverse
+    it runs, one Config per configuration (L + 1 of them).
+    """
+    paths = enumerate_highest(*cell)
+    n_configs = len(enumerate_configs(*cell))
+    calls = Counter()
+    configs_in = []  # (the map, its length, the Configs built in it)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def configs_built(name, fn):
+        def wrapped(*args):
+            before = calls["Config"]
+            try:
+                return fn(*args)
+            finally:
+                L = args[2]
+                configs_in.append((name, L, calls["Config"] - before))
+        return wrapped
+
+    for module, name in ((verify, "enumerate_highest"),
+                         (energy, "enumerate_highest"),
+                         (verify, "dbar"), (energy, "dbar"),
+                         (rc_mod, "_admissible"), (rc_mod, "cc2_config")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(Config, "__init__",
+                        counted("Config", Config.__init__))
+    for name in ("phi", "phi_inverse"):
+        monkeypatch.setattr(verify, name,
+                            configs_built(name, getattr(verify, name)))
+
+    ok, row, _failure = verify.verify_cell(*cell)
+    assert ok and row[1] == len(paths) > 1
+    assert calls["enumerate_highest"] == 1
+    assert calls["dbar"] == len(paths)
+    assert calls["_admissible"] == 1
+    assert calls["cc2_config"] == n_configs
+    assert {name for name, _L, _k in configs_in} == {"phi", "phi_inverse"}
+    assert all(k == L + 1 for _name, L, k in configs_in), configs_in
+
+
+def _extended_cells():
+    return [cell for at in EXTENDED for cell in verify.cells_for(at, 4)]
+
+
+def test_verify_row_is_what_the_commands_print(battery):
+    """verify_cell's row is the public functions' answers.
+
+    ``rcbij rc-enum``, ``path-enum``, ``x``, ``f`` and ``m`` print these
+    functions, so they print what ``verify`` certifies.  The cc of each
+    rigged configuration and its complement off the boxes are cc2_total
+    and complement, the functions ``map --tilde`` and the oracles read.
+    """
+    answers = {cell: row for cell, (_rcs, (_ok, row, _f)) in battery.items()
+               if cell[2] <= 4}
+    levels = verify.Levels()
+    for cell in _extended_cells():
+        answers[cell] = verify.verify_cell(*cell, levels)[1]
+    assert len(answers) > 1500
+    for cell, row in answers.items():
+        at, _lam, L = cell
+        rcs = enumerate_rc(*cell)
+        mb = rc_genfun(*cell)
+        assert row == (len(rcs), len(enumerate_highest(*cell)),
+                       str(xbar(*cell)), str(mb)), cell
+        assert fermionic_m(*cell) == mb, cell
+        configs = cc_configs(*cell)
+        assert rigged_cc2(at, configs) == [cc2_total(at, rc) for rc in rcs]
+        assert complements(at, configs) == \
+            [complement(at, L, rc) for rc in rcs], cell
