@@ -24,20 +24,25 @@ relaxed C1 n=1 (``kac_data``), and A2's form, which the paper puts on B_n
 the gbar simple roots (``simple_root_vectors``): a weight has as many
 entries as a root (``weight_len``), it is dominant when it pairs
 nonnegatively with every root (``is_dominant``), and it has column sums
-when L*eps_1 - lam lies in the roots' span (``iota_image``).
+when L*eps_1 - lam lies in the roots' span (``iota2``).
 
 All rationals that occur here have denominator 1 or 2.  Quantities that can
 be half-integral are stored doubled (suffix ``2``); everything else is a
-plain int.
+plain int, and so are the column sums (``iota2``): a weight has
+configurations only where they are even and nonnegative.
+
+Each type's tables live on one ``Tables`` object, shared by equal types.
+A function decorated ``per_type`` builds the table of its name on the
+first read and becomes its reader; hot paths fetch the object once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
-from math import gcd, lcm
+from functools import cached_property, wraps
+from itertools import accumulate, combinations_with_replacement
+from math import gcd
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2", "A2dag", "A2odd", "D2")
 
@@ -131,6 +136,37 @@ class AffineType:
         return "%s(n=%d)" % (self.family, self.n)
 
 
+_TABLES = {}  # type -> its Tables; equal types share one
+_BUILDERS = {}  # table name -> the function of the type that builds it
+
+
+class Tables:
+    """The tables of one type, each built on its first read, and the memos
+    of ``rc.normalized_sizes`` (sizes), ``crystal.rest_weight`` (rest) and
+    ``crystal.enumerate_highest`` (paths)."""
+
+    def __init__(self, at: AffineType):
+        self.at = at
+        self.sizes, self.rest, self.paths = {}, {}, {}
+
+    def __getattr__(self, name):  # reached only while the table is unbuilt
+        if name not in _BUILDERS:
+            raise AttributeError(name)
+        value = self.__dict__[name] = _BUILDERS[name](self.at)
+        return value
+
+
+def tables(at: AffineType) -> Tables:
+    """The one Tables object of at and of every type equal to it."""
+    return _TABLES.get(at) or _TABLES.setdefault(at, Tables(at))
+
+
+def per_type(build):
+    """build(at) as the table of its name; returns the table's reader."""
+    _BUILDERS[build.__name__] = build
+    return wraps(build)(lambda at: getattr(tables(at), build.__name__))
+
+
 @dataclass(frozen=True)
 class KacData:
     """Kac labels and the scaling constants derived from them.
@@ -154,37 +190,32 @@ def _dot(u, v) -> int:
 
 
 def _primitive(xs) -> tuple:
-    """The primitive integer vector on the ray of the rationals xs."""
-    den = lcm(*(Fraction(x).denominator for x in xs))
-    ints = [int(x * den) for x in xs]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    """The primitive integer vector on the ray of the ints xs."""
+    g = gcd(*xs)
+    return tuple(x // g for x in xs)
 
 
 def _root_coords(kind: str, v, n: int) -> list:
-    """Coordinates of the epsilon vector v in the simple roots of kind_n.
+    """Doubled coordinates of the integer epsilon vector v in the simple
+    roots of kind_n: ints, halved only at C's last root and D's fork.
 
     For type A, v has n+1 entries and lies in the root span only when
     they sum to 0; the callers see to that.
     """
-    partial = []
-    run = Fraction(0)
-    for x in v[:n]:
-        run += x
-        partial.append(run)
+    partial = list(accumulate(v[:n]))
     if kind in ("A", "B"):
-        return partial
+        return [2 * x for x in partial]
     if kind == "C":
-        return partial[:-1] + [partial[-1] / 2]
+        return [2 * x for x in partial[:-1]] + [partial[-1]]
     s = partial[n - 2]
-    return partial[: n - 2] + [(s - v[n - 1]) / 2, (s + v[n - 1]) / 2]
+    return [2 * x for x in partial[: n - 2]] + [s - v[n - 1], s + v[n - 1]]
 
 
-@lru_cache(maxsize=None)
+@per_type
 def kac_data(at: AffineType) -> KacData:
     n = at.n
     th = theta0(at)
-    a = _primitive([1] + _root_coords(at.gbar, th, n))
+    a = _primitive([2] + _root_coords(at.gbar, th, n))
     # (alpha_0|alpha_0) = (theta_0|theta_0)
     roots = [th] + simple_root_vectors(at, which="gbar")
     a_vee = _primitive([ai * _dot(r, r) for ai, r in zip(a, roots)])
@@ -237,7 +268,7 @@ def theta0(at: AffineType) -> tuple:
     return tuple(v)
 
 
-@lru_cache(maxsize=None)
+@per_type
 def form2_matrix(at: AffineType):
     """Doubled form matrix: entry [a][b] is 2*(alpha~_a | alpha~_b).
 
@@ -276,13 +307,13 @@ def is_dominant(at: AffineType, lam) -> bool:
     return True
 
 
-def iota_image(at: AffineType, lam, L: int):
-    """Coefficients of iota(L*Lambda_1 - lam) in the alpha~ basis.
+def iota2(at: AffineType, lam, L: int):
+    """Coefficients of iota(L*Lambda_1 - lam) in the alpha~ basis, doubled.
 
     These are the prescribed column sums of the quasipartitions of a
     lam-configuration (in normalized units, i.e. counting boxes of width
-    upsilon_a as one).  Returned as a tuple of Fractions, or None off the
-    roots' span (in type A, where lam must sum to L).
+    upsilon_a as one).  Returned as a tuple of ints, twice the sums, or
+    None off the roots' span (in type A, where lam must sum to L).
 
     iota is the identity on epsilon coordinates for every family, including
     A2 where the factor 2 on the last fundamental weight exactly cancels
@@ -292,11 +323,17 @@ def iota_image(at: AffineType, lam, L: int):
         raise ValueError("weight %r is not dominant for %s" % (lam, at))
     if L < 0:
         raise ValueError("L must be nonnegative")
-    v = [Fraction(-x) for x in lam]
+    v = [-x for x in lam]
     v[0] += L
     if at.roots_sum_zero and sum(v):
         return None
     return tuple(_root_coords(at.g0bar, v, at.n))
+
+
+def iota_image(at: AffineType, lam, L: int):
+    """iota2 halved: the column sums as Fractions, or None."""
+    c2 = iota2(at, lam, L)
+    return None if c2 is None else tuple(Fraction(x, 2) for x in c2)
 
 
 def dominant_weights(at: AffineType, L: int):

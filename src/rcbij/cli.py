@@ -296,27 +296,19 @@ def _build_parser():
         sp.add_argument("--len", type=int, default=None)
         sp.add_argument("--weight", type=str, default=None)
 
-    sp = sub.add_parser("x", help="one-dimensional sum Xbar")
-    common(sp)
-    sp.add_argument("--dump-h", action="store_true")
-    sp.set_defaults(fn=cmd_x)
-
-    sp = sub.add_parser("m", help="fermionic sum Mbar")
-    common(sp)
-    sp.set_defaults(fn=cmd_m)
-
-    sp = sub.add_parser("f", help="rigged-configuration generating function")
-    common(sp)
-    sp.set_defaults(fn=cmd_f)
-
-    sp = sub.add_parser("rc-enum", help="list rigged configurations")
-    common(sp)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_rc_enum)
-
-    sp = sub.add_parser("path-enum", help="list classically restricted paths")
-    common(sp)
-    sp.set_defaults(fn=cmd_path_enum)
+    # the commands on one cell, each with at most one flag of its own
+    for name, fn, flag, help_ in (
+        ("x", cmd_x, "--dump-h", "one-dimensional sum Xbar"),
+        ("m", cmd_m, None, "fermionic sum Mbar"),
+        ("f", cmd_f, None, "rigged-configuration generating function"),
+        ("rc-enum", cmd_rc_enum, "--json", "list rigged configurations"),
+        ("path-enum", cmd_path_enum, None, "list classically restricted paths"),
+    ):
+        sp = sub.add_parser(name, help=help_)
+        common(sp)
+        if flag:
+            sp.add_argument(flag, action="store_true")
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("map", help="apply the bijection to stdin JSON")
     sp.add_argument("--dir", choices=("rc2path", "path2rc"), required=True)

@@ -6,19 +6,19 @@ letters with index 0 holding the leftmost tensor factor b_L and index -1
 the rightmost factor b_1.
 
 The crystal is read off the root data: f_i lowers the weight of a letter
-by the gbar simple root alpha_i, and f_0 raises it by theta_0.
+by the gbar simple root alpha_i, and f_0 raises it by theta_0.  Its tables
+and path memos live on the type's ``cartan.Tables``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .cartan import AffineType, is_dominant, simple_root_vectors, theta0
+from .cartan import (AffineType, is_dominant, per_type, simple_root_vectors,
+                     tables, theta0)
 
 EMPTY = 10 ** 6  # the letter usually written phi
 
 
-@lru_cache(maxsize=None)
+@per_type
 def letters(at: AffineType) -> tuple:
     """All letters, in the displayed chain order (phi last where present).
 
@@ -37,7 +37,7 @@ def letter_str(b) -> str:
     return "E" if b == EMPTY else str(b)
 
 
-@lru_cache(maxsize=None)
+@per_type
 def arrows(at: AffineType):
     """(f, e): for each node i, the partial maps b -> f_i(b) and b -> e_i(b).
 
@@ -62,27 +62,18 @@ def arrows(at: AffineType):
     return f, e
 
 
-@lru_cache(maxsize=None)
+@per_type
 def _eps_phi(at: AffineType):
     """Letter tables eps[i][b], phi[i][b] counted by walking the chains."""
+    def walk(step, b):
+        k = 0
+        while b in step:
+            b, k = step[b], k + 1
+        return k
+
     f, e = arrows(at)
-    eps = {}
-    phi = {}
-    for i in f:
-        eps[i] = {}
-        phi[i] = {}
-        for b in letters(at):
-            k, x = 0, b
-            while x in e[i]:
-                x = e[i][x]
-                k += 1
-            eps[i][b] = k
-            k, x = 0, b
-            while x in f[i]:
-                x = f[i][x]
-                k += 1
-            phi[i][b] = k
-    return eps, phi
+    return tuple({i: {b: walk(m[i], b) for b in letters(at)} for i in f}
+                 for m in (e, f))
 
 
 def eps_letter(at: AffineType, i: int, b) -> int:
@@ -108,10 +99,17 @@ def rest_weight(at: AffineType, lam, b):
     leftmost factor) exactly when lam - wt(b) is dominant and, for the
     zero letter, lam_n > 0.  Returns lam - wt(b), or None when it cannot.
     """
-    rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
-    if not is_dominant(at, rho) or (b == 0 and lam[at.n - 1] <= 0):
-        return None
-    return rho
+    return _rest_weight(tables(at), tuple(lam), b)
+
+
+def _rest_weight(tb, lam: tuple, b):
+    """rest_weight of tb's type, kept in tb.rest."""
+    if (lam, b) not in tb.rest:
+        at = tb.at
+        rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
+        ok = is_dominant(at, rho) and (b != 0 or lam[at.n - 1] > 0)
+        tb.rest[lam, b] = rho if ok else None
+    return tb.rest[lam, b]
 
 
 def wt_path(at: AffineType, word) -> tuple:
@@ -122,12 +120,11 @@ def wt_path(at: AffineType, word) -> tuple:
     return tuple(v)
 
 
-_PATHS = {}  # type -> {(lam, L): its paths, sorted}, shared by all cells
-
-
 def _highest(at: AffineType, lam: tuple, L: int):
-    """The paths of (lam, L), built on an explicit stack: no recursion."""
-    memo = _PATHS.setdefault(at, {})
+    """The paths of (lam, L), built on an explicit stack: no recursion.
+    Each state's paths are kept in the type's memo, for every cell."""
+    tb = tables(at)
+    memo = tb.paths
     todo = [(lam, L, None)]  # a state, with its steps once they are found
     while todo:
         wt, ln, steps = todo.pop()
@@ -136,8 +133,8 @@ def _highest(at: AffineType, lam: tuple, L: int):
         if ln == 0 or sum(map(abs, wt)) > ln:  # a letter moves |wt|_1 by <= 1
             memo[wt, ln] = () if any(wt) else ((),)
         elif steps is None:
-            steps = [(b, rho) for b in letters(at)
-                     if (rho := rest_weight(at, wt, b)) is not None]
+            steps = [(b, rho) for b in tb.letters
+                     if (rho := _rest_weight(tb, wt, b)) is not None]
             todo.append((wt, ln, steps))
             todo.extend((rho, ln - 1, None) for _b, rho in steps)
         else:

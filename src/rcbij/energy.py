@@ -12,9 +12,8 @@ are the barred ones, which are the nonnegative ones on restricted paths.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
-from .cartan import AffineType
+from .cartan import AffineType, per_type, tables
 from .crystal import (
     arrows,
     enumerate_highest,
@@ -39,7 +38,7 @@ def _pair_e(at: AffineType, i: int, pair):
     return ((x, ny), "right") if ny is not None else None
 
 
-@lru_cache(maxsize=None)
+@per_type
 def local_hbar(at: AffineType):
     """The barred local energy table on B (x) B as a dict pair -> int."""
     B = letters(at)
@@ -52,9 +51,7 @@ def local_hbar(at: AffineType):
                 if r is None:
                     continue
                 q, side = r
-                d = 0
-                if i == 0:
-                    d = 1 if side == "left" else -1
+                d = 0 if i else (1 if side == "left" else -1)
                 edges.setdefault(p, []).append((q, d))
                 edges.setdefault(q, []).append((p, -d))
     start = (1, 1)
@@ -79,40 +76,28 @@ def local_hbar(at: AffineType):
     return h
 
 
-@lru_cache(maxsize=None)
+@per_type
 def b_natural(at: AffineType):
     """The unique letter with phi = Lambda_0 (one 0-arrow out, nothing else)."""
-    found = [
-        b
-        for b in letters(at)
-        if phi_letter(at, 0, b) == 1
-        and all(phi_letter(at, i, b) == 0 for i in range(1, at.n + 1))
-    ]
+    found = [b for b in letters(at) if phi_letter(at, 0, b) == 1
+             and all(phi_letter(at, i, b) == 0 for i in range(1, at.n + 1))]
     if len(found) != 1:
         raise RuntimeError("b natural not unique for %s: %r" % (at, found))
     return found[0]
 
 
-def ebar(at: AffineType, word) -> int:
-    """Barred total energy of a word (leftmost factor first)."""
-    return _ebar(local_hbar(at), b_natural(at), word)
-
-
-def _ebar(h, bnat, word) -> int:
-    """ebar, given the local energy table and b natural."""
+def dbar(at: AffineType, word) -> int:
+    """Barred intrinsic energy: the barred total energy of the word
+    (leftmost factor first) relative to the all-ones word."""
+    tb = tables(at)
+    h, bnat = tb.local_hbar, tb.b_natural
     L = len(word)
     if L == 0:
         return 0
-    total = L * h[(word[-1], bnat)]
+    total = L * (h[(word[-1], bnat)] - h[(1, bnat)])
     for idx in range(L - 1):
         total += (idx + 1) * h[(word[idx], word[idx + 1])]
     return total
-
-
-def dbar(at: AffineType, word) -> int:
-    """Barred intrinsic energy: ebar relative to the all-ones word."""
-    h, bnat = local_hbar(at), b_natural(at)
-    return _ebar(h, bnat, word) - len(word) * h[(1, bnat)]
 
 
 def xbar(at: AffineType, lam, L: int) -> QPoly:

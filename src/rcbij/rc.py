@@ -27,7 +27,10 @@ Representation conventions, used across the package:
 
 Everything is exact integer arithmetic.  The vacancy numbers and cc come
 from one integer matrix per type, derived from the normalized form, and
-every family's rigging box comes from ``box``.
+every family's rigging box comes from ``box``.  The column sums are
+``cartan.iota2``'s doubled ints, halved where even and nonnegative.  A
+``Config`` and an admissible pass fetch the type's ``cartan.Tables`` once
+and read the vacancy matrix, the box widths, t^vee and sizes off it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .cartan import AffineType, form2_matrix, iota_image, kac_data
+from .cartan import AffineType, form2_matrix, iota2, kac_data, per_type, tables
 from .qpoly import QPoly, qbinom
 
 INF = 10 ** 9  # larger than any doubled length
@@ -48,23 +51,19 @@ def normalized_sizes(at: AffineType, lam, L: int):
     the linear system has no nonnegative integer solution, i.e. there are
     no configurations (and no paths) for this weight at all.
     """
-    return _normalized_sizes(at, tuple(lam), L)
+    return _normalized_sizes(tables(at), tuple(lam), L)
 
 
-@lru_cache(maxsize=None)
-def _normalized_sizes(at: AffineType, lam: tuple, L: int):
-    c = iota_image(at, lam, L)
-    if c is None:  # L*eps_1 - lam is outside the root span
-        return None
-    out = []
-    for x in c:
-        if x.denominator != 1 or x < 0:
-            return None
-        out.append(int(x))
-    return tuple(out)
+def _normalized_sizes(tb, lam: tuple, L: int):
+    """normalized_sizes of tb's type, kept in tb.sizes."""
+    if (lam, L) not in tb.sizes:
+        c2 = iota2(tb.at, lam, L)  # None outside the root span
+        ok = c2 is not None and not any(x % 2 or x < 0 for x in c2)
+        tb.sizes[lam, L] = tuple(x // 2 for x in c2) if ok else None
+    return tb.sizes[lam, L]
 
 
-@lru_cache(maxsize=None)
+@per_type
 def _vacancy_table(at: AffineType):
     """Box widths and, per node a, the nonzero entries (b, C[a][b]).
 
@@ -97,11 +96,21 @@ def _vacancy_table(at: AffineType):
 
 def vacancy2(at: AffineType, L: int, nu, a: int, i2: int) -> int:
     """Doubled vacancy number at node a, doubled length i2 (> 0)."""
-    up2, rows = _vacancy_table(at)
+    return _vacancy(tables(at), L, nu, a, i2)
+
+
+def _vacancy(tb, L: int, nu, a: int, i2: int) -> int:
+    """vacancy2 read off the vacancy table of tb."""
+    up2, rows = tb._vacancy_table
     if i2 <= 0 or i2 % up2[a - 1] != 0:
         raise ValueError("index %d not on the node-%d lattice" % (i2, a))
-    total = 2 * L if a == 1 else 0
-    for b, c in rows[a - 1]:
+    return _row_vacancy(rows[a - 1], 2 * L if a == 1 else 0, nu, i2)
+
+
+def _row_vacancy(row, total: int, nu, i2: int) -> int:
+    """total plus the part of the doubled vacancy at length i2 that the
+    row of ``_vacancy_table`` reads off nu."""
+    for b, c in row:
         # c times Q_i: the doubled area of the first i columns at node b
         for x in nu[b]:
             total += c * (x if x < i2 else i2)
@@ -137,10 +146,11 @@ class Config:
     are computed once per (node, length), when first asked for.
     """
 
-    __slots__ = ("at", "L", "rc", "nu", "by", "_vac")
+    __slots__ = ("at", "tb", "L", "rc", "nu", "by", "_vac")
 
     def __init__(self, at: AffineType, L: int, rc):
         self.at = at
+        self.tb = tables(at)
         self.L = L
         self.rc = rc
         self.nu = config_of(rc)
@@ -156,7 +166,7 @@ class Config:
         """The doubled vacancy at node a, doubled length i2."""
         p2 = self._vac.get((a, i2))
         if p2 is None:
-            p2 = self._vac[a, i2] = vacancy2(self.at, self.L, self.nu, a, i2)
+            p2 = self._vac[a, i2] = _vacancy(self.tb, self.L, self.nu, a, i2)
         return p2
 
     def count(self, a: int, i2: int, off2: int = 0) -> int:
@@ -167,35 +177,23 @@ class Config:
         rigs = self.by[a - 1].get(i2)
         return rigs.count(self.vac(a, i2) - off2) if rigs else 0
 
-    def box(self, a: int, i2: int) -> range:
-        """The riggings allowed on a string of length i2 at node a."""
-        return box(self.at, a, i2, self.vac(a, i2))
 
-
-def _node_groups(at: AffineType, L: int, nu, a: int):
+def _node_groups(at: AffineType, L: int, nu, a: int, row):
     """(a, len2, multiplicity, box) for each occupied length at node a.
 
-    The lengths come in their order in nu.  None if a box is empty, i.e.
-    node a is inadmissible.  Only the nodes of a's row of
-    ``_vacancy_table`` are read.
+    The lengths come in their order in nu, on node a's lattice.  None if
+    a box is empty, i.e. node a is inadmissible.  Only the nodes of row,
+    node a's row of ``_vacancy_table``, are read.
     """
     node = nu[a - 1]
+    base = 2 * L if a == 1 else 0
     out = []
     for i2 in dict.fromkeys(node):
-        bx = box(at, a, i2, vacancy2(at, L, nu, a, i2))
+        bx = box(at, a, i2, _row_vacancy(row, base, nu, i2))
         if not bx:
             return None
         out.append((a, i2, node.count(i2), bx))
     return out
-
-
-def is_admissible_config(at: AffineType, L: int, nu) -> bool:
-    """Every occupied length has room for a rigging.
-
-    Checking occupied lengths only is equivalent to checking every index.
-    """
-    return all(_node_groups(at, L, nu, a) is not None
-               for a in range(1, at.n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -217,10 +215,11 @@ def _admissible(at: AffineType, lam, L: int):
     of its row of ``_vacancy_table`` is placed, on a chain one node later,
     and a prefix that fails is not extended.
     """
-    sizes = normalized_sizes(at, lam, L)
+    tb = tables(at)
+    sizes = _normalized_sizes(tb, tuple(lam), L)
     if sizes is None:
         return ()
-    up2, rows = _vacancy_table(at)
+    up2, rows = tb._vacancy_table
     n = at.n
     per_node = [
         [tuple(p * up2[a] for p in part) for part in _partitions(c)]
@@ -236,7 +235,7 @@ def _admissible(at: AffineType, lam, L: int):
         for part in per_node[d]:
             nu[d] = part
             for a in due[d]:
-                groups[a - 1] = _node_groups(at, L, nu, a)
+                groups[a - 1] = _node_groups(at, L, nu, a, rows[a - 1])
                 if groups[a - 1] is None:
                     break
             else:
@@ -246,11 +245,6 @@ def _admissible(at: AffineType, lam, L: int):
                     yield tuple(nu), [g for gs in groups for g in gs]
 
     return place(0)
-
-
-def enumerate_configs(at: AffineType, lam, L: int):
-    """All admissible lam-configurations (configuration parts only)."""
-    return [nu for nu, _groups in _admissible(at, lam, L)]
 
 
 def cc_configs(at: AffineType, lam, L: int):
@@ -335,8 +329,8 @@ def validate_rc(at: AffineType, lam, L: int, rc) -> None:
 def validate_config(cf: Config, lam) -> None:
     """validate_rc of cf.rc at the weight lam, reading cf's vacancies."""
     at = cf.at
-    up2 = kac_data(at).up2
-    sizes = normalized_sizes(at, lam, cf.L)
+    up2 = cf.tb.kac_data.up2
+    sizes = _normalized_sizes(cf.tb, tuple(lam), cf.L)
     if sizes is None:
         raise InvalidRC("no configurations exist for this weight")
     for a in range(at.n):
@@ -347,7 +341,7 @@ def validate_config(cf: Config, lam) -> None:
     out_of_box = False  # reported once every length is known admissible
     for a in range(1, at.n + 1):
         for ln, rigs in cf.by[a - 1].items():
-            bx = cf.box(a, ln)
+            bx = box(at, a, ln, cf.vac(a, ln))
             if not bx:
                 raise InvalidRC("inadmissible configuration")
             if not out_of_box:
@@ -363,8 +357,9 @@ def cc2_config(at: AffineType, nu) -> int:
     _vacancy_table, the doubled cc is
     -1/2 sum_a t^vee_a sum_b C[a][b] sum_{x in nu^(a), y in nu^(b)} min(x, y).
     """
-    t_vee = kac_data(at).t_vee
-    _up2, rows = _vacancy_table(at)
+    tb = tables(at)
+    t_vee = tb.kac_data.t_vee
+    _up2, rows = tb._vacancy_table
     total = 0
     for a, row in enumerate(rows):
         for b, c in row:
@@ -377,12 +372,9 @@ def cc2_config(at: AffineType, nu) -> int:
 
 def cc2_total(at: AffineType, rc) -> int:
     """Doubled cc statistic: configuration part plus weighted rigging area."""
-    kd = kac_data(at)
-    total = cc2_config(at, config_of(rc))
-    for a in range(1, at.n + 1):
-        tv = kd.t_vee[a - 1]
-        total += tv * sum(rg for _ln, rg in rc[a - 1])
-    return total
+    t_vee = tables(at).kac_data.t_vee
+    return cc2_config(at, config_of(rc)) + sum(
+        tv * rg for tv, node in zip(t_vee, rc) for _ln, rg in node)
 
 
 def complement(at: AffineType, L: int, rc):
@@ -438,51 +430,49 @@ def fermionic(at: AffineType, configs) -> QPoly:
 
 
 def rc_to_json(at: AffineType, lam, L: int, rc) -> dict:
-    return {
-        "type": at.family,
-        "n": at.n,
-        "L": L,
-        "lambda": list(lam),
-        "nu": [
-            {
-                "a": a,
-                "strings": [
-                    {"len2": ln, "rig2": rg} for ln, rg in rc[a - 1]
-                ],
-            }
-            for a in range(1, at.n + 1)
-        ],
-    }
+    nu = [{"a": a, "strings": [{"len2": ln, "rig2": rg} for ln, rg in node]}
+          for a, node in enumerate(rc, 1)]
+    return {"type": at.family, "n": at.n, "L": L, "lambda": list(lam), "nu": nu}
+
+
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _json_as(kind, x, what: str):
+    """x, when its JSON kind is kind (int, list or dict); else InvalidRC."""
+    if type(x) is not kind:
+        raise InvalidRC("%s must be %s, got %r" % (what, _JSON_KINDS[kind], x))
+    return x
 
 
 def _json_int(x, what: str) -> int:
-    if type(x) is not int:
-        raise InvalidRC("%s must be an integer, got %r" % (what, x))
-    return x
+    return _json_as(int, x, what)
 
 
 def rc_from_json(data: dict):
     """(type, weight, L, rc) of rigged-configuration JSON.
 
-    Raises InvalidRC on a missing key, a non-integer entry or a node index
-    outside 1..n, and ValueError on an unknown family.
+    Raises InvalidRC on a missing key, an entry of the wrong JSON kind (the
+    weight, nu and each node's strings are lists, each node and string an
+    object) or a node index outside 1..n, and ValueError on an unknown
+    family.
     """
     try:
         at = AffineType(data["type"], _json_int(data["n"], "n"))
-        lam = tuple(_json_int(x, "a lambda entry") for x in data["lambda"])
+        lam = tuple(_json_int(x, "a lambda entry")
+                    for x in _json_as(list, data["lambda"], "lambda"))
         L = _json_int(data["L"], "L")
         nodes = [[] for _ in range(at.n)]
-        for entry in data["nu"]:
-            a = _json_int(entry["a"], "a")
+        for entry in _json_as(list, data["nu"], "nu"):
+            a = _json_int(_json_as(dict, entry, "a node")["a"], "a")
             if not 1 <= a <= at.n:
                 raise InvalidRC("node index %r outside 1..%d" % (a, at.n))
-            for s in entry["strings"]:
+            for s in _json_as(list, entry["strings"], "strings"):
+                s = _json_as(dict, s, "a string")
                 nodes[a - 1].append(
                     (_json_int(s["len2"], "len2"), _json_int(s["rig2"], "rig2"))
                 )
     except KeyError as exc:
         raise InvalidRC("missing key %s" % exc)
-    except TypeError as exc:
-        raise InvalidRC("malformed JSON: %s" % exc)
     rc = tuple(tuple(sorted(node, reverse=True)) for node in nodes)
     return at, lam, L, rc

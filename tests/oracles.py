@@ -9,8 +9,12 @@ is evidence that both are right.  The Kac data by hand tables
 space by hand (``is_dominant_by_family`` and its neighbours) what it reads
 off the gbar simple roots.  The tensor rule on words (``tensor_e``,
 ``tensor_f``) is the crystal's definition, which
-``enumerate_highest_bruteforce`` applies to every word.
-``verify_delta_identities`` checks the paper's per-step identities (the
+``enumerate_highest_bruteforce`` applies to every word.  The column sums
+in Fractions (``iota_image_by_fractions``) check the doubled integer ones
+that ``rcbij.rc.normalized_sizes`` reads, and ``rest_weight_rule`` the
+memo of ``rcbij.crystal.rest_weight``.  ``is_admissible_config`` and
+``enumerate_configs`` read the production admissible pass, for tests that
+compare it with the full check.  ``verify_delta_identities`` checks the paper's per-step identities (the
 change of the vacancy numbers and of cc across one removal step) against
 ``delta``.
 """
@@ -23,7 +27,6 @@ from rcbij.bijection import DeltaTrace, NoPreimage, delta
 from rcbij.cartan import (
     AffineType,
     form2_matrix,
-    iota_image,
     is_dominant,
     kac_data,
     simple_root_vectors,
@@ -42,6 +45,9 @@ from rcbij.energy import local_hbar
 from rcbij.rc import (
     INF,
     InvalidRC,
+    _admissible,
+    _node_groups,
+    _vacancy_table,
     box,
     cc2_total,
     complement,
@@ -174,15 +180,57 @@ def dominant_weights_by_family(at: AffineType, L: int):
     return sorted(out)
 
 
+def iota_image_by_fractions(at: AffineType, lam, L: int):
+    """The coordinates of L*eps_1 - lam in g0bar's simple roots, in
+    Fractions: partial sums, halved at C's last root and D's fork.  For
+    type A it ignores whether lam has size L."""
+    n = at.n
+    v = [Fraction(-x) for x in lam]
+    v[0] += L
+    partial = [sum(v[:k]) for k in range(1, n + 1)]
+    kind = G0BAR[at.family]
+    if kind == "C":
+        return tuple(partial[:-1] + [partial[-1] / 2])
+    if kind == "D":
+        s = partial[n - 2]
+        return tuple(partial[: n - 2] + [(s - v[n - 1]) / 2,
+                                         (s + v[n - 1]) / 2])
+    return tuple(partial)
+
+
 def normalized_sizes_by_family(at: AffineType, lam, L: int):
     """The column sums when they are nonnegative integers, else None; a
     type A weight has them only when it has size L."""
     if at.family == "A1" and sum(lam) != L:
         return None
-    c = iota_image(at, lam, L)
+    c = iota_image_by_fractions(at, lam, L)
     if any(x.denominator != 1 or x < 0 for x in c):
         return None
     return tuple(int(x) for x in c)
+
+
+def rest_weight_rule(at: AffineType, lam, b):
+    """lam - wt(b) where it is dominant and, for the zero letter, lam_n > 0;
+    else None.  Computed afresh on every call."""
+    rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
+    if not is_dominant(at, rho) or (b == 0 and lam[at.n - 1] <= 0):
+        return None
+    return rho
+
+
+def is_admissible_config(at: AffineType, L: int, nu) -> bool:
+    """Every occupied length has room for a rigging, by the pass's check.
+
+    Checking occupied lengths only is equivalent to checking every index.
+    """
+    rows = _vacancy_table(at)[1]
+    return all(_node_groups(at, L, nu, a, rows[a - 1]) is not None
+               for a in range(1, at.n + 1))
+
+
+def enumerate_configs(at: AffineType, lam, L: int):
+    """All admissible lam-configurations (configuration parts only)."""
+    return [nu for nu, _groups in _admissible(at, lam, L)]
 
 
 def vacancy2_by_family(at: AffineType, L: int, nu, a: int, i2: int) -> int:

@@ -12,26 +12,33 @@ from oracles import (
     GBAR,
     dominant_weights_by_family,
     form2_by_table,
+    iota_image_by_fractions,
     is_dominant_by_family,
     kac_by_table,
     normalized_sizes_by_family,
     theta0_by_table,
     weight_len_by_family,
 )
+from rcbij import cartan
+from rcbij.bijection import _end
 from rcbij.cartan import (
     FAMILIES,
     AffineType,
     RankError,
+    Tables,
     coroot_pairings,
     dominant_weights,
     form2_matrix,
+    iota2,
     iota_image,
     is_dominant,
     kac_data,
     simple_root_vectors,
+    tables,
     theta0,
 )
-from rcbij.rc import _normalized_sizes, normalized_sizes
+from rcbij.crystal import letters
+from rcbij.rc import _normalized_sizes, _vacancy_table, normalized_sizes
 
 
 def test_rank_ranges_enforced():
@@ -188,7 +195,9 @@ def test_weight_space_matches_hand_rules():
 
     Dominance on the signed box [-2, 2]^k for k <= 5; the weights for
     L <= 7 at ranks <= 3 and L <= 4 above; the column sums on all of those
-    cells, and on type A weights at a length they do not sum to.
+    cells, and on type A weights at a length they do not sum to.  The
+    hand rule reads the column sums in Fractions, so the doubled integer
+    ones are held to that route too, and so is their halving reader.
     """
     cells = 0
     for at in buildable_types():
@@ -205,10 +214,46 @@ def test_weight_space_matches_hand_rules():
                 cells += 1
                 assert normalized_sizes(at, lam, L) == (
                     normalized_sizes_by_family(at, lam, L)), (at, lam, L)
+                assert iota_image(at, lam, L) == (
+                    iota_image_by_fractions(at, lam, L)), (at, lam, L)
                 if at.family == "A1":  # no column sums at another length
                     assert normalized_sizes(at, lam, L + 1) is None
                     assert normalized_sizes_by_family(at, lam, L + 1) is None
     assert cells == 17274
+
+
+def test_normalized_sizes_build_no_fraction(monkeypatch):
+    # the column sums are doubled ints: a cell without configurations is
+    # found by parity or sign, and no Fraction is built on the way
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(cartan, "Fraction", no_fraction)
+    for at in GRID_TYPES:
+        fresh = Tables(at)  # not the shared object: its memos start empty
+        for L in range(6):
+            # and one weight too long for L, whose first column sum is < 0
+            over = (L + 1,) + (0,) * (at.weight_len - 1)
+            for lam in dominant_weights(at, L) + [over]:
+                want = normalized_sizes_by_family(at, lam, L)
+                assert _normalized_sizes(fresh, lam, L) == want, (at, lam, L)
+        assert None in fresh.sizes.values(), at
+
+
+def test_equal_types_share_one_table_object():
+    # whichever equal instance builds a table first, every other reads
+    # that object: the relaxed instance of an in-range rank too
+    plain, relaxed = AffineType("C1", 3), AffineType("C1", 3, relax_rank=True)
+    assert plain == relaxed and plain is not relaxed
+    assert tables(relaxed) is tables(plain) is tables(AffineType("C1", 3))
+    assert kac_data(relaxed) is kac_data(plain)
+    assert letters(relaxed) is letters(AffineType("C1", 3))
+    assert _vacancy_table(plain) is tables(relaxed)._vacancy_table
+    assert _end(relaxed) is tables(plain)._end
+    assert tables(AffineType("C1", 4)) is not tables(plain)
+    assert tables(AffineType("A2odd", 3)) is not tables(plain)
+    with pytest.raises(AttributeError):
+        tables(plain).no_such_table
 
 
 def test_dominance_examples():
@@ -302,8 +347,8 @@ def test_family_name_tests_ratchet():
     assert len(KIND_TEST.findall(text)) <= 5
     # the weight space is read off the gbar roots, with no family or kind
     for fn in (AffineType.weight_len.func, AffineType.root_entries.func,
-               AffineType.roots_sum_zero.func, is_dominant, iota_image,
-               dominant_weights, _normalized_sizes):
+               AffineType.roots_sum_zero.func, is_dominant, iota2,
+               iota_image, dominant_weights, _normalized_sizes):
         body = inspect.getsource(fn)
         assert ".family" not in body and not KIND_TEST.search(body), fn
     # the diagram's ends are read off its data, never off the family code,

@@ -286,6 +286,15 @@ def test_usage_errors(capsys, tmp_path):
         bad.append(dict(rc, nu=[node, rc["nu"][1]]))
     bad.append({k: v for k, v in rc.items() if k != "nu"})  # no nu
     bad.append([rc])  # not an object
+    # lambda, nu and each node's strings are lists, even when empty, and
+    # each node and string an object
+    empty = dict(rc, L=0, **{"lambda": [0, 0]})
+    bad += [dict(empty, nu={}), dict(empty, **{"lambda": {}})]
+    for strings in ({}, ""):
+        bad.append(dict(empty, nu=[{"a": 1, "strings": strings}]))
+    bad.append(dict(rc, nu=[[1, [[4, 2]]], rc["nu"][1]]))  # a node as a list
+    node = {"a": 1, "strings": [[4, 2]]}  # a string as a list
+    bad.append(dict(rc, nu=[node, rc["nu"][1]]))
     for blob in bad:
         code = run(["map", "--dir", "rc2path"], stdin_text=json.dumps(blob))[0]
         assert code == 2
@@ -301,7 +310,7 @@ def test_usage_errors(capsys, tmp_path):
         gridfile.write_text(json.dumps({"cells": [cell]}))
         assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 33 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 39 and all(ln.startswith("error: ") for ln in lines)
     # relaxed ranks with no diagram to read, and D2 n=1, are refused by
     # every command that takes a type
     for fam, n in (("D1", 1), ("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1)):

@@ -1,6 +1,7 @@
+from collections import Counter
 from itertools import product
 
-from conftest import GRID_TYPES
+from conftest import BATTERY_MAX_LEN, GRID_TYPES
 from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import (
     EMPTY,
@@ -9,6 +10,7 @@ from rcbij.crystal import (
     enumerate_highest,
     letter_str,
     letters,
+    rest_weight,
     wt_letter,
     wt_path,
 )
@@ -17,6 +19,7 @@ from oracles import (
     enumerate_highest_bruteforce,
     eps_phi_word,
     is_classically_highest,
+    rest_weight_rule,
     tensor_e,
     tensor_f,
     zero_step_vector,
@@ -192,6 +195,26 @@ def test_highest_zero_letter_condition():
     assert (0, 1) in enumerate_highest(at, (1,), 2)
     for word in enumerate_highest(at, (0,), 2):
         assert word[0] != 0
+
+
+def test_rest_weight_memo_matches_rule():
+    # every letter off every battery weight to L = 6, asked twice (the
+    # second time the memo answers) and once with the weight as a list
+    seen = Counter()
+    for at in GRID_TYPES:
+        for L in range(BATTERY_MAX_LEN + 1):
+            for lam in dominant_weights(at, L):
+                for b in letters(at):
+                    want = rest_weight_rule(at, lam, b)
+                    assert rest_weight(at, lam, b) == want, (at, lam, b)
+                    assert rest_weight(at, lam, b) == want, (at, lam, b)
+                    assert rest_weight(at, list(lam), b) == want, (at, lam, b)
+                    seen[want is None, b == 0, lam[at.n - 1] > 0] += 1
+    # None off the dominant chamber; the zero letter comes off exactly
+    # where lam_n > 0, although lam - wt(0) = lam is always dominant
+    assert seen[True, False, False] and seen[True, False, True]
+    assert seen[True, True, False] and seen[False, True, True]
+    assert not seen[False, True, False] and not seen[True, True, True]
 
 
 def test_highest_matches_bruteforce():

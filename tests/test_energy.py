@@ -1,10 +1,13 @@
+import pytest
+
 from conftest import GRID_TYPES
+from rcbij import energy
 from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import EMPTY, enumerate_highest, letters
 from rcbij.energy import (
+    PropagationError,
     b_natural,
     dbar,
-    ebar,
     local_hbar,
     xbar,
 )
@@ -17,6 +20,17 @@ def test_propagation_covers_all_pairs():
     for at in GRID_TYPES:
         h = local_hbar(at)
         assert len(h) == len(letters(at)) ** 2
+
+
+def test_disconnected_pair_graph_refused(monkeypatch):
+    # without its 0-arrows the pair graph of C1 n=2 falls apart into the
+    # classical components of B (x) B; the build names how many of the
+    # |B|^2 = 16 pairs it reached (the 10 of the component of 1 (x) 1)
+    pair_e = energy._pair_e
+    monkeypatch.setattr(energy, "_pair_e",
+                        lambda at, i, p: pair_e(at, i, p) if i else None)
+    with pytest.raises(PropagationError, match=r"reached 10 of 16$"):
+        local_hbar.__wrapped__(AffineType("C1", 2))
 
 
 def test_h_normalization():

@@ -22,10 +22,8 @@ from rcbij.rc import (
     cc2_total,
     complement,
     config_of,
-    enumerate_configs,
     enumerate_rc,
     fermionic_m,
-    is_admissible_config,
     normalized_sizes,
     rc_from_json,
     rc_genfun,
@@ -34,6 +32,8 @@ from rcbij.rc import (
     validate_rc,
 )
 from oracles import (
+    enumerate_configs,
+    is_admissible_config,
     is_admissible_config_full,
     vacancy2_by_family,
     vacancy2_general,

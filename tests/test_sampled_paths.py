@@ -17,7 +17,11 @@ configuration the removal steps pass through.
 import random
 
 from conftest import EXTENDED, GRID_TYPES
-from oracles import is_classically_highest, verify_delta_identities
+from oracles import (
+    is_admissible_config,
+    is_classically_highest,
+    verify_delta_identities,
+)
 from rcbij.bijection import NoPreimage, delta, phi, phi_inverse
 from rcbij.cartan import form2_matrix, is_dominant, kac_data
 from rcbij.crystal import letters, rest_weight, wt_letter, wt_path
@@ -27,7 +31,6 @@ from rcbij.rc import (
     box,
     cc2_total,
     complement,
-    is_admissible_config,
     normalized_sizes,
     vacancy2,
     validate_rc,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import EXTENDED, out_of_box
+from oracles import enumerate_configs
 from rcbij import energy, rc as rc_mod, verify
 from rcbij.bijection import NoPreimage
 from rcbij.cartan import AffineType
@@ -24,7 +25,6 @@ from rcbij.rc import (
     cc_configs,
     complement,
     complements,
-    enumerate_configs,
     enumerate_rc,
     fermionic_m,
     rc_from_json,

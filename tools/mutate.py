@@ -60,6 +60,15 @@ EQUIVALENT = [
     ("cartan.py", "combinations_with_replacement(range(L, -1, -1)", "1 -> 2",
      "a head entry of -1 makes the head end in -1, so the last entry's "
      "range(1 or 0, 0) is empty and the weight is never built"),
+    ("crystal.py", "EMPTY = 10 ** 6", "10 -> 11",
+     "the sentinel only has to exceed every letter (at most n + 1), and "
+     "JSON and the CLI write it as E, never as its value"),
+    ("crystal.py", "EMPTY = 10 ** 6", "6 -> 7",
+     "the sentinel only has to exceed every letter (at most n + 1), and "
+     "JSON and the CLI write it as E, never as its value"),
+    ("crystal.py", "v[abs(b) - 1] = 1 if b > 0 else -1", "> -> >=",
+     "the line is reached only for a letter b other than 0 and E, where "
+     "b > 0 and b >= 0 agree"),
     ("rc.py", "return range(lo, p2 - lo + 1, 2)", "1 -> 2",
      "every doubled vacancy is even (C[a][b] is even wherever node a's or "
      "node b's lattice is odd), so the end p2 - lo + 2 adds no value to "
