@@ -73,6 +73,9 @@ EQUIVALENT = [
      "every doubled vacancy is even (C[a][b] is even wherever node a's or "
      "node b's lattice is odd), so the end p2 - lo + 2 adds no value to "
      "the step-2 range"),
+    ("rc.py", "base = 2 * L if a == 1 else 0", "0 -> 1",
+     "in the admissible pass the vacancy only sets the box, and every "
+     "doubled vacancy is even, so p2 + 1 gives box the same riggings"),
     ("rc.py", "total += c * (x if x < i2 else i2)", "< -> <=",
      "x if x <= i2 else i2 is min(x, i2) as well"),
     ("rc.py", "area = sum(x if x < y else y", "< -> <=",
