@@ -15,9 +15,11 @@ complementation gives the statistic-preserving variant.
 Neither step re-checks its result: phi and phi_inverse check each step,
 and ``rcbij.verify`` each one its level table of certified configurations
 lacks.  phi and phi_inverse build one ``Config`` per configuration, which
-the step, its check and the next step all read.  Traces record the
-selected lengths (doubled, INF when undefined) and the case flags, in
-which the change-of-vacancy and change-of-statistic identities are stated
+the step, its check and the next step all read.  Only the public delta
+builds a ``DeltaTrace``, off its ``_Scan``: phi, phi_inverse and verify's
+``delta_step`` build none.  A trace records the selected lengths
+(doubled, INF when undefined) and the case flags, in which the
+change-of-vacancy and change-of-statistic identities are stated
 (tests/oracles.py checks them).
 """
 
@@ -69,11 +71,11 @@ class _Scan:
     def min_sing(self, a, lo, need_two_at=None):
         """Minimal occupied length >= lo with a singular string, or two
         where it is need_two_at (the forward scan claimed one there)."""
-        cf = self.cf
-        for i2 in sorted(cf.by[a - 1]):
+        by, p2 = self.cf.by[a - 1], self.cf.p2[a - 1]
+        for i2 in reversed(by):  # shortest first
             if i2 < lo:
                 continue
-            cnt = cf.count(a, i2)
+            cnt = by[i2].count(p2[i2])
             if cnt >= 2 or (cnt == 1 and i2 != need_two_at):
                 return i2
         return None
@@ -179,15 +181,16 @@ class _NodeN:
         prev = sc.fwd(n - 1)
         if prev is None:
             return
-        cf, half, quasi = sc.cf, self.half, self.quasi
+        half, quasi = self.half, self.quasi
+        by, p2 = sc.cf.by[n - 1], sc.cf.p2[n - 1]
         col = 1 if half else 2  # doubled
-        for i2 in sorted(cf.by[n - 1]):
+        for i2 in reversed(by):  # shortest first
             if i2 < (prev - 1 if half else prev):
                 continue
-            if cf.count(n, i2):
+            if p2[i2] in by[i2]:  # a singular string
                 off = 0
                 break
-            if quasi and i2 >= prev and cf.count(n, i2, quasi):
+            if quasi and i2 >= prev and p2[i2] - quasi in by[i2]:
                 off = quasi
                 break
         else:
@@ -272,12 +275,22 @@ def delta(at: AffineType, lam, L: int, rc):
     configuration is not validated here: for a valid rc it is valid, and
     phi checks it on the way down.
     """
-    return _delta(Config(at, L, rc), lam)
+    b, rc2, sc = _delta(Config(at, L, rc), lam)
+    nodes = range(1, at.n + 1)
+    trace = DeltaTrace(tuple(sc.ell.get(a, INF) for a in nodes),
+                       tuple(sc.ellbar.get(a, INF) for a in nodes),
+                       tuple(sc.cases.get(a, "") for a in nodes), b)
+    return b, rc2, trace
+
+
+def delta_step(at: AffineType, lam, L: int, rc):
+    """delta without its trace: (letter, smaller rc)."""
+    return _delta(Config(at, L, rc), lam)[:2]
 
 
 def _delta(cf, lam):
-    """delta of cf.rc at the weight lam, reading cf's vacancies."""
-    at, L, n = cf.at, cf.L, cf.at.n
+    """delta of cf.rc at lam: the letter, the smaller rc and its _Scan."""
+    L, n = cf.L, cf.at.n
     if L < 1:
         raise ValueError("delta needs L >= 1")
     sc = _Scan(cf)
@@ -294,24 +307,18 @@ def _delta(cf, lam):
         if cases.get(a) == "S":
             removals.append((a, ellbar[a], 0, 4, 0))
         else:
-            removals.extend((a, sel[a], 0, 2, 0) for sel in (ell, ellbar)
-                            if a in sel)
+            for sel in (ell, ellbar):
+                if a in sel:
+                    removals.append((a, sel[a], 0, 2, 0))
 
     b = sc.b
-    rho = _rest_weight(cf.tb, tuple(lam), b)
-    if rho is None:
+    if _rest_weight(cf.tb, tuple(lam), b) is None:
         raise InvalidRC("letter %s cannot come off the weight %r" % (b, lam))
 
     rc2 = _move_strings(
         cf, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
     )
-    trace = DeltaTrace(
-        ell=tuple(ell.get(a, INF) for a in range(1, n + 1)),
-        ellbar=tuple(ellbar.get(a, INF) for a in range(1, n + 1)),
-        cases=tuple(cases.get(a, "") for a in range(1, n + 1)),
-        rank=b,
-    )
-    return b, rc2, trace
+    return b, rc2, sc
 
 
 def _move_strings(cf, L2, moves):
@@ -324,7 +331,7 @@ def _move_strings(cf, L2, moves):
     nodes = [list(node) for node in cf.rc]
     for a, len2, off, _new_len2, _new_off in moves:
         if len2:
-            nodes[a - 1].remove((len2, cf.vac(a, len2) - off))
+            nodes[a - 1].remove((len2, cf.p2[a - 1][len2] - off))
     grown = [(a, len2, off) for a, _len2, _old_off, len2, off in moves
              if len2 > 0]
     # the result's vacancies depend on its lengths only
@@ -333,7 +340,7 @@ def _move_strings(cf, L2, moves):
         nu[a - 1].append(len2)
     for a, len2, off in grown:
         nodes[a - 1].append((len2, _vacancy(cf.tb, L2, nu, a, len2) - off))
-    return tuple(tuple(sorted(node, reverse=True)) for node in nodes)
+    return tuple([tuple(sorted(node, reverse=True)) for node in nodes])
 
 
 def phi(at: AffineType, lam, L: int, rc):
@@ -345,7 +352,7 @@ def phi(at: AffineType, lam, L: int, rc):
     word = []
     cur_lam, cf = tuple(lam), Config(at, L, rc)
     for step in range(L, 0, -1):
-        b, small, _tr = _delta(cf, cur_lam)
+        b, small, _sc = _delta(cf, cur_lam)
         word.append(b)
         cur_lam = _rest_weight(cf.tb, cur_lam, b)
         cf = Config(at, step - 1, small)
@@ -375,12 +382,13 @@ class _Fill:
 
     def free(self, a, i2, off):
         """A string of length i2 at node a, off below its vacancy, untaken."""
+        rigs, p2 = self.cf.by[a - 1].get(i2), self.cf.p2[a - 1].get(i2)
         taken = sum(1 for r in self.additions if r[:3] == (a, i2, off))
-        return self.cf.count(a, i2, off) > taken
+        return rigs is not None and rigs.count(p2 - off) > taken
 
     def longest(self, a, hi, off=0):
         """Longest len2 <= hi at node a with a free string off below, or 0."""
-        for i2 in sorted(self.cf.by[a - 1], reverse=True):
+        for i2 in self.cf.by[a - 1]:  # longest first
             if i2 <= hi and self.free(a, i2, off):
                 return i2
         return 0

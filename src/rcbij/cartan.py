@@ -117,20 +117,18 @@ class AffineType:
     @cached_property
     def weight_len(self) -> int:
         """Length of a gbar simple-root vector: n+1 for type A, else n."""
-        return len(simple_root_vectors(self, which="gbar")[0])
+        return tables(self)._weight_space[0]
 
     @cached_property
     def root_entries(self) -> tuple:
         """(i, c, j, d) per gbar simple root: its nonzero entries, so that
         it pairs with lam as c lam_i + d lam_j (d = 0 where it has one)."""
-        nz = [[(k, x) for k, x in enumerate(v) if x] + [(0, 0)]
-              for v in simple_root_vectors(self, which="gbar")]
-        return tuple(e[0] + e[1] for e in nz)
+        return tables(self)._weight_space[1]
 
     @cached_property
     def roots_sum_zero(self) -> bool:
         """Every gbar simple root sums to 0 (type A), so all of their span."""
-        return not any(map(sum, simple_root_vectors(self, which="gbar")))
+        return tables(self)._weight_space[2]
 
     def __str__(self):
         return "%s(n=%d)" % (self.family, self.n)
@@ -165,6 +163,15 @@ def per_type(build):
     """build(at) as the table of its name; returns the table's reader."""
     _BUILDERS[build.__name__] = build
     return wraps(build)(lambda at: getattr(tables(at), build.__name__))
+
+
+@per_type
+def _weight_space(at: AffineType) -> tuple:
+    """weight_len, root_entries and roots_sum_zero, off the gbar roots."""
+    roots = simple_root_vectors(at, which="gbar")
+    nz = [[(k, x) for k, x in enumerate(v) if x] + [(0, 0)] for v in roots]
+    return (len(roots[0]), tuple(e[0] + e[1] for e in nz),
+            not any(map(sum, roots)))
 
 
 @dataclass(frozen=True)

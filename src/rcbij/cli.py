@@ -173,10 +173,12 @@ def cmd_map(args) -> int:
     if not isinstance(letters_in, list):
         _usage_error("invalid path: the word is not a list of letters")
     known = {letter_str(b): b for b in letters(at)}
-    unknown = [s for s in letters_in if str(s) not in known]
-    if unknown:
-        _usage_error("%r is not a letter of %s" % (unknown[0], at))
-    word = tuple(known[str(s)] for s in letters_in)
+    for s in letters_in:
+        if type(s) is not str:  # "1", never the JSON number 1
+            _usage_error("invalid path: letters are strings, not %r" % (s,))
+        if s not in known:
+            _usage_error("%r is not a letter of %s" % (s, at))
+    word = tuple(known[s] for s in letters_in)
     lam = wt_path(at, word)
     L = len(word)
     try:

@@ -8,15 +8,11 @@ Representation conventions, used across the package:
 * a rigged configuration ``rc`` is the same shape with (len2, rig2)
   pairs, sorted descending; riggings are doubled too.  This normal form
   is the value that is compared, hashed and written as JSON.
-* ``Config`` wraps one rc for the code that reads it string by string:
-  the strings grouped by length at each node, and each vacancy number
-  computed once, when first asked for, by ``vacancy2``.  One is built per
-  configuration a map reads: ``phi`` builds one for rc and one for each
-  smaller configuration, which ``validate_config`` checks and the next
-  delta steps on; a ``phi_inverse`` step builds one for the box addition,
-  which ``validate_config``, the confirming delta and the next box
-  addition all read.  ``delta``, ``delta_inverse``, ``validate_rc`` and
-  ``complement`` build one for the rc they are given.
+* ``Config`` wraps one rc for the code that reads it string by string
+  (``validate_config``, ``complement`` and the steps of ``bijection``):
+  at each node the strings grouped by length, longest first whatever the
+  order of rc, and the doubled vacancy of each occupied length, computed
+  in one pass when it is built.
 * Enumeration builds no ``Config``: ``_admissible`` places a
   configuration node by node and reads the vacancies of each occupied
   length once, pruning as it goes.  ``cc_configs`` pairs each admissible
@@ -140,42 +136,37 @@ def config_of(rc):
 class Config:
     """A rigged configuration at length L, read string by string.
 
-    rc is the rigged configuration, in normal form wherever more than its
-    vacancies is read, and nu its configuration.  by[a-1] maps each
-    occupied len2 at node a to its riggings, largest first.  Vacancies
-    are computed once per (node, length), when first asked for.
+    rc is the rigged configuration and nu its configuration.  by[a-1] and
+    p2[a-1] map each occupied len2 at node a, longest first whatever the
+    order of rc, to its riggings and to its doubled vacancy.
     """
 
-    __slots__ = ("at", "tb", "L", "rc", "nu", "by", "_vac")
+    __slots__ = ("at", "tb", "L", "rc", "nu", "by", "p2")
 
     def __init__(self, at: AffineType, L: int, rc):
         self.at = at
         self.tb = tables(at)
         self.L = L
         self.rc = rc
-        self.nu = config_of(rc)
-        self.by = []
-        for node in rc:
-            by = {}
-            for ln, rg in node:
-                by.setdefault(ln, []).append(rg)
+        self.nu = nu = config_of(rc)
+        self.by, self.p2 = [], []
+        total = 2 * L  # node 1's part of the vacancy
+        for node, row in zip(rc, self.tb._vacancy_table[1]):
+            by, p2 = {}, {}
+            for ln, rg in sorted(node, reverse=True):
+                if ln in by:
+                    by[ln].append(rg)
+                else:  # no lattice check: validate_config reports that
+                    by[ln] = [rg]
+                    p2[ln] = _row_vacancy(row, total, nu, ln)
             self.by.append(by)
-        self._vac = {}
+            self.p2.append(p2)
+            total = 0
 
     def vac(self, a: int, i2: int) -> int:
-        """The doubled vacancy at node a, doubled length i2."""
-        p2 = self._vac.get((a, i2))
-        if p2 is None:
-            p2 = self._vac[a, i2] = _vacancy(self.tb, self.L, self.nu, a, i2)
-        return p2
-
-    def count(self, a: int, i2: int, off2: int = 0) -> int:
-        """Strings of length i2 at node a rigged off2 below the vacancy.
-
-        off2 = 0 counts the singular strings.
-        """
-        rigs = self.by[a - 1].get(i2)
-        return rigs.count(self.vac(a, i2) - off2) if rigs else 0
+        """Doubled vacancy at node a, doubled length i2, occupied or not."""
+        p2 = self.p2[a - 1].get(i2)
+        return _vacancy(self.tb, self.L, self.nu, a, i2) if p2 is None else p2
 
 
 def _node_groups(at: AffineType, L: int, nu, a: int, row):
@@ -336,16 +327,18 @@ def validate_config(cf: Config, lam) -> None:
     for a in range(at.n):
         if sum(cf.nu[a]) != sizes[a] * up2[a]:
             raise InvalidRC("size constraint violated")
-        if any(ln <= 0 or ln % up2[a] for ln in cf.by[a]):
-            raise InvalidRC("length off lattice")
+        for ln in cf.by[a]:
+            if ln <= 0 or ln % up2[a]:
+                raise InvalidRC("length off lattice")
     out_of_box = False  # reported once every length is known admissible
-    for a in range(1, at.n + 1):
-        for ln, rigs in cf.by[a - 1].items():
-            bx = box(at, a, ln, cf.vac(a, ln))
+    for a, (by, p2) in enumerate(zip(cf.by, cf.p2), 1):
+        for ln, rigs in by.items():
+            bx = box(at, a, ln, p2[ln])
             if not bx:
                 raise InvalidRC("inadmissible configuration")
-            if not out_of_box:
-                out_of_box = any(rg not in bx for rg in rigs)
+            for rg in rigs:
+                if rg not in bx:
+                    out_of_box = True
     if out_of_box:
         raise InvalidRC("rigging out of box")
 
@@ -379,11 +372,10 @@ def cc2_total(at: AffineType, rc) -> int:
 
 def complement(at: AffineType, L: int, rc):
     """Complement every rigging in its box; an involution."""
-    cf = Config(at, L, rc)
+    p2 = Config(at, L, rc).p2
     return tuple(
-        tuple(sorted(((ln, cf.vac(a, ln) - rg) for ln, rg in node),
-                     reverse=True))
-        for a, node in enumerate(rc, 1)
+        tuple(sorted(((ln, p2[a][ln] - rg) for ln, rg in node), reverse=True))
+        for a, node in enumerate(rc)
     )
 
 
@@ -454,8 +446,8 @@ def rc_from_json(data: dict):
 
     Raises InvalidRC on a missing key, an entry of the wrong JSON kind (the
     weight, nu and each node's strings are lists, each node and string an
-    object) or a node index outside 1..n, and ValueError on an unknown
-    family.
+    object) or a node index outside 1..n or given twice, and ValueError on
+    an unknown family.
     """
     try:
         at = AffineType(data["type"], _json_int(data["n"], "n"))
@@ -463,10 +455,14 @@ def rc_from_json(data: dict):
                     for x in _json_as(list, data["lambda"], "lambda"))
         L = _json_int(data["L"], "L")
         nodes = [[] for _ in range(at.n)]
+        given = set()
         for entry in _json_as(list, data["nu"], "nu"):
             a = _json_int(_json_as(dict, entry, "a node")["a"], "a")
             if not 1 <= a <= at.n:
                 raise InvalidRC("node index %r outside 1..%d" % (a, at.n))
+            if a in given:
+                raise InvalidRC("node index %r given twice" % a)
+            given.add(a)
             for s in _json_as(list, entry["strings"], "strings"):
                 s = _json_as(dict, s, "a string")
                 nodes[a - 1].append(

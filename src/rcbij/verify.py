@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from .bijection import (
     NoPreimage,
-    delta,
     delta_inverse,
+    delta_step,
     phi,
     phi_inverse,
 )
@@ -153,7 +153,7 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
             if L == 0:
                 word = phi(at, lam, L, rc)
             else:
-                b, rc_small, _tr = delta(at, lam, L, rc)
+                b, rc_small = delta_step(at, lam, L, rc)
                 rho = rest_weight(at, lam, b)
                 steps.append((rc, b, rho, rc_small))
                 tail = below.get((rho, rc_small))

@@ -107,6 +107,34 @@ def test_trace_monotonicity():
                             assert (tr.ellbar[at.n - 1] // 2) % 2 == 0
 
 
+def _scrambled(rc):
+    """rc with every node's strings shortest first: out of normal form."""
+    return tuple(tuple(reversed(node)) for node in rc)
+
+
+def test_order_of_strings_changes_no_step():
+    """delta, delta_inverse and validate_rc read a node's strings in
+    normal-form order whatever the order they are given in."""
+    moved = 0
+    for at in SMALL_GRID:
+        for L in range(1, 5):
+            for lam in dominant_weights(at, L):
+                for rc in enumerate_rc(at, lam, L):
+                    mixed = _scrambled(rc)
+                    moved += mixed != rc
+                    b, small, tr = delta(at, lam, L, rc)
+                    assert delta(at, lam, L, mixed) == (b, small, tr)
+                    rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
+                    assert delta_inverse(at, b, rho, L - 1,
+                                         _scrambled(small)) == rc
+                    validate_rc(at, lam, L, mixed)
+                    bad = out_of_box(at, L, rc)
+                    if bad != rc:
+                        with pytest.raises(InvalidRC, match="out of box"):
+                            validate_rc(at, lam, L, _scrambled(bad))
+    assert moved > 100
+
+
 def test_phi_trivial():
     at = AffineType("D1", 4)
     assert phi(at, (3, 0, 0, 0), 3, empty_rc(at)) == (1, 1, 1)
@@ -160,8 +188,8 @@ def test_phi_validates_each_step(monkeypatch):
     real = bijection._delta
 
     def wrong(cf, lam):
-        b, small, tr = real(cf, lam)
-        return b, out_of_box(cf.at, cf.L - 1, small), tr
+        b, small, sc = real(cf, lam)
+        return b, out_of_box(cf.at, cf.L - 1, small), sc
 
     rcs = enumerate_rc(*FIVE)
     assert len(rcs) == 5

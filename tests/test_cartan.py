@@ -250,6 +250,10 @@ def test_equal_types_share_one_table_object():
     assert letters(relaxed) is letters(AffineType("C1", 3))
     assert _vacancy_table(plain) is tables(relaxed)._vacancy_table
     assert _end(relaxed) is tables(plain)._end
+    # a fresh instance reads its weight space off the shared table
+    fresh = AffineType("C1", 3)
+    assert fresh.root_entries is relaxed.root_entries \
+        is tables(plain)._weight_space[1]
     assert tables(AffineType("C1", 4)) is not tables(plain)
     assert tables(AffineType("A2odd", 3)) is not tables(plain)
     with pytest.raises(AttributeError):
@@ -347,8 +351,9 @@ def test_family_name_tests_ratchet():
     assert len(KIND_TEST.findall(text)) <= 5
     # the weight space is read off the gbar roots, with no family or kind
     for fn in (AffineType.weight_len.func, AffineType.root_entries.func,
-               AffineType.roots_sum_zero.func, is_dominant, iota2,
-               iota_image, dominant_weights, _normalized_sizes):
+               AffineType.roots_sum_zero.func, cartan._weight_space,
+               is_dominant, iota2, iota_image, dominant_weights,
+               _normalized_sizes):
         body = inspect.getsource(fn)
         assert ".family" not in body and not KIND_TEST.search(body), fn
     # the diagram's ends are read off its data, never off the family code,

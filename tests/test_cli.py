@@ -295,11 +295,14 @@ def test_usage_errors(capsys, tmp_path):
     bad.append(dict(rc, nu=[[1, [[4, 2]]], rc["nu"][1]]))  # a node as a list
     node = {"a": 1, "strings": [[4, 2]]}  # a string as a list
     bad.append(dict(rc, nu=[node, rc["nu"][1]]))
+    # a node index given twice, even with no strings the second time
+    bad.append(dict(rc, nu=rc["nu"] + [{"a": 1, "strings": []}]))
     for blob in bad:
         code = run(["map", "--dir", "rc2path"], stdin_text=json.dumps(blob))[0]
         assert code == 2
     for blob in ({"type": "Z1", "n": 2, "word": ["1"]}, {"type": "C1", "n": 2},
-                 ["1"]):  # unknown family; no word; not an object
+                 ["1"],  # unknown family; no word; not an object
+                 {"type": "A1", "n": 2, "word": [2, 1]}):  # JSON numbers
         code = run(["map", "--dir", "path2rc"], stdin_text=json.dumps(blob))[0]
         assert code == 2
     gridfile = tmp_path / "grid.json"
@@ -310,7 +313,7 @@ def test_usage_errors(capsys, tmp_path):
         gridfile.write_text(json.dumps({"cells": [cell]}))
         assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 39 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 41 and all(ln.startswith("error: ") for ln in lines)
     # relaxed ranks with no diagram to read, and D2 n=1, are refused by
     # every command that takes a type
     for fam, n in (("D1", 1), ("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1)):

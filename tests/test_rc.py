@@ -132,6 +132,27 @@ def test_vacancy_matches_general_formula():
                                 ), (at, L1, rc1, a, i2)
 
 
+def test_config_vacancies_are_vacancy2(battery):
+    """A Config's vacancies, computed when it is built, are vacancy2's on
+    every occupied length, longest first, of every battery configuration
+    to L = 6 and of each one's delta image."""
+    seen = 0
+    for (at, lam, L), (rcs, _answer) in battery.items():
+        for rc in rcs:
+            cells = [(L, rc)] + ([(L - 1, delta(at, lam, L, rc)[1])]
+                                 if L else [])
+            for L1, rc1 in cells:
+                cf, nu = Config(at, L1, rc1), config_of(rc1)
+                for a in range(1, at.n + 1):
+                    lens = sorted(set(nu[a - 1]), reverse=True)
+                    assert list(cf.by[a - 1]) == list(cf.p2[a - 1]) == lens
+                    for i2 in lens:
+                        assert cf.p2[a - 1][i2] == vacancy2(
+                            at, L1, nu, a, i2), (at, L1, rc1, a, i2)
+                        seen += 1
+    assert seen > 10000
+
+
 def _m_at(nu, a, i2, n):
     if not 1 <= a <= n:
         return 0

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import EXTENDED, out_of_box
 from oracles import enumerate_configs
-from rcbij import energy, rc as rc_mod, verify
+from rcbij import bijection, energy, rc as rc_mod, verify
 from rcbij.bijection import NoPreimage
 from rcbij.cartan import AffineType
 from rcbij.cli import main
@@ -168,13 +168,13 @@ def test_level_run_catches_wrong_delta(monkeypatch, at):
     The words of the smaller configurations then come from the table of
     the level below, so a table hit must not hide the wrong step.
     """
-    real = verify.delta
+    real = verify.delta_step
 
     def wrong(at, lam, L, rc):
-        b, small, tr = real(at, lam, L, rc)
-        return b, complement(at, L - 1, small), tr
+        b, small = real(at, lam, L, rc)
+        return b, complement(at, L - 1, small)
 
-    monkeypatch.setattr(verify, "delta", wrong)
+    monkeypatch.setattr(verify, "delta_step", wrong)
     levels = verify.Levels()
     checks = []
     for cell in verify.cells_for(at, 4):
@@ -193,13 +193,13 @@ def test_level_run_validates_a_missed_step(monkeypatch):
     the recursion would run on it; the failure names the first
     configuration whose step went wrong.
     """
-    real = verify.delta
+    real = verify.delta_step
 
     def wrong(at, lam, L, rc):
-        b, small, tr = real(at, lam, L, rc)
-        return b, out_of_box(at, L - 1, small), tr
+        b, small = real(at, lam, L, rc)
+        return b, out_of_box(at, L - 1, small)
 
-    monkeypatch.setattr(verify, "delta", wrong)
+    monkeypatch.setattr(verify, "delta_step", wrong)
     recursed = []  # the configurations verify_cell runs phi on
     real_phi = verify.phi
     monkeypatch.setattr(
@@ -236,13 +236,14 @@ def test_one_pass_per_cell(monkeypatch, cell):
     """verify_cell builds each side of a cell once.
 
     One path enumeration and one dbar per path; one admissible pass and
-    one cc2_config per configuration; and inside each phi and phi_inverse
-    it runs, one Config per configuration (L + 1 of them).
+    one cc2_config per configuration; one Config for each configuration's
+    delta step and one for its delta_inverse check; and inside each phi
+    and phi_inverse it runs, one Config per configuration (L + 1 of them).
     """
     paths = enumerate_highest(*cell)
     n_configs = len(enumerate_configs(*cell))
     calls = Counter()
-    configs_in = []  # (the map, its length, the Configs built in it)
+    configs_in = []  # (the map, its length L, the Configs built in it)
 
     def counted(name, fn):
         def wrapped(*args):
@@ -256,7 +257,7 @@ def test_one_pass_per_cell(monkeypatch, cell):
             try:
                 return fn(*args)
             finally:
-                L = args[2]
+                L = args[2] if name.startswith("phi") else None
                 configs_in.append((name, L, calls["Config"] - before))
         return wrapped
 
@@ -267,7 +268,7 @@ def test_one_pass_per_cell(monkeypatch, cell):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Config, "__init__",
                         counted("Config", Config.__init__))
-    for name in ("phi", "phi_inverse"):
+    for name in ("phi", "phi_inverse", "delta_step", "delta_inverse"):
         monkeypatch.setattr(verify, name,
                             configs_built(name, getattr(verify, name)))
 
@@ -277,8 +278,30 @@ def test_one_pass_per_cell(monkeypatch, cell):
     assert calls["dbar"] == len(paths)
     assert calls["_admissible"] == 1
     assert calls["cc2_config"] == n_configs
-    assert {name for name, _L, _k in configs_in} == {"phi", "phi_inverse"}
-    assert all(k == L + 1 for _name, L, k in configs_in), configs_in
+    per_step = Counter(name for name, _L, _k in configs_in)
+    assert per_step["delta_step"] == per_step["delta_inverse"] == row[0]
+    assert set(per_step) == {"phi", "phi_inverse", "delta_step",
+                             "delta_inverse"}
+    one_each = ("delta_step", "delta_inverse")
+    assert all(k == (1 if name in one_each else L + 1)
+               for name, L, k in configs_in), configs_in
+
+
+def test_no_trace_on_the_hot_path(monkeypatch):
+    """Only the public delta builds a DeltaTrace: phi, phi_inverse and
+    verify_cell step without one."""
+    built = []
+    real = bijection.DeltaTrace
+    monkeypatch.setattr(bijection, "DeltaTrace",
+                        lambda *a: built.append(a) or real(*a))
+    for cell in PINNED:
+        assert verify.verify_cell(*cell)[0]
+        for rc in enumerate_rc(*cell):
+            word = bijection.phi(*cell, rc)
+            assert bijection.phi_inverse(*cell, word) == rc
+    assert not built
+    bijection.delta(*CELL, enumerate_rc(*CELL)[0])
+    assert len(built) == 1
 
 
 def _extended_cells():
