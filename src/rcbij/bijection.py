@@ -28,16 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import AffineType, form2_matrix, is_dominant, kac_data, per_type
-from .crystal import EMPTY, _rest_weight, letters, wt_letter
-from .rc import (
-    INF,
-    Config,
-    InvalidRC,
-    _vacancy,
-    box,
-    complement,
-    validate_config,
-)
+from .crystal import EMPTY, letters, rest_weight, wt_letter
+from .rc import (INF, Config, InvalidRC, box, complement, vacancy2,
+                 validate_config)
 
 
 class NoPreimage(ValueError):
@@ -294,7 +287,7 @@ def _delta(cf, lam):
     if L < 1:
         raise ValueError("delta needs L >= 1")
     sc = _Scan(cf)
-    cf.tb._end.forward(sc, n)
+    cf.at._end.forward(sc, n)
     ell, ellbar, cases, removals = sc.ell, sc.ellbar, sc.cases, sc.removals
 
     # The standard rule at every other node: a selected string loses one
@@ -312,7 +305,7 @@ def _delta(cf, lam):
                     removals.append((a, sel[a], 0, 2, 0))
 
     b = sc.b
-    if _rest_weight(cf.tb, tuple(lam), b) is None:
+    if rest_weight(cf.at, lam, b) is None:
         raise InvalidRC("letter %s cannot come off the weight %r" % (b, lam))
 
     rc2 = _move_strings(
@@ -339,7 +332,7 @@ def _move_strings(cf, L2, moves):
     for a, len2, _off in grown:
         nu[a - 1].append(len2)
     for a, len2, off in grown:
-        nodes[a - 1].append((len2, _vacancy(cf.tb, L2, nu, a, len2) - off))
+        nodes[a - 1].append((len2, vacancy2(cf.at, L2, nu, a, len2) - off))
     return tuple([tuple(sorted(node, reverse=True)) for node in nodes])
 
 
@@ -354,7 +347,7 @@ def phi(at: AffineType, lam, L: int, rc):
     for step in range(L, 0, -1):
         b, small, _sc = _delta(cf, cur_lam)
         word.append(b)
-        cur_lam = _rest_weight(cf.tb, cur_lam, b)
+        cur_lam = rest_weight(at, cur_lam, b)
         cf = Config(at, step - 1, small)
         validate_config(cf, cur_lam)
     if any(cur_lam):
@@ -444,17 +437,17 @@ def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
 
 def _delta_inverse(cf, b, rho):
     """delta_inverse onto cf.rc at the weight rho, reading cf's vacancies."""
-    at, tb = cf.at, cf.tb
-    if b not in tb.letters:
+    at = cf.at
+    if b not in at.letters:
         raise NoPreimage("%r is not a letter of %s" % (b, at))
     lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
-    if not is_dominant(at, lam) or _rest_weight(tb, lam, b) is None:
+    if not is_dominant(at, lam) or rest_weight(at, lam, b) is None:
         raise NoPreimage("letter %s cannot come off the weight %r" % (b, lam))
     fs = _Fill(cf)
     if 0 < b < EMPTY:  # the forward scan stopped at node b
         fs.chain(range(b - 1, 0, -1), INF)
     else:
-        tb._end.backward(fs, at.n, b)
+        at._end.backward(fs, at.n, b)
     return _move_strings(cf, cf.L + 1, [
         (a, i2, o, i2 + d2, p) for a, i2, o, d2, p in fs.additions
     ])

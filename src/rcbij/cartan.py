@@ -31,14 +31,15 @@ be half-integral are stored doubled (suffix ``2``); everything else is a
 plain int, and so are the column sums (``iota2``): a weight has
 configurations only where they are even and nonnegative.
 
-Each type's tables live on one ``Tables`` object, shared by equal types.
-A function decorated ``per_type`` builds the table of its name on the
-first read and becomes its reader; hot paths fetch the object once.
+``AffineType`` is interned, so each type is one object, and its tables
+live on it: a function decorated ``per_type`` becomes a cached property
+of the type, built on its first read, and the function is replaced by a
+reader of it.  Hot paths read ``at.<table>`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import accumulate, combinations_with_replacement
@@ -81,20 +82,36 @@ class RankError(ValueError):
     """Rank outside the supported range for the family."""
 
 
+_INTERNED = {}  # (family, n) -> the one AffineType of that type
+
+
 @dataclass(frozen=True)
 class AffineType:
-    """One nonexceptional affine family together with its rank."""
+    """One nonexceptional affine family together with its rank.
+
+    Interned: a valid (family, n) has one instance, which holds the type's
+    tables and memos.  relax_rank only widens the rank check, which every
+    construction runs.
+    """
 
     family: str
     n: int
-    relax_rank: bool = field(default=False, compare=False)
+    relax_rank: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __new__(cls, family, n, relax_rank=False):
+        # family is checked before (family, n) is hashed: a JSON list or
+        # object is refused as an unknown family by __post_init__
+        known = family in FAMILIES and type(n) is int
+        return (known and _INTERNED.get((family, n))) or super().__new__(cls)
+
+    def __post_init__(self, relax_rank):
         if self.family not in FAMILIES:
             raise ValueError("unknown family %r" % (self.family,))
+        if type(self.n) is not int:
+            raise RankError("rank must be an integer, got %r" % (self.n,))
         if self.n < 1:
             raise RankError("rank must be positive, got %d" % self.n)
-        if not self.relax_rank and self.n < _MIN_RANK[self.family]:
+        if not relax_rank and self.n < _MIN_RANK[self.family]:
             raise RankError(
                 "family %s needs rank >= %d (got %d); pass relax_rank to "
                 "override" % (self.family, _MIN_RANK[self.family], self.n)
@@ -102,6 +119,10 @@ class AffineType:
         if self.n < _LEAST_RANK.get(self.family, 1):
             raise RankError("family %s needs rank >= %d, even relaxed"
                             % (self.family, _LEAST_RANK[self.family]))
+        _INTERNED.setdefault((self.family, self.n), self)
+
+    def __reduce__(self):  # re-interned where it is unpickled, no table
+        return AffineType, (self.family, self.n, True)
 
     @property
     def gbar(self) -> str:
@@ -114,64 +135,53 @@ class AffineType:
         where the paper puts the form."""
         return "B" if self.family == "A2" else self.gbar
 
+    # the memos of rc.normalized_sizes, crystal.rest_weight and
+    # crystal.enumerate_highest
     @cached_property
-    def weight_len(self) -> int:
-        """Length of a gbar simple-root vector: n+1 for type A, else n."""
-        return tables(self)._weight_space[0]
+    def sizes(self) -> dict:
+        return {}
 
     @cached_property
-    def root_entries(self) -> tuple:
-        """(i, c, j, d) per gbar simple root: its nonzero entries, so that
-        it pairs with lam as c lam_i + d lam_j (d = 0 where it has one)."""
-        return tables(self)._weight_space[1]
+    def rest(self) -> dict:
+        return {}
 
     @cached_property
-    def roots_sum_zero(self) -> bool:
-        """Every gbar simple root sums to 0 (type A), so all of their span."""
-        return tables(self)._weight_space[2]
+    def paths(self) -> dict:
+        return {}
 
     def __str__(self):
         return "%s(n=%d)" % (self.family, self.n)
 
 
-_TABLES = {}  # type -> its Tables; equal types share one
-_BUILDERS = {}  # table name -> the function of the type that builds it
-
-
-class Tables:
-    """The tables of one type, each built on its first read, and the memos
-    of ``rc.normalized_sizes`` (sizes), ``crystal.rest_weight`` (rest) and
-    ``crystal.enumerate_highest`` (paths)."""
-
-    def __init__(self, at: AffineType):
-        self.at = at
-        self.sizes, self.rest, self.paths = {}, {}, {}
-
-    def __getattr__(self, name):  # reached only while the table is unbuilt
-        if name not in _BUILDERS:
-            raise AttributeError(name)
-        value = self.__dict__[name] = _BUILDERS[name](self.at)
-        return value
-
-
-def tables(at: AffineType) -> Tables:
-    """The one Tables object of at and of every type equal to it."""
-    return _TABLES.get(at) or _TABLES.setdefault(at, Tables(at))
-
-
 def per_type(build):
-    """build(at) as the table of its name; returns the table's reader."""
-    _BUILDERS[build.__name__] = build
-    return wraps(build)(lambda at: getattr(tables(at), build.__name__))
+    """build(at) as the table of its name on every type, built on its
+    first read (a cached property of AffineType); returns its reader."""
+    name = build.__name__
+    table = cached_property(build)
+    table.__set_name__(AffineType, name)
+    setattr(AffineType, name, table)
+    return wraps(build)(lambda at: getattr(at, name))
 
 
 @per_type
-def _weight_space(at: AffineType) -> tuple:
-    """weight_len, root_entries and roots_sum_zero, off the gbar roots."""
-    roots = simple_root_vectors(at, which="gbar")
-    nz = [[(k, x) for k, x in enumerate(v) if x] + [(0, 0)] for v in roots]
-    return (len(roots[0]), tuple(e[0] + e[1] for e in nz),
-            not any(map(sum, roots)))
+def weight_len(at: AffineType) -> int:
+    """Length of a gbar simple-root vector: n+1 for type A, else n."""
+    return len(simple_root_vectors(at)[0])
+
+
+@per_type
+def root_entries(at: AffineType) -> tuple:
+    """(i, c, j, d) per gbar simple root: its nonzero entries, so that it
+    pairs with lam as c lam_i + d lam_j (d = 0 where it has one)."""
+    nz = [[(k, x) for k, x in enumerate(v) if x] + [(0, 0)]
+          for v in simple_root_vectors(at)]
+    return tuple(e[0] + e[1] for e in nz)
+
+
+@per_type
+def roots_sum_zero(at: AffineType) -> bool:
+    """Every gbar simple root sums to 0 (type A), so all of their span."""
+    return not any(map(sum, simple_root_vectors(at)))
 
 
 @dataclass(frozen=True)
@@ -224,7 +234,7 @@ def kac_data(at: AffineType) -> KacData:
     th = theta0(at)
     a = _primitive([2] + _root_coords(at.gbar, th, n))
     # (alpha_0|alpha_0) = (theta_0|theta_0)
-    roots = [th] + simple_root_vectors(at, which="gbar")
+    roots = [th] + simple_root_vectors(at)
     a_vee = _primitive([ai * _dot(r, r) for ai, r in zip(a, roots)])
     # t_i = max(a_i/a_i^vee, a_0^vee), t_i^vee = max(a_i^vee/a_i, a_0);
     # both are always 1 or 2 for these families.
@@ -247,17 +257,14 @@ def kac_data(at: AffineType) -> KacData:
     return KacData(a, a_vee, t, t_vee, up2, t_lat)
 
 
-def simple_root_vectors(at: AffineType, which: str = "g0bar"):
-    """Realizations of the classical simple roots in the epsilon basis.
+def simple_root_vectors(at: AffineType):
+    """Realizations of the gbar simple roots in the epsilon basis.
 
     Returns a list of n integer vectors; for type A they live in Z^(n+1),
-    otherwise in Z^n.  ``which`` picks the subalgebra: the form lives on
-    g0bar, the crystal's classical structure on gbar (they differ only
-    for A2).
+    otherwise in Z^n.
     """
     n = at.n
-    kind = at.g0bar if which == "g0bar" else at.gbar
-    vecs = []
+    kind, vecs = at.gbar, []
     for a in range(1, n + 1):
         v = [0] * (n + 1 if kind == "A" else n)
         root = _LAST_ROOT[kind] if a == n else {a - 1: 1, a: -1}
@@ -286,7 +293,7 @@ def form2_matrix(at: AffineType):
         return tuple(tuple(2 * x for x in row)
                      for row in form2_matrix(AffineType("A2dag", at.n)))
     kd = kac_data(at)
-    vecs = simple_root_vectors(at, which="gbar")
+    vecs = simple_root_vectors(at)
     k2 = Fraction(4 * kd.a_vee[1], kd.a[1] * _dot(vecs[0], vecs[0]))
     return tuple(tuple(int(k2 * _dot(u, v)) for v in vecs) for u in vecs)
 
@@ -294,7 +301,7 @@ def form2_matrix(at: AffineType):
 def coroot_pairings(at: AffineType, lam) -> list:
     """<lam, h_a> for the classical (gbar) coroots, via 2(lam|alpha)/(alpha|alpha)."""
     out = []
-    for v in simple_root_vectors(at, which="gbar"):
+    for v in simple_root_vectors(at):
         num, den = 2 * _dot(lam, v), _dot(v, v)
         if num % den:
             raise ValueError("%r is not an integral weight" % (lam,))

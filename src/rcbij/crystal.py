@@ -7,13 +7,13 @@ the rightmost factor b_1.
 
 The crystal is read off the root data: f_i lowers the weight of a letter
 by the gbar simple root alpha_i, and f_0 raises it by theta_0.  Its tables
-and path memos live on the type's ``cartan.Tables``.
+and the memos of ``rest_weight`` and the paths live on the type itself.
 """
 
 from __future__ import annotations
 
 from .cartan import (AffineType, is_dominant, per_type, simple_root_vectors,
-                     tables, theta0)
+                     theta0)
 
 EMPTY = 10 ** 6  # the letter usually written phi
 
@@ -46,7 +46,7 @@ def arrows(at: AffineType):
     0-string it is the letter of weight 0 instead of 0.
     """
     steps = [theta0(at)] + [
-        tuple(-x for x in r) for r in simple_root_vectors(at, which="gbar")
+        tuple(-x for x in r) for r in simple_root_vectors(at)
     ]
     bs = letters(at)
     f, e = {}, {}
@@ -97,19 +97,15 @@ def rest_weight(at: AffineType, lam, b):
 
     A classically restricted path of weight lam can start with b (its
     leftmost factor) exactly when lam - wt(b) is dominant and, for the
-    zero letter, lam_n > 0.  Returns lam - wt(b), or None when it cannot.
+    zero letter, lam_n > 0.  Returns lam - wt(b), or None when it cannot;
+    kept in at.rest.
     """
-    return _rest_weight(tables(at), tuple(lam), b)
-
-
-def _rest_weight(tb, lam: tuple, b):
-    """rest_weight of tb's type, kept in tb.rest."""
-    if (lam, b) not in tb.rest:
-        at = tb.at
+    lam, rest = tuple(lam), at.rest
+    if (lam, b) not in rest:
         rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
         ok = is_dominant(at, rho) and (b != 0 or lam[at.n - 1] > 0)
-        tb.rest[lam, b] = rho if ok else None
-    return tb.rest[lam, b]
+        rest[lam, b] = rho if ok else None
+    return rest[lam, b]
 
 
 def wt_path(at: AffineType, word) -> tuple:
@@ -123,8 +119,7 @@ def wt_path(at: AffineType, word) -> tuple:
 def _highest(at: AffineType, lam: tuple, L: int):
     """The paths of (lam, L), built on an explicit stack: no recursion.
     Each state's paths are kept in the type's memo, for every cell."""
-    tb = tables(at)
-    memo = tb.paths
+    memo = at.paths
     todo = [(lam, L, None)]  # a state, with its steps once they are found
     while todo:
         wt, ln, steps = todo.pop()
@@ -133,8 +128,8 @@ def _highest(at: AffineType, lam: tuple, L: int):
         if ln == 0 or sum(map(abs, wt)) > ln:  # a letter moves |wt|_1 by <= 1
             memo[wt, ln] = () if any(wt) else ((),)
         elif steps is None:
-            steps = [(b, rho) for b in tb.letters
-                     if (rho := _rest_weight(tb, wt, b)) is not None]
+            steps = [(b, rho) for b in at.letters
+                     if (rho := rest_weight(at, wt, b)) is not None]
             todo.append((wt, ln, steps))
             todo.extend((rho, ln - 1, None) for _b, rho in steps)
         else:

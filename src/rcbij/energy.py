@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cartan import AffineType, per_type, tables
+from .cartan import AffineType, per_type
 from .crystal import (
     arrows,
     enumerate_highest,
@@ -89,8 +89,7 @@ def b_natural(at: AffineType):
 def dbar(at: AffineType, word) -> int:
     """Barred intrinsic energy: the barred total energy of the word
     (leftmost factor first) relative to the all-ones word."""
-    tb = tables(at)
-    h, bnat = tb.local_hbar, tb.b_natural
+    h, bnat = at.local_hbar, at.b_natural
     L = len(word)
     if L == 0:
         return 0

@@ -73,10 +73,6 @@ class QPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return QPoly(out)
 
-    def invert_q(self) -> "QPoly":
-        """Substitute q -> q^(-1)."""
-        return QPoly({-e: c for e, c in self.terms.items()})
-
     def at_one(self) -> int:
         """Evaluate at q = 1."""
         return sum(self.terms.values())

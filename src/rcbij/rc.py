@@ -24,9 +24,9 @@ Representation conventions, used across the package:
 Everything is exact integer arithmetic.  The vacancy numbers and cc come
 from one integer matrix per type, derived from the normalized form, and
 every family's rigging box comes from ``box``.  The column sums are
-``cartan.iota2``'s doubled ints, halved where even and nonnegative.  A
-``Config`` and an admissible pass fetch the type's ``cartan.Tables`` once
-and read the vacancy matrix, the box widths, t^vee and sizes off it.
+``cartan.iota2``'s doubled ints, halved where even and nonnegative.  The
+vacancy matrix, the box widths, t^vee and the column sums' memo are read
+off the type itself (``at._vacancy_table``, ``at.kac_data``, ``at.sizes``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .cartan import AffineType, form2_matrix, iota2, kac_data, per_type, tables
+from .cartan import AffineType, form2_matrix, iota2, kac_data, per_type
 from .qpoly import QPoly, qbinom
 
 INF = 10 ** 9  # larger than any doubled length
@@ -45,18 +45,15 @@ def normalized_sizes(at: AffineType, lam, L: int):
 
     Entry a-1 is sum_i i*m_i at node a in normalized units.  None means
     the linear system has no nonnegative integer solution, i.e. there are
-    no configurations (and no paths) for this weight at all.
+    no configurations (and no paths) for this weight at all.  Kept in
+    at.sizes.
     """
-    return _normalized_sizes(tables(at), tuple(lam), L)
-
-
-def _normalized_sizes(tb, lam: tuple, L: int):
-    """normalized_sizes of tb's type, kept in tb.sizes."""
-    if (lam, L) not in tb.sizes:
-        c2 = iota2(tb.at, lam, L)  # None outside the root span
+    lam, sizes = tuple(lam), at.sizes
+    if (lam, L) not in sizes:
+        c2 = iota2(at, lam, L)  # None outside the root span
         ok = c2 is not None and not any(x % 2 or x < 0 for x in c2)
-        tb.sizes[lam, L] = tuple(x // 2 for x in c2) if ok else None
-    return tb.sizes[lam, L]
+        sizes[lam, L] = tuple(x // 2 for x in c2) if ok else None
+    return sizes[lam, L]
 
 
 @per_type
@@ -92,12 +89,7 @@ def _vacancy_table(at: AffineType):
 
 def vacancy2(at: AffineType, L: int, nu, a: int, i2: int) -> int:
     """Doubled vacancy number at node a, doubled length i2 (> 0)."""
-    return _vacancy(tables(at), L, nu, a, i2)
-
-
-def _vacancy(tb, L: int, nu, a: int, i2: int) -> int:
-    """vacancy2 read off the vacancy table of tb."""
-    up2, rows = tb._vacancy_table
+    up2, rows = at._vacancy_table
     if i2 <= 0 or i2 % up2[a - 1] != 0:
         raise ValueError("index %d not on the node-%d lattice" % (i2, a))
     return _row_vacancy(rows[a - 1], 2 * L if a == 1 else 0, nu, i2)
@@ -141,17 +133,16 @@ class Config:
     order of rc, to its riggings and to its doubled vacancy.
     """
 
-    __slots__ = ("at", "tb", "L", "rc", "nu", "by", "p2")
+    __slots__ = ("at", "L", "rc", "nu", "by", "p2")
 
     def __init__(self, at: AffineType, L: int, rc):
         self.at = at
-        self.tb = tables(at)
         self.L = L
         self.rc = rc
         self.nu = nu = config_of(rc)
         self.by, self.p2 = [], []
         total = 2 * L  # node 1's part of the vacancy
-        for node, row in zip(rc, self.tb._vacancy_table[1]):
+        for node, row in zip(rc, at._vacancy_table[1]):
             by, p2 = {}, {}
             for ln, rg in sorted(node, reverse=True):
                 if ln in by:
@@ -162,11 +153,6 @@ class Config:
             self.by.append(by)
             self.p2.append(p2)
             total = 0
-
-    def vac(self, a: int, i2: int) -> int:
-        """Doubled vacancy at node a, doubled length i2, occupied or not."""
-        p2 = self.p2[a - 1].get(i2)
-        return _vacancy(self.tb, self.L, self.nu, a, i2) if p2 is None else p2
 
 
 def _node_groups(at: AffineType, L: int, nu, a: int, row):
@@ -206,11 +192,10 @@ def _admissible(at: AffineType, lam, L: int):
     of its row of ``_vacancy_table`` is placed, on a chain one node later,
     and a prefix that fails is not extended.
     """
-    tb = tables(at)
-    sizes = _normalized_sizes(tb, tuple(lam), L)
+    sizes = normalized_sizes(at, lam, L)
     if sizes is None:
         return ()
-    up2, rows = tb._vacancy_table
+    up2, rows = at._vacancy_table
     n = at.n
     per_node = [
         [tuple(p * up2[a] for p in part) for part in _partitions(c)]
@@ -320,8 +305,8 @@ def validate_rc(at: AffineType, lam, L: int, rc) -> None:
 def validate_config(cf: Config, lam) -> None:
     """validate_rc of cf.rc at the weight lam, reading cf's vacancies."""
     at = cf.at
-    up2 = cf.tb.kac_data.up2
-    sizes = _normalized_sizes(cf.tb, tuple(lam), cf.L)
+    up2 = at.kac_data.up2
+    sizes = normalized_sizes(at, lam, cf.L)
     if sizes is None:
         raise InvalidRC("no configurations exist for this weight")
     for a in range(at.n):
@@ -350,9 +335,8 @@ def cc2_config(at: AffineType, nu) -> int:
     _vacancy_table, the doubled cc is
     -1/2 sum_a t^vee_a sum_b C[a][b] sum_{x in nu^(a), y in nu^(b)} min(x, y).
     """
-    tb = tables(at)
-    t_vee = tb.kac_data.t_vee
-    _up2, rows = tb._vacancy_table
+    t_vee = at.kac_data.t_vee
+    _up2, rows = at._vacancy_table
     total = 0
     for a, row in enumerate(rows):
         for b, c in row:
@@ -365,7 +349,7 @@ def cc2_config(at: AffineType, nu) -> int:
 
 def cc2_total(at: AffineType, rc) -> int:
     """Doubled cc statistic: configuration part plus weighted rigging area."""
-    t_vee = tables(at).kac_data.t_vee
+    t_vee = at.kac_data.t_vee
     return cc2_config(at, config_of(rc)) + sum(
         tv * rg for tv, node in zip(t_vee, rc) for _ln, rg in node)
 

@@ -57,7 +57,7 @@ def out_of_box(at, L, rc):
     for a, node in enumerate(rc, 1):
         if node:
             ln, _rg = node[0]
-            raised = sorted(node[1:] + ((ln, cf.vac(a, ln) + 2),),
+            raised = sorted(node[1:] + ((ln, cf.p2[a - 1][ln] + 2),),
                             reverse=True)
             return rc[:a - 1] + (tuple(raised),) + rc[a:]
     return rc

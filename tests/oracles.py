@@ -4,10 +4,10 @@ Nothing in the package imports this module.  Each oracle computes the same
 quantity as a production function by a different route (brute force, a
 hand-written per-family formula or table, exact Fractions), so agreement
 is evidence that both are right.  The Kac data by hand tables
-(``kac_by_table``, ``form2_by_table``, ``theta0_by_table``) check what
-``rcbij.cartan`` derives from one root datum per family, and the weight
-space by hand (``is_dominant_by_family`` and its neighbours) what it reads
-off the gbar simple roots.  The tensor rule on words (``tensor_e``,
+(``kac_by_table``, ``form2_by_table`` on ``g0bar_roots``,
+``theta0_by_table``) check what ``rcbij.cartan`` derives from one root
+datum per family, and the weight space by hand (``is_dominant_by_family``
+and its neighbours) what it reads off the gbar simple roots.  The tensor rule on words (``tensor_e``,
 ``tensor_f``) is the crystal's definition, which
 ``enumerate_highest_bruteforce`` applies to every word.  The column sums
 in Fractions (``iota_image_by_fractions``) check the doubled integer ones
@@ -123,9 +123,27 @@ def kac_by_table(at: AffineType) -> dict:
     }
 
 
+def g0bar_roots(at: AffineType) -> list:
+    """The g0bar simple roots by hand: eps_a - eps_{a+1}, then alpha_n of
+    g0bar's kind, eps_n (B), 2 eps_n (C) or eps_{n-1} + eps_n (D).  Type A
+    has n+1 coordinates and eps_n - eps_{n+1} last."""
+    kind, n = G0BAR[at.family], at.n
+    roots = []
+    for a in range(n):
+        v = [0] * (n + 1 if kind == "A" else n)
+        if kind == "A" or a < n - 1:
+            v[a], v[a + 1] = 1, -1
+        elif kind == "D":
+            v[a - 1] = v[a] = 1
+        else:
+            v[a] = 2 if kind == "C" else 1
+        roots.append(tuple(v))
+    return roots
+
+
 def form2_by_table(at: AffineType):
     """Doubled form matrix: KAPPA2 times the epsilon products of g0bar."""
-    vecs = simple_root_vectors(at, which="g0bar")
+    vecs = g0bar_roots(at)
     k2 = KAPPA2[at.family]
     return tuple(tuple(k2 * sum(x * y for x, y in zip(u, v)) for v in vecs)
                  for u in vecs)
@@ -134,7 +152,7 @@ def form2_by_table(at: AffineType):
 def theta0_by_table(at: AffineType) -> tuple:
     """theta_0 = (1/a_0) sum_{i>=1} a_i alpha_i over the gbar roots."""
     a = labels_by_table(at.family, at.n)
-    roots = simple_root_vectors(at, which="gbar")
+    roots = simple_root_vectors(at)
     return tuple(sum(a[i] * r[k] for i, r in enumerate(roots, 1)) // a[0]
                  for k in range(at.weight_len))
 
@@ -543,7 +561,7 @@ def zero_step_vector(at: AffineType) -> tuple:
 def classical_weight_steps_ok(at: AffineType) -> bool:
     """Check wt(f_i(b)) = wt(b) - alpha_i for every classical arrow."""
     f, _ = arrows(at)
-    roots = simple_root_vectors(at, which="gbar")
+    roots = simple_root_vectors(at)
     for i in range(1, at.n + 1):
         alpha = roots[i - 1]
         for b, v in f[i].items():

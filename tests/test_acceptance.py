@@ -221,7 +221,7 @@ def test_criterion_6_property_suite():
     cases = 0
     # exhaustive: arrow weight steps and inverse pairs
     for at in GRID_TYPES:
-        roots = simple_root_vectors(at, which="gbar")
+        roots = simple_root_vectors(at)
         f, e = arrows(at)
         for i in range(at.n + 1):
             for b, v in f[i].items():

@@ -1,4 +1,5 @@
 import inspect
+import pickle
 import re
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from oracles import (
     GBAR,
     dominant_weights_by_family,
     form2_by_table,
+    g0bar_roots,
     iota_image_by_fractions,
     is_dominant_by_family,
     kac_by_table,
@@ -25,7 +27,6 @@ from rcbij.cartan import (
     FAMILIES,
     AffineType,
     RankError,
-    Tables,
     coroot_pairings,
     dominant_weights,
     form2_matrix,
@@ -34,11 +35,11 @@ from rcbij.cartan import (
     is_dominant,
     kac_data,
     simple_root_vectors,
-    tables,
     theta0,
 )
 from rcbij.crystal import letters
-from rcbij.rc import _normalized_sizes, _vacancy_table, normalized_sizes
+from rcbij.energy import local_hbar
+from rcbij.rc import _vacancy_table, normalized_sizes
 
 
 def test_rank_ranges_enforced():
@@ -119,8 +120,7 @@ def test_eps_rule():
     # eps_a scales the g0bar root to the gbar root
     for at in GRID_TYPES:
         eps = kac_by_table(at)["eps"]
-        pairs = zip(simple_root_vectors(at, which="gbar"),
-                    simple_root_vectors(at, which="g0bar"))
+        pairs = zip(simple_root_vectors(at), g0bar_roots(at))
         for a, (root, root0) in enumerate(pairs, 1):
             assert eps[a - 1] == (2 if at.family == "A2" and a == at.n else 1)
             assert root == tuple(eps[a - 1] * x for x in root0)
@@ -230,34 +230,52 @@ def test_normalized_sizes_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(cartan, "Fraction", no_fraction)
     for at in GRID_TYPES:
-        fresh = Tables(at)  # not the shared object: its memos start empty
+        monkeypatch.setitem(at.__dict__, "sizes", {})  # an empty memo
         for L in range(6):
             # and one weight too long for L, whose first column sum is < 0
             over = (L + 1,) + (0,) * (at.weight_len - 1)
             for lam in dominant_weights(at, L) + [over]:
                 want = normalized_sizes_by_family(at, lam, L)
-                assert _normalized_sizes(fresh, lam, L) == want, (at, lam, L)
-        assert None in fresh.sizes.values(), at
+                assert normalized_sizes(at, lam, L) == want, (at, lam, L)
+        assert None in at.sizes.values(), at
 
 
 def test_equal_types_share_one_table_object():
-    # whichever equal instance builds a table first, every other reads
-    # that object: the relaxed instance of an in-range rank too
-    plain, relaxed = AffineType("C1", 3), AffineType("C1", 3, relax_rank=True)
-    assert plain == relaxed and plain is not relaxed
-    assert tables(relaxed) is tables(plain) is tables(AffineType("C1", 3))
-    assert kac_data(relaxed) is kac_data(plain)
+    # a type is one object, whichever instance builds a table first: the
+    # relaxed instance of an in-range rank too
+    plain = AffineType("C1", 3)
+    relaxed = AffineType("C1", 3, relax_rank=True)
+    assert relaxed is plain is AffineType(n=3, family="C1")
+    assert kac_data(relaxed) is kac_data(plain) is plain.kac_data
     assert letters(relaxed) is letters(AffineType("C1", 3))
-    assert _vacancy_table(plain) is tables(relaxed)._vacancy_table
-    assert _end(relaxed) is tables(plain)._end
-    # a fresh instance reads its weight space off the shared table
-    fresh = AffineType("C1", 3)
-    assert fresh.root_entries is relaxed.root_entries \
-        is tables(plain)._weight_space[1]
-    assert tables(AffineType("C1", 4)) is not tables(plain)
-    assert tables(AffineType("A2odd", 3)) is not tables(plain)
+    assert _vacancy_table(plain) is relaxed._vacancy_table
+    assert _end(relaxed) is plain._end
+    assert plain.root_entries is AffineType("C1", 3).root_entries
+    # other ranks and families are other objects, with other tables
+    for other in (AffineType("C1", 4), AffineType("A2odd", 3)):
+        assert other is not plain and other != plain
+        assert other._vacancy_table != plain._vacancy_table
     with pytest.raises(AttributeError):
-        tables(plain).no_such_table
+        plain.no_such_table
+    # every construction checks the rank, also of an interned type
+    low = AffineType("C1", 1, relax_rank=True)
+    assert AffineType("C1", 1, relax_rank=True) is low
+    with pytest.raises(RankError):
+        AffineType("C1", 1)
+    # a rank that is no int is refused, not interned as an int's equal
+    for n in (True, 2.0):
+        with pytest.raises(RankError):
+            AffineType("A1", n)
+    assert type(AffineType("A1", 1).n) is int
+
+
+def test_pickled_type_is_reinterned_without_tables():
+    for at in (AffineType("D1", 4), AffineType("C1", 1, relax_rank=True)):
+        local_hbar(at)  # built: the tables are on the instance
+        _end(at)
+        blob = pickle.dumps(at)
+        assert pickle.loads(blob) is at
+        assert len(blob) < 100 and b"hbar" not in blob, blob
 
 
 def test_dominance_examples():
@@ -333,8 +351,8 @@ def test_root_vector_realizations():
     assert simple_root_vectors(at)[-1] == (0, 0, 1, 1)
     # A2 has C_n roots for the crystal and B_n for the form
     at = AffineType("A2", 2)
-    assert simple_root_vectors(at, which="gbar")[-1] == (0, 2)
-    assert simple_root_vectors(at, which="g0bar")[-1] == (0, 1)
+    assert simple_root_vectors(at)[-1] == (0, 2)
+    assert g0bar_roots(at)[-1] == (0, 1)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rcbij"
@@ -351,9 +369,8 @@ def test_family_name_tests_ratchet():
     assert len(KIND_TEST.findall(text)) <= 5
     # the weight space is read off the gbar roots, with no family or kind
     for fn in (AffineType.weight_len.func, AffineType.root_entries.func,
-               AffineType.roots_sum_zero.func, cartan._weight_space,
-               is_dominant, iota2, iota_image, dominant_weights,
-               _normalized_sizes):
+               AffineType.roots_sum_zero.func, is_dominant, iota2,
+               iota_image, dominant_weights, normalized_sizes):
         body = inspect.getsource(fn)
         assert ".family" not in body and not KIND_TEST.search(body), fn
     # the diagram's ends are read off its data, never off the family code,

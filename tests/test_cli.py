@@ -312,8 +312,18 @@ def test_usage_errors(capsys, tmp_path):
                  {"type": "C1", "n": 2, "max_len": -3}):  # negative length
         gridfile.write_text(json.dumps({"cells": [cell]}))
         assert main(["verify", "--grid", str(gridfile)]) == 2
+    # a type or rank of the wrong JSON kind, refused before it is hashed
+    for key, value in [("type", v) for v in (["C1"], None, {"a": 1})] + [
+            ("n", v) for v in (True, 2.0)]:
+        blob = json.dumps(dict(rc, **{key: value}))
+        assert run(["map", "--dir", "rc2path"], stdin_text=blob)[0] == 2
+        blob = json.dumps({"type": "C1", "n": 2, "word": ["1"], key: value})
+        assert run(["map", "--dir", "path2rc"], stdin_text=blob)[0] == 2
+        cell = {"type": "C1", "n": 2, "max_len": 2, key: value}
+        gridfile.write_text(json.dumps({"cells": [cell]}))
+        assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 41 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 56 and all(ln.startswith("error: ") for ln in lines)
     # relaxed ranks with no diagram to read, and D2 n=1, are refused by
     # every command that takes a type
     for fam, n in (("D1", 1), ("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1)):

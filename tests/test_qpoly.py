@@ -26,13 +26,6 @@ def test_zero_coefficients_dropped():
     assert (poly({2: 1}) - poly({2: 1})) == QPoly.zero()
 
 
-def test_invert_q():
-    assert poly({0: 1, 2: 1}).invert_q() == poly({0: 1, -2: 1})
-    assert poly({3: 1}).invert_q() == poly({-3: 1})
-    p = poly({-2: 3, 0: 1, 5: 2})
-    assert p.invert_q().invert_q() == p
-
-
 def test_qbinom_small():
     assert qbinom(1, 1, 1) == poly({0: 1, 2: 1})
     assert qbinom(0, 5, 1) == QPoly.one()

@@ -116,20 +116,6 @@ def test_vacancy_matches_general_formula():
                             assert Fraction(p2) == vacancy2_general(
                                 at, L, nu, a, i2
                             ), (at, L, lam, nu, a, i2)
-                for rc in enumerate_rc(at, lam, L):
-                    # the vacancies a Config carries, on the grid and on
-                    # each delta output
-                    cells = [(L, rc)]
-                    if L >= 1:
-                        cells.append((L - 1, delta(at, lam, L, rc)[1]))
-                    for L1, rc1 in cells:
-                        cf, nu = Config(at, L1, rc1), config_of(rc1)
-                        for a in range(1, at.n + 1):
-                            top = max(nu[a - 1], default=0) + up2[a - 1]
-                            for i2 in sorted(set(nu[a - 1])) + [top]:
-                                assert cf.vac(a, i2) == vacancy2(
-                                    at, L1, nu, a, i2
-                                ), (at, L1, rc1, a, i2)
 
 
 def test_config_vacancies_are_vacancy2(battery):
