@@ -342,9 +342,13 @@ def phi(at: AffineType, lam, L: int, rc):
     rc itself is taken as valid; each smaller configuration delta steps
     to is validated, so a faulty step raises InvalidRC.
     """
-    word = []
-    cur_lam, cf = tuple(lam), Config(at, L, rc)
-    for step in range(L, 0, -1):
+    return _phi(Config(at, L, rc), lam)
+
+
+def _phi(cf, lam):
+    """phi of cf.rc at the weight lam, stepping from cf."""
+    at, word, cur_lam = cf.at, [], tuple(lam)
+    for step in range(cf.L, 0, -1):
         b, small, _sc = _delta(cf, cur_lam)
         word.append(b)
         cur_lam = rest_weight(at, cur_lam, b)

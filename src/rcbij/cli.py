@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .bijection import NoPreimage, phi, phi_inverse, phi_tilde
+from .bijection import NoPreimage, _phi, phi_inverse
 from .cartan import FAMILIES, AffineType, RankError, is_dominant
 from .crystal import (
     dot_export,
@@ -25,14 +25,16 @@ from .crystal import (
 )
 from .energy import PropagationError, dbar, local_hbar, xbar
 from .rc import (
+    Config,
     _json_int,
-    cc2_total,
+    cc_configs,
     complement,
-    enumerate_rc,
     fermionic_m,
     rc_from_json,
     rc_genfun,
     rc_to_json,
+    rigged,
+    rigged_cc2,
     validate_rc,
 )
 from .verify import BATTERY, Levels, cells_for
@@ -104,19 +106,14 @@ def cmd_f(args) -> int:
 
 def cmd_rc_enum(args) -> int:
     at, lam, L = _cell_from_args(args)
-    for rc in sorted(enumerate_rc(at, lam, L)):
+    configs = cc_configs(at, lam, L)
+    for rc, cc2 in sorted(zip(rigged(at, configs), rigged_cc2(at, configs))):
         if args.json:
             print(json.dumps(rc_to_json(at, lam, L, rc), sort_keys=True))
         else:
-            parts = []
-            for a in range(at.n):
-                strs = ",".join(
-                    "%s:%s" % (_fmt_half(ln), _fmt_half(rg)) for ln, rg in rc[a]
-                )
-                parts.append("(%s)" % strs)
-            print(
-                " ".join(parts), "cc=%s" % _fmt_half(cc2_total(at, rc))
-            )
+            parts = ["(%s)" % ",".join("%s:%s" % (_fmt_half(ln), _fmt_half(rg))
+                                       for ln, rg in node) for node in rc]
+            print(" ".join(parts), "cc=%s" % _fmt_half(cc2))
     return 0
 
 
@@ -145,11 +142,12 @@ def cmd_map(args) -> int:
         try:
             at, lam, L, rc = rc_from_json(data)
             _check_cell(at, lam, L)
-            validate_rc(at, lam, L, rc)
+            cf = validate_rc(at, lam, L, rc)
         except ValueError as exc:  # InvalidRC, or an unknown family
             _usage_error("invalid rigged configuration: %s" % exc)
-        fn = phi_tilde if args.tilde else phi
-        word = fn(at, lam, L, rc)
+        if args.tilde:  # phi_tilde, stepping from the checked Config
+            cf = Config(at, L, cf.complement())
+        word = _phi(cf, lam)
         print(
             json.dumps(
                 {

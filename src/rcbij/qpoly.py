@@ -7,6 +7,8 @@ coefficients are never stored, which makes equality structural.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 class QPoly:
     """Immutable Laurent-ish polynomial in q with half-integer exponents."""
@@ -22,19 +24,6 @@ class QPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
-
-    @staticmethod
-    def zero() -> "QPoly":
-        return QPoly({})
-
-    @staticmethod
-    def one() -> "QPoly":
-        return QPoly({0: 1})
-
-    @staticmethod
-    def q_power(exp2: int, coeff: int = 1) -> "QPoly":
-        """coeff * q^(exp2/2)."""
-        return QPoly({exp2: coeff})
 
     @staticmethod
     def count(exps2) -> "QPoly":
@@ -109,27 +98,29 @@ class QPoly:
 def qbinom(p: int, m: int, t: int = 1) -> QPoly:
     """Gaussian binomial [p+m choose m] evaluated at q^t.
 
-    Computed by the q-Pascal recurrence [n k] = [n-1 k-1] + q^k [n-1 k],
-    so coefficients stay integral throughout.  Degree is t*p*m and the
-    coefficient list is palindromic; test_qpoly checks both, and that the
-    coefficients sum to binom(p+m, m).
+    Its coefficients are ``qbinom_row(p, m)``; t only scales the
+    exponents, so the degree is t*p*m.
     """
     if p < 0 or m < 0 or t < 1:
         raise ValueError("qbinom needs p, m >= 0 and t >= 1")
-    n = p + m
-    row = {0: [1]}  # k -> coefficient list of [n' choose k]_q at current n'
-    for np_ in range(1, n + 1):
-        new = {}
-        for k in range(0, min(np_, m) + 1):
-            if k == 0 or k == np_:
-                new[k] = [1]
-                continue
-            res = list(row[k - 1])
-            shifted = row[k]
-            if len(res) < k + len(shifted):
-                res += [0] * (k + len(shifted) - len(res))
-            for i, c in enumerate(shifted):
-                res[k + i] += c
-            new[k] = res
-        row = new
-    return QPoly({2 * t * k: c for k, c in enumerate(row[m]) if c})
+    return QPoly({2 * t * k: c for k, c in enumerate(qbinom_row(p, m))})
+
+
+@lru_cache(maxsize=None)
+def qbinom_row(p: int, m: int) -> tuple:
+    """The coefficients of [p+m choose m] in q, from q^0 up; all positive.
+
+    Built once per (p, m), row by row in p, by the q-Pascal recurrence
+    [p+k choose k] = [p+k-1 choose k-1] + q^k [p-1+k choose k].  The memo
+    holds tuples, which no caller can change.
+    """
+    prev = [(1,)] * (m + 1)  # [0+k choose k] for k = 0..m
+    for pp in range(1, p + 1):
+        cur = [(1,)]
+        for k in range(1, m + 1):
+            out = list(cur[k - 1]) + [0] * pp
+            for j, c in enumerate(prev[k], k):
+                out[j] += c
+            cur.append(tuple(out))
+        prev = cur
+    return prev[m]

@@ -16,10 +16,16 @@ Representation conventions, used across the package:
 * Enumeration builds no ``Config``: ``_admissible`` places a
   configuration node by node and reads the vacancies of each occupied
   length once, pruning as it goes.  ``cc_configs`` pairs each admissible
-  configuration's groups with its ``cc2_config``; ``rigged``,
-  ``rigged_cc2``, ``complements`` and ``fermionic`` read that one list,
-  and ``enumerate_rc``, ``rc_genfun`` and ``fermionic_m`` read them.  The
-  complement of an enumerated rc comes off its boxes.
+  configuration's groups with its cc; ``rigged``, ``rigged_cc2``,
+  ``complements`` and ``fermionic`` read that one list, and
+  ``enumerate_rc``, ``rc_genfun`` and ``fermionic_m`` read them.  The
+  complement of an enumerated rc comes off its groups' vacancies.
+* cc is read off the vacancies.  With C the matrix of
+  ``_vacancy_table``, p2(a, x) = 2L[a=1] + sum_b C[a][b] Q_x(nu^(b)),
+  and cc's quadratic form has the same matrix, so
+  cc2(nu) = -1/2 sum_a t^vee_a sum_{x in nu^(a)} (p2(a, x) - 2L[a=1]).
+  ``fermionic`` reads the Gaussian binomials off ``qpoly.qbinom_row``,
+  whose coefficient rows are memoized there per (p, m), as tuples.
 
 Everything is exact integer arithmetic.  The vacancy numbers and cc come
 from one integer matrix per type, derived from the normalized form, and
@@ -35,7 +41,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .cartan import AffineType, form2_matrix, iota2, kac_data, per_type
-from .qpoly import QPoly, qbinom
+from .qpoly import QPoly, qbinom_row
 
 INF = 10 ** 9  # larger than any doubled length
 
@@ -154,9 +160,16 @@ class Config:
             self.p2.append(p2)
             total = 0
 
+    def complement(self):
+        """rc with every rigging complemented in its box: p2 - rg."""
+        return tuple(
+            tuple(sorted(((ln, p2[ln] - rg) for ln, rg in node), reverse=True))
+            for p2, node in zip(self.p2, self.rc)
+        )
+
 
 def _node_groups(at: AffineType, L: int, nu, a: int, row):
-    """(a, len2, multiplicity, box) for each occupied length at node a.
+    """(a, len2, multiplicity, p2, box) for each occupied length at node a.
 
     The lengths come in their order in nu, on node a's lattice.  None if
     a box is empty, i.e. node a is inadmissible.  Only the nodes of row,
@@ -166,10 +179,11 @@ def _node_groups(at: AffineType, L: int, nu, a: int, row):
     base = 2 * L if a == 1 else 0
     out = []
     for i2 in dict.fromkeys(node):
-        bx = box(at, a, i2, _row_vacancy(row, base, nu, i2))
+        p2 = _row_vacancy(row, base, nu, i2)
+        bx = box(at, a, i2, p2)
         if not bx:
             return None
-        out.append((a, i2, node.count(i2), bx))
+        out.append((a, i2, node.count(i2), p2, bx))
     return out
 
 
@@ -224,13 +238,25 @@ def _admissible(at: AffineType, lam, L: int):
 
 
 def cc_configs(at: AffineType, lam, L: int):
-    """(cc2_config(nu), occupied groups) for each admissible nu, in order.
+    """(doubled cc of nu, occupied groups) for each admissible nu, in order.
 
     The one admissible pass of a cell: ``rigged``, ``rigged_cc2``,
-    ``complements`` and ``fermionic`` all read this list.
+    ``complements`` and ``fermionic`` all read this list.  The cc comes
+    off the groups' vacancies (module docstring).
     """
-    return [(cc2_config(at, nu), groups)
-            for nu, groups in _admissible(at, lam, L)]
+    t_vee = at.kac_data.t_vee
+    out = []
+    for nu, groups in _admissible(at, lam, L):
+        area2 = sum(t_vee[a - 1] * m * p2 for a, _i2, m, p2, _bx in groups)
+        out.append((-_half(at, area2 - 2 * L * t_vee[0] * len(nu[0])), groups))
+    return out
+
+
+def _half(at: AffineType, x2: int) -> int:
+    """x2 / 2; the form makes every doubled cc sum even."""
+    if x2 % 2:
+        raise ValueError("%s: the form gives an odd doubled cc" % at)
+    return x2 // 2
 
 
 def _multisets(bx: range, m: int):
@@ -242,7 +268,7 @@ def _multisets(bx: range, m: int):
 def _build(n: int, groups, picks):
     """The rc in normal form whose group g carries the riggings picks[g]."""
     nodes = [[] for _ in range(n)]
-    for (a, i2, _m, _bx), rigs in zip(groups, picks):
+    for (a, i2, _m, _p2, _bx), rigs in zip(groups, picks):
         nodes[a - 1].extend((i2, rg) for rg in rigs)
     return tuple(map(tuple, nodes))
 
@@ -256,22 +282,20 @@ def rigged(at: AffineType, configs):
     """
     return [_build(at.n, groups, picks) for _x, groups in configs
             for picks in product(*[_multisets(bx, m)
-                                   for _a, _i2, m, bx in groups])]
+                                   for _a, _i2, m, _p2, bx in groups])]
 
 
 def rigged_cc2(at: AffineType, configs):
     """The doubled cc of each rigged configuration, in the order of rigged.
 
-    configs is ``cc_configs``'s list: cc2_config of the configuration,
-    read once, plus t^vee_a times the sum of the riggings at node a.
+    configs is ``cc_configs``'s list: the cc of the configuration, read
+    once, plus t^vee_a times the sum of the riggings at node a.
     """
-    if not configs:  # most cells have none, and need no t^vee
-        return []
-    t_vee = kac_data(at).t_vee
+    t_vee = at.kac_data.t_vee
     out = []
     for e2, groups in configs:
         weights = [[t_vee[a - 1] * sum(rigs) for rigs in _multisets(bx, m)]
-                   for a, _i2, m, bx in groups]
+                   for a, _i2, m, _p2, bx in groups]
         out += [e2 + sum(picks) for picks in product(*weights)]
     return out
 
@@ -279,15 +303,15 @@ def rigged_cc2(at: AffineType, configs):
 def complements(at: AffineType, configs):
     """The complement of each rigged configuration, in the order of rigged.
 
-    A rigging r in the box bx goes to bx[0] + bx[-1] - r, which turns a
+    A rigging r goes to the group's vacancy p2 - r, which turns a
     multiset largest first into one smallest first, so each is reversed;
     no vacancy is read again.
     """
     out = []
     for _x, groups in configs:
-        flipped = [[tuple(bx[0] + bx[-1] - r for r in reversed(rigs))
+        flipped = [[tuple(p2 - r for r in reversed(rigs))
                     for rigs in _multisets(bx, m)]
-                   for _a, _i2, m, bx in groups]
+                   for _a, _i2, m, p2, bx in groups]
         out += [_build(at.n, groups, picks) for picks in product(*flipped)]
     return out
 
@@ -297,9 +321,11 @@ def enumerate_rc(at: AffineType, lam, L: int):
     return rigged(at, _admissible(at, lam, L))
 
 
-def validate_rc(at: AffineType, lam, L: int, rc) -> None:
+def validate_rc(at: AffineType, lam, L: int, rc) -> Config:
     """Check every structural invariant; raises InvalidRC on failure."""
-    validate_config(Config(at, L, rc), lam)
+    cf = Config(at, L, rc)
+    validate_config(cf, lam)
+    return cf
 
 
 def validate_config(cf: Config, lam) -> None:
@@ -328,39 +354,19 @@ def validate_config(cf: Config, lam) -> None:
         raise InvalidRC("rigging out of box")
 
 
-def cc2_config(at: AffineType, nu) -> int:
-    """Doubled configuration statistic (the quadratic form part).
-
-    The same form gives the vacancy numbers: with C the matrix of
-    _vacancy_table, the doubled cc is
-    -1/2 sum_a t^vee_a sum_b C[a][b] sum_{x in nu^(a), y in nu^(b)} min(x, y).
-    """
-    t_vee = at.kac_data.t_vee
-    _up2, rows = at._vacancy_table
-    total = 0
-    for a, row in enumerate(rows):
-        for b, c in row:
-            area = sum(x if x < y else y for x in nu[a] for y in nu[b])
-            total += t_vee[a] * c * area
-    if total % 2:
-        raise ValueError("%s: the form gives an odd doubled cc" % at)
-    return -total // 2
-
-
 def cc2_total(at: AffineType, rc) -> int:
-    """Doubled cc statistic: configuration part plus weighted rigging area."""
-    t_vee = at.kac_data.t_vee
-    return cc2_config(at, config_of(rc)) + sum(
-        tv * rg for tv, node in zip(t_vee, rc) for _ln, rg in node)
+    """Doubled cc of one rigged configuration: for each string at node a,
+    t^vee_a times its rigging less half its vacancy without 2L[a=1] (the
+    identity of ``cc_configs``)."""
+    nu, rows = config_of(rc), at._vacancy_table[1]
+    return _half(at, sum(tv * (2 * rg - _row_vacancy(row, 0, nu, ln))
+                         for tv, row, node in zip(at.kac_data.t_vee, rows, rc)
+                         for ln, rg in node))
 
 
 def complement(at: AffineType, L: int, rc):
     """Complement every rigging in its box; an involution."""
-    p2 = Config(at, L, rc).p2
-    return tuple(
-        tuple(sorted(((ln, p2[a][ln] - rg) for ln, rg in node), reverse=True))
-        for a, node in enumerate(rc)
-    )
+    return Config(at, L, rc).complement()
 
 
 def rc_genfun(at: AffineType, lam, L: int) -> QPoly:
@@ -378,31 +384,32 @@ def fermionic_m(at: AffineType, lam, L: int) -> QPoly:
 
 
 def fermionic(at: AffineType, configs) -> QPoly:
-    """fermionic_m of ``cc_configs``'s list.
+    """fermionic_m of ``cc_configs``'s list, summed in one dict.
 
     Each admissible configuration contributes q^cc of its configuration
     times, for every occupied length, the generating function of rigging
     multisets drawn from the box: with m strings and a box of k values
     starting at s (doubled), that is q^(t^vee m s / 2) times
-    [k - 1 + m choose m] at q^(t^vee).  Only A2dag's half-odd boxes have
-    s > 0.  It shares the admissible configurations and their cc2_config
-    with rc_genfun and nothing else: rc_genfun counts the riggings one by
-    one, this sum by the Gaussian binomials.
+    [k - 1 + m choose m] at q^(t^vee), the row ``qbinom_row(k - 1, m)``.
+    Only A2dag's half-odd boxes have s > 0.  rc_genfun counts the same
+    riggings one by one.
     """
-    if not configs:  # most cells have none, and need no t^vee
-        return QPoly.zero()
-    t_vee = kac_data(at).t_vee
-    total = QPoly.zero()
+    t_vee = at.kac_data.t_vee
+    total = {}
     for e2, groups in configs:
-        binoms = []
-        for a, _i2, m, bx in groups:
-            e2 += t_vee[a - 1] * m * bx.start
-            binoms.append(qbinom(len(bx) - 1, m, t_vee[a - 1]))
-        term = QPoly.q_power(e2)
-        for binom in binoms:
-            term = term * binom
-        total = total + term
-    return total
+        term = {e2: 1}
+        for a, _i2, m, _p2, bx in groups:
+            tv, row = t_vee[a - 1], qbinom_row(len(bx) - 1, m)
+            shifted = {}
+            for e, c in term.items():
+                e += tv * m * bx.start
+                for r in row:
+                    shifted[e] = shifted.get(e, 0) + c * r
+                    e += 2 * tv
+            term = shifted
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return QPoly(total)
 
 
 def rc_to_json(at: AffineType, lam, L: int, rc) -> dict:

@@ -8,10 +8,10 @@ the first that fails with the configuration it failed on, as JSON that
 Each side of the cell is built once.  The path side enumerates the
 highest paths and reads dbar once per path; Xbar and the ``cc=2dbar``
 check read those energies, and nothing of the rc side.  The rc side is
-one admissible pass (``rc.cc_configs``), with cc2_config once per
-configuration: the rigged configurations, each one's cc, the
+one admissible pass (``rc.cc_configs``), which reads each configuration's
+cc off its vacancies: the rigged configurations, each one's cc, the
 rigged-configuration sum, the closed fermionic sum and the complements
-all read its list, the complements off the enumerated boxes.  These are
+all read its list, the complements off its vacancies.  These are
 the functions ``xbar``, ``enumerate_rc``, ``rc_genfun`` and
 ``fermionic_m`` read too, so ``rcbij x``, ``rc-enum``, ``f`` and ``m``
 print what the certificate certifies.

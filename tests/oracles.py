@@ -14,7 +14,11 @@ in Fractions (``iota_image_by_fractions``) check the doubled integer ones
 that ``rcbij.rc.normalized_sizes`` reads, and ``rest_weight_rule`` the
 memo of ``rcbij.crystal.rest_weight``.  ``is_admissible_config`` and
 ``enumerate_configs`` read the production admissible pass, for tests that
-compare it with the full check.  ``verify_delta_identities`` checks the paper's per-step identities (the
+compare it with the full check.  cc by the quadratic form's double sum
+(``cc2_config_by_form``, ``cc2_total_by_form``) checks the cc that
+``rcbij.rc.cc_configs`` reads off the vacancies, and the sum of QPoly
+products (``fermionic_by_products``) the one-dict ``rcbij.rc.fermionic``.
+``verify_delta_identities`` checks the paper's per-step identities (the
 change of the vacancy numbers and of cc across one removal step) against
 ``delta``.
 """
@@ -42,6 +46,7 @@ from rcbij.crystal import (
     wt_path,
 )
 from rcbij.energy import local_hbar
+from rcbij.qpoly import QPoly, qbinom
 from rcbij.rc import (
     INF,
     InvalidRC,
@@ -49,7 +54,6 @@ from rcbij.rc import (
     _node_groups,
     _vacancy_table,
     box,
-    cc2_total,
     complement,
     config_of,
     enumerate_rc,
@@ -249,6 +253,50 @@ def is_admissible_config(at: AffineType, L: int, nu) -> bool:
 def enumerate_configs(at: AffineType, lam, L: int):
     """All admissible lam-configurations (configuration parts only)."""
     return [nu for nu, _groups in _admissible(at, lam, L)]
+
+
+def cc2_config_by_form(at: AffineType, nu) -> int:
+    """Doubled configuration statistic, the quadratic form's double sum.
+
+    With C the matrix of _vacancy_table, the doubled cc is
+    -1/2 sum_a t^vee_a sum_b C[a][b] sum_{x in nu^(a), y in nu^(b)} min(x, y).
+    """
+    t_vee = kac_data(at).t_vee
+    _up2, rows = _vacancy_table(at)
+    total = 0
+    for a, row in enumerate(rows):
+        for b, c in row:
+            area = sum(x if x < y else y for x in nu[a] for y in nu[b])
+            total += t_vee[a] * c * area
+    if total % 2:
+        raise ValueError("%s: the form gives an odd doubled cc" % at)
+    return -total // 2
+
+
+def cc2_total_by_form(at: AffineType, rc) -> int:
+    """Doubled cc statistic: configuration part plus weighted rigging area."""
+    t_vee = kac_data(at).t_vee
+    return cc2_config_by_form(at, config_of(rc)) + sum(
+        tv * rg for tv, node in zip(t_vee, rc) for _ln, rg in node)
+
+
+def fermionic_by_products(at: AffineType, lam, L: int) -> QPoly:
+    """The fermionic sum as a sum of QPoly products, term by term.
+
+    Each admissible configuration gives q^cc, cc by the form's double sum,
+    times one ``qbinom`` per occupied length, shifted by the start of its
+    box.
+    """
+    t_vee = kac_data(at).t_vee
+    total = QPoly()
+    for nu, groups in _admissible(at, lam, L):
+        term = QPoly({cc2_config_by_form(at, nu): 1})
+        for a, _i2, m, _p2, bx in groups:
+            tv = t_vee[a - 1]
+            term = term * QPoly({tv * m * bx.start: 1})
+            term = term * qbinom(len(bx) - 1, m, tv)
+        total = total + term
+    return total
 
 
 def vacancy2_by_family(at: AffineType, L: int, nu, a: int, i2: int) -> int:
@@ -688,7 +736,7 @@ def verify_delta_identities(at: AffineType, lam, L: int, rc) -> dict:
         if not cond:
             report["ok"] = False
 
-    dcc2 = cc2_total(at, rc) - cc2_total(at, rc2)
+    dcc2 = cc2_total_by_form(at, rc) - cc2_total_by_form(at, rc2)
     alpha1 = len(rc[0])
     phiflag = 1 if b == EMPTY else 0
     if fam in ("A2", "D2"):

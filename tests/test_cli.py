@@ -7,9 +7,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from rcbij import cli
+from rcbij import cli, rc as rc_mod
+from rcbij.cartan import AffineType
 from rcbij.cli import main
-from rcbij.rc import complement, rc_from_json
+from rcbij.rc import complement, enumerate_rc, rc_from_json, rc_to_json
 from rcbij.verify import BATTERY
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -102,6 +103,22 @@ def test_map_round_trip():
         at, lam, L, complement(at, L, plain))
     code, back = run(["map", "--dir", "rc2path", "--tilde"], stdin_text=out)
     assert code == 0 and json.loads(back) == path
+
+
+def test_rc2path_builds_the_input_config_once(monkeypatch):
+    """map --dir rc2path validates one Config of the input and phi steps
+    from it: L + 1 Configs in all, one more with --tilde (its complement)."""
+    built = []
+    init = rc_mod.Config.__init__
+    monkeypatch.setattr(rc_mod.Config, "__init__",
+                        lambda self, *a: built.append(a[1]) or init(self, *a))
+    at = AffineType("C1", 2)
+    for rc in enumerate_rc(at, (1, 0), 3):
+        blob = json.dumps(rc_to_json(at, (1, 0), 3, rc))
+        for flag, extra in (([], 0), (["--tilde"], 1)):
+            built.clear()
+            assert run(["map", "--dir", "rc2path"] + flag, blob)[0] == 0
+            assert built == [3] * (1 + extra) + [2, 1, 0], (rc, flag)
 
 
 def test_verify_ok_and_deterministic():

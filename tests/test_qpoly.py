@@ -3,7 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from rcbij.qpoly import QPoly, qbinom
+from rcbij.qpoly import QPoly, qbinom, qbinom_row
 
 
 def poly(d):
@@ -23,13 +23,14 @@ def test_mul_examples():
 
 def test_zero_coefficients_dropped():
     assert poly({2: 0, 0: 1}).terms == {0: 1}
-    assert (poly({2: 1}) - poly({2: 1})) == QPoly.zero()
+    assert (poly({2: 1}) - poly({2: 1})) == QPoly()
+    assert poly({0: 1}) - poly({2: 1}) == poly({0: 1, 2: -1})
 
 
 def test_qbinom_small():
-    assert qbinom(1, 1, 1) == poly({0: 1, 2: 1})
-    assert qbinom(0, 5, 1) == QPoly.one()
-    assert qbinom(5, 0, 3) == QPoly.one()
+    assert qbinom(1, 1, 1) == qbinom(1, 1) == poly({0: 1, 2: 1})
+    assert qbinom(0, 5, 1) == QPoly({0: 1})
+    assert qbinom(5, 0, 3) == QPoly({0: 1})
 
 
 def test_qbinom_frozen_2_2_2():
@@ -57,6 +58,16 @@ def test_qbinom_palindromic():
                 coeffs = [c for _e, c in terms]
                 assert min(coeffs) > 0 and coeffs == coeffs[::-1]
                 assert sum(coeffs) == comb(p + m, m)
+
+
+def test_qbinom_result_is_not_the_memo():
+    """Changing the terms of one qbinom result leaves the next call's
+    answer as it was: the memo holds immutable rows, not QPolys."""
+    first = qbinom(2, 2, 2)
+    first.terms[0] = 7
+    first.terms[16] += 1
+    assert qbinom(2, 2, 2) == poly({0: 1, 4: 1, 8: 2, 12: 1, 16: 1})
+    assert qbinom_row(2, 2) == (1, 1, 2, 1, 1)
 
 
 @pytest.mark.parametrize("p,m,t", [(-1, 2, 1), (2, -1, 1), (2, 2, 0)])
@@ -88,9 +99,10 @@ def test_distributive(p, r, s):
 
 
 def test_string_forms():
-    assert str(QPoly.zero()) == "0"
+    assert str(QPoly()) == "0"
     assert str(poly({0: 1, 2: 2, 4: 1})) == "1 + 2*q + q^2"
     assert str(poly({1: 1})) == "q^(1/2)"
     assert str(poly({-3: 1})) == "q^(-3/2)"
+    assert str(poly({-6: 1})) == "q^(-3)"
     assert str(poly({0: 1, 2: -1})) == "1 - q"
 

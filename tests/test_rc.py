@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import EXTENDED, GRID_TYPES
+from rcbij import rc as rc_mod
 from rcbij.bijection import delta
 from rcbij.cartan import AffineType, dominant_weights, form2_matrix, kac_data
 from rcbij.cli import main
@@ -18,11 +19,12 @@ from rcbij.rc import (
     InvalidRC,
     _partitions,
     _vacancy_table,
-    cc2_config,
     cc2_total,
+    cc_configs,
     complement,
     config_of,
     enumerate_rc,
+    fermionic,
     fermionic_m,
     normalized_sizes,
     rc_from_json,
@@ -32,7 +34,10 @@ from rcbij.rc import (
     validate_rc,
 )
 from oracles import (
+    cc2_config_by_form,
+    cc2_total_by_form,
     enumerate_configs,
+    fermionic_by_products,
     is_admissible_config,
     is_admissible_config_full,
     vacancy2_by_family,
@@ -327,10 +332,44 @@ def test_a2dag_odd_riggings_halfodd():
 
 def test_cc_examples():
     at = AffineType("A2", 1)
-    assert cc2_config(at, (tuple(),)) == 0
-    assert cc2_config(at, ((2,),)) == 2  # cc = 1
+    assert cc2_config_by_form(at, (tuple(),)) == 0
+    assert cc2_config_by_form(at, ((2,),)) == 2  # cc = 1
+    assert cc2_total(at, (((2, 0),),)) == 2
     at = AffineType("C1", 2)
-    assert cc2_config(at, ((2, 2), (4,))) == 6  # cc = 3, from the oracle
+    assert cc2_config_by_form(at, ((2, 2), (4,))) == 6  # cc = 3
+    assert cc2_total(at, (((2, 0), (2, 0)), ((4, 0),))) == 6
+
+
+def test_cc_read_off_the_vacancies(battery):
+    """The cc that cc_configs and cc2_total read off the vacancies is the
+    form's double sum, and fermionic is the sum of QPoly products, on the
+    battery at L <= 6 and the extended ranks at L <= 4."""
+    cells = list(battery) + [(at, lam, L) for at in EXTENDED
+                             for L in range(5)
+                             for lam in dominant_weights(at, L)]
+    n_configs = 0
+    for cell in cells:
+        at = cell[0]
+        configs = cc_configs(*cell)
+        nus = enumerate_configs(*cell)
+        assert [cc2 for cc2, _g in configs] == \
+            [cc2_config_by_form(at, nu) for nu in nus], cell
+        assert fermionic(at, configs) == fermionic_by_products(*cell), cell
+        n_configs += len(nus)
+    assert n_configs > 1500
+    for cell in cells[::25]:
+        for rc in enumerate_rc(*cell):
+            assert cc2_total(cell[0], rc) == cc2_total_by_form(cell[0], rc)
+
+
+def test_odd_cc_refused(monkeypatch):
+    """A configuration whose vacancies make the doubled cc odd is refused,
+    not rounded."""
+    at, L = AffineType("C1", 2), 1
+    odd = (((2,), ()), [(1, 2, 1, 1, range(0, 2, 2))])
+    monkeypatch.setattr(rc_mod, "_admissible", lambda *args: [odd])
+    with pytest.raises(ValueError, match="odd doubled cc"):
+        cc_configs(at, (1, 0), L)
 
 
 def test_cc_oracle():
@@ -354,7 +393,7 @@ def test_cc_oracle():
                                         kd.t_lat[b - 1] * j,
                                         kd.t_lat[a - 1] * k,
                                     )
-                    assert acc == Fraction(cc2_config(at, nu), 2)
+                    assert acc == Fraction(cc2_config_by_form(at, nu), 2)
 
 
 def test_cc_total_weighting():
@@ -362,11 +401,11 @@ def test_cc_total_weighting():
     at = AffineType("A2", 2)
     rc = (((2, 2),), tuple())
     nu = config_of(rc)
-    assert cc2_total(at, rc) - cc2_config(at, nu) == 2 * 2
+    assert cc2_total(at, rc) - cc2_config_by_form(at, nu) == 2 * 2
     # A2dag odd string: rigging 1/2 contributes 1/2
     at = AffineType("A2dag", 1)
     rc = (((2, 1),),)
-    assert cc2_total(at, rc) - cc2_config(at, config_of(rc)) == 1
+    assert cc2_total(at, rc) - cc2_config_by_form(at, config_of(rc)) == 1
 
 
 def test_complement():
@@ -388,15 +427,16 @@ def test_complement():
 
 
 def test_fermionic_m_equals_rc_genfun():
-    # rc_genfun reads cc2_config once per configuration; the oracle is
-    # cc2_total on each enumerated rigged configuration
+    # rc_genfun reads cc off the admissible pass; the oracle is the
+    # form's cc on each enumerated rigged configuration
     for at in GRID_TYPES + EXTENDED:
         for L in range(0, 4):
             for lam in dominant_weights(at, L):
                 gf = rc_genfun(at, lam, L)
                 assert fermionic_m(at, lam, L) == gf, (at, lam, L)
                 counts = Counter(
-                    cc2_total(at, rc) for rc in enumerate_rc(at, lam, L)
+                    cc2_total_by_form(at, rc)
+                    for rc in enumerate_rc(at, lam, L)
                 )
                 assert gf == QPoly(counts), (at, lam, L)
 
@@ -404,8 +444,8 @@ def test_fermionic_m_equals_rc_genfun():
 def test_fermionic_m_examples():
     at = AffineType("C1", 3)
     lam = (3, 0, 0)
-    assert fermionic_m(at, lam, 3) == QPoly.one()
-    assert fermionic_m(AffineType("A2", 1), (0,), 1) == QPoly.q_power(2)
+    assert fermionic_m(at, lam, 3) == QPoly({0: 1})
+    assert fermionic_m(AffineType("A2", 1), (0,), 1) == QPoly({2: 1})
 
 
 def test_json_roundtrip():

@@ -18,6 +18,7 @@ import random
 
 from conftest import EXTENDED, GRID_TYPES
 from oracles import (
+    cc2_total_by_form,
     is_admissible_config,
     is_classically_highest,
     verify_delta_identities,
@@ -29,7 +30,6 @@ from rcbij.energy import dbar
 from rcbij.rc import (
     InvalidRC,
     box,
-    cc2_total,
     complement,
     normalized_sizes,
     vacancy2,
@@ -163,7 +163,7 @@ def path_fault(at, lam, L, word):
             return "phi(phi_inverse(p)) != p"
     except (InvalidRC, NoPreimage) as exc:
         return "%s: %s" % (type(exc).__name__, exc)
-    if cc2_total(at, complement(at, L, rc)) != 2 * dbar(at, word):
+    if cc2_total_by_form(at, complement(at, L, rc)) != 2 * dbar(at, word):
         return "cc(complement(phi_inverse(p))) != dbar(p)"
     for step in range(L, 0, -1):
         if not verify_delta_identities(at, lam, step, rc)["ok"]:

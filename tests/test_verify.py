@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from conftest import EXTENDED, out_of_box
-from oracles import enumerate_configs
+import oracles
+from oracles import cc2_total_by_form
 from rcbij import bijection, energy, rc as rc_mod, verify
 from rcbij.bijection import NoPreimage
 from rcbij.cartan import AffineType
@@ -21,7 +22,6 @@ from rcbij.qpoly import QPoly
 from rcbij.rc import (
     Config,
     InvalidRC,
-    cc2_total,
     cc_configs,
     complement,
     complements,
@@ -65,7 +65,7 @@ def complements_out_of_box(f):
 PLANTED = [
     pytest.param("rigged_cc2", lambda f: lambda *a: f(*a) + [0],
                  "xbar=rc_genfun", id="rc_genfun-<lambda>-xbar=rc_genfun"),
-    pytest.param("fermionic", lambda f: lambda *a: f(*a) + QPoly.one(),
+    pytest.param("fermionic", lambda f: lambda *a: f(*a) + QPoly({0: 1}),
                  "fermionic_m=rc_genfun",
                  id="fermionic_m-<lambda>-fermionic_m=rc_genfun"),
     ("enumerate_highest", lambda f: lambda *a: f(*a)[1:], "xbar=rc_genfun"),
@@ -235,13 +235,13 @@ PINNED = [
 def test_one_pass_per_cell(monkeypatch, cell):
     """verify_cell builds each side of a cell once.
 
-    One path enumeration and one dbar per path; one admissible pass and
-    one cc2_config per configuration; one Config for each configuration's
+    One path enumeration and one dbar per path; one admissible pass, which
+    gives every cc with it (neither the form's double sum nor the per-rc
+    cc2_total runs); one Config for each configuration's
     delta step and one for its delta_inverse check; and inside each phi
     and phi_inverse it runs, one Config per configuration (L + 1 of them).
     """
     paths = enumerate_highest(*cell)
-    n_configs = len(enumerate_configs(*cell))
     calls = Counter()
     configs_in = []  # (the map, its length L, the Configs built in it)
 
@@ -264,7 +264,8 @@ def test_one_pass_per_cell(monkeypatch, cell):
     for module, name in ((verify, "enumerate_highest"),
                          (energy, "enumerate_highest"),
                          (verify, "dbar"), (energy, "dbar"),
-                         (rc_mod, "_admissible"), (rc_mod, "cc2_config")):
+                         (rc_mod, "_admissible"), (rc_mod, "cc2_total"),
+                         (oracles, "cc2_config_by_form")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Config, "__init__",
                         counted("Config", Config.__init__))
@@ -277,7 +278,7 @@ def test_one_pass_per_cell(monkeypatch, cell):
     assert calls["enumerate_highest"] == 1
     assert calls["dbar"] == len(paths)
     assert calls["_admissible"] == 1
-    assert calls["cc2_config"] == n_configs
+    assert calls["cc2_total"] == calls["cc2_config_by_form"] == 0
     per_step = Counter(name for name, _L, _k in configs_in)
     assert per_step["delta_step"] == per_step["delta_inverse"] == row[0]
     assert set(per_step) == {"phi", "phi_inverse", "delta_step",
@@ -313,8 +314,8 @@ def test_verify_row_is_what_the_commands_print(battery):
 
     ``rcbij rc-enum``, ``path-enum``, ``x``, ``f`` and ``m`` print these
     functions, so they print what ``verify`` certifies.  The cc of each
-    rigged configuration and its complement off the boxes are cc2_total
-    and complement, the functions ``map --tilde`` and the oracles read.
+    rigged configuration and its complement off the boxes are the form's
+    cc (the oracle) and complement, which ``map --tilde`` reads.
     """
     answers = {cell: row for cell, (_rcs, (_ok, row, _f)) in battery.items()
                if cell[2] <= 4}
@@ -330,6 +331,7 @@ def test_verify_row_is_what_the_commands_print(battery):
                        str(xbar(*cell)), str(mb)), cell
         assert fermionic_m(*cell) == mb, cell
         configs = cc_configs(*cell)
-        assert rigged_cc2(at, configs) == [cc2_total(at, rc) for rc in rcs]
+        assert rigged_cc2(at, configs) == \
+            [cc2_total_by_form(at, rc) for rc in rcs], cell
         assert complements(at, configs) == \
             [complement(at, L, rc) for rc in rcs], cell

@@ -73,16 +73,19 @@ EQUIVALENT = [
      "every doubled vacancy is even (C[a][b] is even wherever node a's or "
      "node b's lattice is odd), so the end p2 - lo + 2 adds no value to "
      "the step-2 range"),
-    ("rc.py", "base = 2 * L if a == 1 else 0", "0 -> 1",
-     "in the admissible pass the vacancy only sets the box, and every "
-     "doubled vacancy is even, so p2 + 1 gives box the same riggings"),
     ("rc.py", "total += c * (x if x < i2 else i2)", "< -> <=",
      "x if x <= i2 else i2 is min(x, i2) as well"),
-    ("rc.py", "area = sum(x if x < y else y", "< -> <=",
-     "x if x <= y else y is min(x, y) as well"),
-    ("rc.py", "e2 += t_vee[a - 1] * m * bx.start", "1 -> 2",
-     "a box starts above 0 only at A2dag's node n, and A2dag's t^vee is 1 "
-     "at every node"),
+    ("qpoly.py", "prev = [(1,)] * (m + 1)", "1 -> 2",
+     "the row list's entry m + 1 is never read"),
+    ("qpoly.py", "parts.append(body if c > 0", "> -> >=",
+     "no stored coefficient is 0"),
+    ("qpoly.py", 'parts.append(("+ " if c > 0', "> -> >=",
+     "no stored coefficient is 0"),
+    ("qpoly.py", 'pw = "q^%d" % (e // 2) if e > 0', "> -> >=",
+     "the branch is reached for e other than 0 (and 2)"),
+    ("qpoly.py", 'pw = "q^%d" % (e // 2) if e > 0', "0 -> 1",
+     "the branch is reached for even e other than 0, and no even e has "
+     "0 < e <= 1"),
 ]
 
 
