@@ -15,12 +15,12 @@ complementation gives the statistic-preserving variant.
 Neither step re-checks its result: phi and phi_inverse check each step,
 and ``rcbij.verify`` each one its level table of certified configurations
 lacks.  phi and phi_inverse build one ``Config`` per configuration, which
-the step, its check and the next step all read.  Only the public delta
-builds a ``DeltaTrace``, off its ``_Scan``: phi, phi_inverse and verify's
-``delta_step`` build none.  A trace records the selected lengths
-(doubled, INF when undefined) and the case flags, in which the
-change-of-vacancy and change-of-statistic identities are stated
-(tests/oracles.py checks them).
+the step, its check and the next step all read; ``rcbij.verify`` and
+``rcbij map`` build their own and step from it through ``_delta`` and
+``_phi``.  Only the public delta builds a ``DeltaTrace``, off its
+``_Scan``.  A trace records the selected lengths (doubled, INF when
+undefined) and the case flags, in which the change-of-vacancy and
+change-of-statistic identities are stated (tests/oracles.py checks them).
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 from .cartan import AffineType, form2_matrix, is_dominant, kac_data, per_type
 from .crystal import EMPTY, letters, rest_weight, wt_letter
-from .rc import (INF, Config, InvalidRC, box, complement, vacancy2,
-                 validate_config)
+from .rc import INF, Config, InvalidRC, box, vacancy2, validate_config
 
 
 class NoPreimage(ValueError):
@@ -276,11 +275,6 @@ def delta(at: AffineType, lam, L: int, rc):
     return b, rc2, trace
 
 
-def delta_step(at: AffineType, lam, L: int, rc):
-    """delta without its trace: (letter, smaller rc)."""
-    return _delta(Config(at, L, rc), lam)[:2]
-
-
 def _delta(cf, lam):
     """delta of cf.rc at lam: the letter, the smaller rc and its _Scan."""
     L, n = cf.L, cf.at.n
@@ -357,11 +351,6 @@ def _phi(cf, lam):
     if any(cur_lam):
         raise InvalidRC("letters do not exhaust the weight")
     return tuple(word)
-
-
-def phi_tilde(at: AffineType, lam, L: int, rc):
-    """The statistic-matching variant: complement the riggings first."""
-    return phi(at, lam, L, complement(at, L, rc))
 
 
 class _Fill:

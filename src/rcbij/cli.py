@@ -145,7 +145,7 @@ def cmd_map(args) -> int:
             cf = validate_rc(at, lam, L, rc)
         except ValueError as exc:  # InvalidRC, or an unknown family
             _usage_error("invalid rigged configuration: %s" % exc)
-        if args.tilde:  # phi_tilde, stepping from the checked Config
+        if args.tilde:  # phi of the complement, off the checked Config
             cf = Config(at, L, cf.complement())
         word = _phi(cf, lam)
         print(
@@ -247,10 +247,11 @@ def cmd_verify(args) -> int:
 
     # consecutive cells of one type form a run; --jobs hands out whole runs
     runs = [list(run) for _at, run in itertools.groupby(cells, lambda c: c[0])]
-    if args.jobs > 1:
+    workers = min(args.jobs, len(runs))  # at most one worker per run
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(args.jobs) as pool:
+        with mp.Pool(workers) as pool:
             per_run = pool.map(_run_cells, runs)
     else:
         per_run = [_run_cells(run) for run in runs]

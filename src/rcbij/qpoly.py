@@ -48,12 +48,6 @@ class QPoly:
             out[e] = out.get(e, 0) + c
         return QPoly(out)
 
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return QPoly(out)
-
     def __mul__(self, other: "QPoly") -> "QPoly":
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():

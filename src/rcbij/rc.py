@@ -9,17 +9,17 @@ Representation conventions, used across the package:
   pairs, sorted descending; riggings are doubled too.  This normal form
   is the value that is compared, hashed and written as JSON.
 * ``Config`` wraps one rc for the code that reads it string by string
-  (``validate_config``, ``complement`` and the steps of ``bijection``):
-  at each node the strings grouped by length, longest first whatever the
-  order of rc, and the doubled vacancy of each occupied length, computed
-  in one pass when it is built.
+  (``validate_config``, ``Config.complement`` and the steps of
+  ``bijection``): at each node the strings grouped by length, longest
+  first whatever the order of rc, and the doubled vacancy of each
+  occupied length, computed in one pass when it is built.  The
+  complement is read off it, by ``map --tilde`` and ``verify`` alike.
 * Enumeration builds no ``Config``: ``_admissible`` places a
   configuration node by node and reads the vacancies of each occupied
   length once, pruning as it goes.  ``cc_configs`` pairs each admissible
-  configuration's groups with its cc; ``rigged``, ``rigged_cc2``,
-  ``complements`` and ``fermionic`` read that one list, and
-  ``enumerate_rc``, ``rc_genfun`` and ``fermionic_m`` read them.  The
-  complement of an enumerated rc comes off its groups' vacancies.
+  configuration's groups with its cc; ``rigged``, ``rigged_cc2`` and
+  ``fermionic`` read that one list, and ``enumerate_rc``, ``rc_genfun``
+  and ``fermionic_m`` read them.
 * cc is read off the vacancies.  With C the matrix of
   ``_vacancy_table``, p2(a, x) = 2L[a=1] + sum_b C[a][b] Q_x(nu^(b)),
   and cc's quadratic form has the same matrix, so
@@ -240,9 +240,9 @@ def _admissible(at: AffineType, lam, L: int):
 def cc_configs(at: AffineType, lam, L: int):
     """(doubled cc of nu, occupied groups) for each admissible nu, in order.
 
-    The one admissible pass of a cell: ``rigged``, ``rigged_cc2``,
-    ``complements`` and ``fermionic`` all read this list.  The cc comes
-    off the groups' vacancies (module docstring).
+    The one admissible pass of a cell: ``rigged``, ``rigged_cc2`` and
+    ``fermionic`` all read this list.  The cc comes off the groups'
+    vacancies (module docstring).
     """
     t_vee = at.kac_data.t_vee
     out = []
@@ -297,22 +297,6 @@ def rigged_cc2(at: AffineType, configs):
         weights = [[t_vee[a - 1] * sum(rigs) for rigs in _multisets(bx, m)]
                    for a, _i2, m, _p2, bx in groups]
         out += [e2 + sum(picks) for picks in product(*weights)]
-    return out
-
-
-def complements(at: AffineType, configs):
-    """The complement of each rigged configuration, in the order of rigged.
-
-    A rigging r goes to the group's vacancy p2 - r, which turns a
-    multiset largest first into one smallest first, so each is reversed;
-    no vacancy is read again.
-    """
-    out = []
-    for _x, groups in configs:
-        flipped = [[tuple(p2 - r for r in reversed(rigs))
-                    for rigs in _multisets(bx, m)]
-                   for _a, _i2, m, p2, bx in groups]
-        out += [_build(at.n, groups, picks) for picks in product(*flipped)]
     return out
 
 

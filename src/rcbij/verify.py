@@ -10,11 +10,13 @@ highest paths and reads dbar once per path; Xbar and the ``cc=2dbar``
 check read those energies, and nothing of the rc side.  The rc side is
 one admissible pass (``rc.cc_configs``), which reads each configuration's
 cc off its vacancies: the rigged configurations, each one's cc, the
-rigged-configuration sum, the closed fermionic sum and the complements
-all read its list, the complements off its vacancies.  These are
-the functions ``xbar``, ``enumerate_rc``, ``rc_genfun`` and
+rigged-configuration sum and the closed fermionic sum all read its list.
+These are the functions ``xbar``, ``enumerate_rc``, ``rc_genfun`` and
 ``fermionic_m`` read too, so ``rcbij x``, ``rc-enum``, ``f`` and ``m``
-print what the certificate certifies.
+print what the certificate certifies.  Each configuration then gets one
+``Config``, which its delta step and its complement (``Config.complement``,
+what ``map --tilde`` prints) both read: the checks run the code ``map``
+runs.
 
 phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so a run
 of one type's cells in increasing L (the order of ``cells_for``) shares a
@@ -23,7 +25,8 @@ down.  Each configuration then costs one delta step.
 
 That step is checked once.  A smaller configuration found in the table
 is an enumerated configuration of its cell, which proves it valid; only
-one the table lacks is validated, before the recursion gives its word.
+one the table lacks is validated, and the recursion steps from the
+``Config`` the validation built.
 The ``delta_inverse`` check compares the box addition with rc itself,
 which holds more than the image check of ``phi_inverse``: rc is
 enumerated, and its step is already in hand.
@@ -31,21 +34,15 @@ enumerated, and its step is already in hand.
 
 from __future__ import annotations
 
-from .bijection import (
-    NoPreimage,
-    delta_inverse,
-    delta_step,
-    phi,
-    phi_inverse,
-)
+from .bijection import NoPreimage, _delta, _phi, delta_inverse, phi_inverse
 from .cartan import AffineType, dominant_weights
 from .crystal import enumerate_highest, rest_weight
 from .energy import dbar
 from .qpoly import QPoly
 from .rc import (
+    Config,
     InvalidRC,
     cc_configs,
-    complements,
     fermionic,
     rc_to_json,
     rigged,
@@ -146,27 +143,29 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
     unhit = {p: p for p in paths}  # each word maps to the enumerated tuple
     words = {}  # rc -> phi(rc)
     steps = []  # (rc, its letter, the weight left, delta(rc))
+    rcs_c = []  # the complement of each rc, off the Config delta read
     rc = None
     try:
         check = "phi"
         for rc in rcs:
+            cf = Config(at, L, rc)
             if L == 0:
-                word = phi(at, lam, L, rc)
+                word = _phi(cf, lam)
             else:
-                b, rc_small = delta_step(at, lam, L, rc)
+                b, rc_small, _sc = _delta(cf, lam)
                 rho = rest_weight(at, lam, b)
                 steps.append((rc, b, rho, rc_small))
                 tail = below.get((rho, rc_small))
                 if tail is None:
-                    validate_rc(at, rho, L - 1, rc_small)
-                    tail = phi(at, rho, L - 1, rc_small)
+                    tail = _phi(validate_rc(at, rho, L - 1, rc_small), rho)
                 word = (b,) + tail
             word = unhit.pop(word, None)
             if word is None:  # not a path, or the image of an earlier rc
                 return fail(check, rc)
             words[rc] = word
+            rcs_c.append(cf.complement())
         check = "cc=2dbar"
-        for rc, cc2, rc_c in zip(rcs, cc2s, complements(at, configs)):
+        for rc, cc2, rc_c in zip(rcs, cc2s, rcs_c):
             # phi-tilde(rc) is the word of the complement, which the cell
             # enumerates; a complement outside it is itself a fault
             word = words.get(rc_c)

@@ -11,7 +11,6 @@ from rcbij.bijection import (
     delta_inverse,
     phi,
     phi_inverse,
-    phi_tilde,
 )
 from oracles import verify_delta_identities
 
@@ -143,7 +142,7 @@ def test_phi_trivial():
 def test_phi_A2_L1():
     at = AffineType("A2", 1)
     assert phi(at, (0,), 1, (((2, 0),),)) == (EMPTY,)
-    assert phi_tilde(at, (0,), 1, (((2, 0),),)) == (EMPTY,)
+    assert phi(at, (0,), 1, complement(at, 1, (((2, 0),),))) == (EMPTY,)
 
 
 def test_delta_inverse_trivial():
@@ -171,7 +170,8 @@ def test_phi_inverse_round_trip():
                 for rc in enumerate_rc(at, lam, L):
                     word = phi(at, lam, L, rc)
                     assert phi_inverse(at, lam, L, word) == rc
-                    trc = phi_inverse(at, lam, L, phi_tilde(at, lam, L, rc))
+                    trc = phi_inverse(at, lam, L,
+                                      phi(at, lam, L, complement(at, L, rc)))
                     assert complement(at, L, trc) == rc
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -33,6 +34,9 @@ def test_x_unique_path():
     code, out = run(["x", "--type", "C1", "--n", "2", "--len", "2",
                      "--weight", "2,0"])
     assert code == 0 and out.strip() == "1"
+    # the empty path, at length 0
+    assert run(["x", "--type", "C1", "--n", "2", "--len", "0",
+                "--weight", "0,0"]) == (0, "1\n")
 
 
 def test_x_and_m_agree():
@@ -121,7 +125,7 @@ def test_rc2path_builds_the_input_config_once(monkeypatch):
             assert built == [3] * (1 + extra) + [2, 1, 0], (rc, flag)
 
 
-def test_verify_ok_and_deterministic():
+def test_verify_ok_and_deterministic(monkeypatch):
     argv = ["verify", "--type", "A2", "--n", "1", "--max-len", "3"]
     code1, out1 = run(argv)
     code2, out2 = run(argv)
@@ -134,11 +138,23 @@ def test_verify_ok_and_deterministic():
     assert code == 0 and rows[0][9] == "runtime"
     assert all(len(row) == 10 for row in rows)
     assert ["\t".join(row[:9]) for row in rows] == out1.splitlines()
-    # without --type, verify runs the default battery
+    # without --max-len, verify stops at L = 4
+    code, out = run(["verify", "--type", "A2", "--n", "1"])
+    assert code == 0 and max(int(line.split("\t")[2])
+                             for line in out.splitlines()[1:]) == 4
+    # without --type, verify runs the default battery, one run per type
+    real, runs = cli._run_cells, []
+    monkeypatch.setattr(cli, "_run_cells",
+                        lambda cells: runs.append(cells) or real(cells))
     code, out = run(["verify", "--max-len", "1"])
     types = {tuple(line.split("\t")[:2]) for line in out.splitlines()[1:]}
     assert code == 0 and len(types) == 14
     assert types == {(fam, str(n)) for fam, n in BATTERY}
+    assert [(cells[0][0].family, cells[0][0].n) for cells in runs] \
+        == list(BATTERY)
+    # L = 0 alone: the one empty cell of each type
+    code, out = run(["verify", "--max-len", "0"])
+    assert code == 0 and len(out.splitlines()) == 1 + 14
 
 
 def test_verify_grid_file(tmp_path):
@@ -173,6 +189,40 @@ def test_verify_parallel_matches_serial(tmp_path):
         assert run(argv + ["--jobs", "2"]) == (0, serial)
     # the pinned cell's row matches the same cell's row in the run
     assert serial.count("C1\t2\t2\t1,1\t1\t1\tq\tq\tyes\n") == 2
+
+
+def test_verify_jobs_capped_at_runs(monkeypatch):
+    """--jobs N starts min(N, number of runs) workers, and none for one.
+
+    The pool is a stub that records its size and maps in this process.
+    """
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    one_type = ["verify", "--type", "C1", "--n", "2"]
+    battery = ["verify", "--max-len", "1"]
+    for argv, jobs, want in ((one_type, ["--jobs", "8"], []),
+                             (battery, ["--jobs", "3"], [3]),
+                             (battery, ["--jobs", "2"], [2]),
+                             (battery, ["--jobs", "1"], []),
+                             (battery, [], [])):
+        sizes.clear()
+        code, serial = run(argv)
+        assert run(argv + jobs) == (0, serial) and code == 0
+        assert sizes == want, jobs
 
 
 def test_graph_dot():
@@ -266,6 +316,7 @@ def test_crystal_output_pinned():
 
 
 def test_usage_errors(capsys, tmp_path):
+    assert main(["--help"]) == 0  # help is no error
     assert main(["x", "--type", "C1", "--n", "2"]) == 2  # missing weight
     assert main(["nonsense"]) == 2
     assert main(["x", "--type", "B1", "--n", "2", "--len", "1",

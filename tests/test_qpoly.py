@@ -23,8 +23,8 @@ def test_mul_examples():
 
 def test_zero_coefficients_dropped():
     assert poly({2: 0, 0: 1}).terms == {0: 1}
-    assert (poly({2: 1}) - poly({2: 1})) == QPoly()
-    assert poly({0: 1}) - poly({2: 1}) == poly({0: 1, 2: -1})
+    assert (poly({2: 1}) + poly({2: -1})) == QPoly()
+    assert poly({0: 1}) + poly({2: -1}) == poly({0: 1, 2: -1})
 
 
 def test_qbinom_small():

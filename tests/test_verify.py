@@ -24,7 +24,6 @@ from rcbij.rc import (
     InvalidRC,
     cc_configs,
     complement,
-    complements,
     enumerate_rc,
     fermionic_m,
     rc_from_json,
@@ -49,14 +48,14 @@ def raising(exc):
     return lambda f: broken
 
 
-def complements_out_of_box(f):
-    """Every complement raised out of its box, as for CELL's length."""
-    return lambda at, configs: [out_of_box(at, CELL[2], rc_c)
-                                for rc_c in f(at, configs)]
+def complement_out_of_box(f):
+    """Config.complement with its result raised out of its box."""
+    return lambda cf: out_of_box(cf.at, cf.L, f(cf))
 
 
 # (layer, how to break it given the real function, the check that fails).
-# The rigged-configuration sum, the fermionic sum and the complements are
+# A layer is a name in verify, or Config.complement, the complement map
+# --tilde prints.  The rigged-configuration sum and the fermionic sum are
 # read off the cell's one admissible pass, so their faults are planted in
 # the functions verify_cell reads them from; their ids are the ones of the
 # faults they replace.  The path energies feed Xbar as well as the cc
@@ -70,22 +69,29 @@ PLANTED = [
                  id="fermionic_m-<lambda>-fermionic_m=rc_genfun"),
     ("enumerate_highest", lambda f: lambda *a: f(*a)[1:], "xbar=rc_genfun"),
     ("rigged", lambda f: lambda *a: f(*a)[1:], "|rc|=|paths|"),
-    ("phi", lambda f: lambda *a: (), "phi"),
+    pytest.param("_phi", lambda f: lambda *a: (), "phi",
+                 id="phi-<lambda>-phi"),
     ("dbar", lambda f: lambda *a: f(*a) + 1, "xbar=rc_genfun"),
-    pytest.param("complements", complements_out_of_box, "cc=2dbar",
+    pytest.param("Config.complement", complement_out_of_box, "cc=2dbar",
                  id="complement-<lambda>-cc=2dbar"),
     ("delta_inverse", lambda f: lambda *a: (), "delta_inverse"),
     ("phi_inverse", lambda f: lambda *a: (), "phi_inverse"),
     pytest.param("delta_inverse", raising(NoPreimage("planted")),
                  "delta_inverse", id="delta_inverse-raises-delta_inverse"),
-    pytest.param("phi", raising(InvalidRC("planted")), "phi",
+    pytest.param("_phi", raising(InvalidRC("planted")), "phi",
                  id="phi-raises-phi"),
 ]
 
 
+def plant(monkeypatch, layer, breaker):
+    owner = Config if layer.startswith("Config.") else verify
+    name = layer.rpartition(".")[2]
+    monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
+
+
 @pytest.mark.parametrize("layer,breaker,check", PLANTED)
 def test_planted_fault_names_its_check(monkeypatch, layer, breaker, check):
-    monkeypatch.setattr(verify, layer, breaker(getattr(verify, layer)))
+    plant(monkeypatch, layer, breaker)
     ok, _row, failure = verify.verify_cell(*CELL)
     assert not ok and failure["check"] == check
     if verify.CHECKS.index(check) < verify.CHECKS.index("phi"):
@@ -105,8 +111,7 @@ def test_planted_faults_cover_every_check():
 
 
 def test_verify_writes_failure_record(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(verify, "complements", complements_out_of_box(
-        verify.complements))
+    plant(monkeypatch, "Config.complement", complement_out_of_box)
     gridfile = tmp_path / "grid.json"
     gridfile.write_text(json.dumps(
         {"cells": [{"type": "C1", "n": 2, "L": 3, "lambda": [1, 0]}]}
@@ -148,7 +153,7 @@ def test_level_table_changes_no_answer(monkeypatch):
     smaller configuration: phi runs only on the one configuration at
     L = 0, and no smaller configuration is validated."""
     calls = Counter()
-    for name in ("phi", "validate_rc"):
+    for name in ("_phi", "validate_rc"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda *a, _name=name, _real=real:
                             calls.update([_name]) or _real(*a))
@@ -157,7 +162,7 @@ def test_level_table_changes_no_answer(monkeypatch):
         for cell in verify.cells_for(at, 4):
             calls.clear()
             in_run = verify.verify_cell(*cell, levels)
-            assert calls == (Counter(phi=1) if cell[2] == 0 else Counter())
+            assert calls == (Counter(_phi=1) if cell[2] == 0 else Counter())
             assert in_run == verify.verify_cell(*cell), cell
 
 
@@ -168,13 +173,13 @@ def test_level_run_catches_wrong_delta(monkeypatch, at):
     The words of the smaller configurations then come from the table of
     the level below, so a table hit must not hide the wrong step.
     """
-    real = verify.delta_step
+    real = verify._delta
 
-    def wrong(at, lam, L, rc):
-        b, small = real(at, lam, L, rc)
-        return b, complement(at, L - 1, small)
+    def wrong(cf, lam):
+        b, small, sc = real(cf, lam)
+        return b, complement(cf.at, cf.L - 1, small), sc
 
-    monkeypatch.setattr(verify, "delta_step", wrong)
+    monkeypatch.setattr(verify, "_delta", wrong)
     levels = verify.Levels()
     checks = []
     for cell in verify.cells_for(at, 4):
@@ -193,17 +198,18 @@ def test_level_run_validates_a_missed_step(monkeypatch):
     the recursion would run on it; the failure names the first
     configuration whose step went wrong.
     """
-    real = verify.delta_step
+    real = verify._delta
 
-    def wrong(at, lam, L, rc):
-        b, small = real(at, lam, L, rc)
-        return b, out_of_box(at, L - 1, small)
+    def wrong(cf, lam):
+        b, small, sc = real(cf, lam)
+        return b, out_of_box(cf.at, cf.L - 1, small), sc
 
-    monkeypatch.setattr(verify, "delta_step", wrong)
+    monkeypatch.setattr(verify, "_delta", wrong)
     recursed = []  # the configurations verify_cell runs phi on
-    real_phi = verify.phi
+    real_phi = verify._phi
     monkeypatch.setattr(
-        verify, "phi", lambda *a: recursed.append(a[3]) or real_phi(*a))
+        verify, "_phi", lambda cf, lam: recursed.append(cf.rc)
+        or real_phi(cf, lam))
     at = AffineType("C1", 2)
     levels = verify.Levels()
     failed = 0
@@ -211,7 +217,7 @@ def test_level_run_validates_a_missed_step(monkeypatch):
         ok, _row, failure = verify.verify_cell(*cell, levels)
         # the configurations whose smaller configuration has a string
         broken = [rc for rc in enumerate_rc(*cell)
-                  if cell[2] and any(real(*cell, rc)[1])]
+                  if cell[2] and any(bijection.delta(*cell, rc)[1])]
         assert ok == (not broken), cell
         if not ok:
             assert failure["check"] == "phi"
@@ -237,13 +243,16 @@ def test_one_pass_per_cell(monkeypatch, cell):
 
     One path enumeration and one dbar per path; one admissible pass, which
     gives every cc with it (neither the form's double sum nor the per-rc
-    cc2_total runs); one Config for each configuration's
-    delta step and one for its delta_inverse check; and inside each phi
-    and phi_inverse it runs, one Config per configuration (L + 1 of them).
+    cc2_total runs).  In the phi loop, one Config per configuration, which
+    its delta step and its complement both read; with an empty level
+    table each smaller configuration is validated into one Config, which
+    phi steps from (L - 1 more).  One Config for each delta_inverse check,
+    and L + 1 inside phi_inverse.
     """
     paths = enumerate_highest(*cell)
     calls = Counter()
-    configs_in = []  # (the map, its length L, the Configs built in it)
+    configs_in = []  # (the map, the Configs built in it)
+    read = {"_delta": [], "complement": []}  # the Configs each one read
 
     def counted(name, fn):
         def wrapped(*args):
@@ -257,8 +266,13 @@ def test_one_pass_per_cell(monkeypatch, cell):
             try:
                 return fn(*args)
             finally:
-                L = args[2] if name.startswith("phi") else None
-                configs_in.append((name, L, calls["Config"] - before))
+                configs_in.append((name, calls["Config"] - before))
+        return wrapped
+
+    def reading(name, fn):
+        def wrapped(cf, *args):
+            read[name].append(cf)
+            return fn(cf, *args)
         return wrapped
 
     for module, name in ((verify, "enumerate_highest"),
@@ -269,7 +283,12 @@ def test_one_pass_per_cell(monkeypatch, cell):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Config, "__init__",
                         counted("Config", Config.__init__))
-    for name in ("phi", "phi_inverse", "delta_step", "delta_inverse"):
+    monkeypatch.setattr(Config, "complement",
+                        reading("complement", Config.complement))
+    monkeypatch.setattr(verify, "_delta",
+                        reading("_delta", verify._delta))
+    for name in ("_phi", "validate_rc", "phi_inverse", "delta_inverse",
+                 "_delta"):
         monkeypatch.setattr(verify, name,
                             configs_built(name, getattr(verify, name)))
 
@@ -279,13 +298,20 @@ def test_one_pass_per_cell(monkeypatch, cell):
     assert calls["dbar"] == len(paths)
     assert calls["_admissible"] == 1
     assert calls["cc2_total"] == calls["cc2_config_by_form"] == 0
-    per_step = Counter(name for name, _L, _k in configs_in)
-    assert per_step["delta_step"] == per_step["delta_inverse"] == row[0]
-    assert set(per_step) == {"phi", "phi_inverse", "delta_step",
-                             "delta_inverse"}
-    one_each = ("delta_step", "delta_inverse")
-    assert all(k == (1 if name in one_each else L + 1)
-               for name, L, k in configs_in), configs_in
+    L, nrc = cell[2], row[0]
+    per_map = {}
+    for name, k in configs_in:
+        per_map.setdefault(name, []).append(k)
+    assert per_map == {"_delta": [0] * nrc, "validate_rc": [1] * nrc,
+                       "_phi": [L - 1] * nrc, "delta_inverse": [1] * nrc,
+                       "phi_inverse": [L + 1]}
+    # the rest were built by verify_cell itself, one per configuration
+    assert calls["Config"] - sum(k for _name, k in configs_in) == nrc
+    # ... and each was read by its delta step and then its complement
+    assert len(read["_delta"]) == nrc
+    assert all(a is b for a, b in zip(read["_delta"], read["complement"],
+                                      strict=True))
+    assert [cf.rc for cf in read["_delta"]] == enumerate_rc(*cell)
 
 
 def test_no_trace_on_the_hot_path(monkeypatch):
@@ -314,8 +340,7 @@ def test_verify_row_is_what_the_commands_print(battery):
 
     ``rcbij rc-enum``, ``path-enum``, ``x``, ``f`` and ``m`` print these
     functions, so they print what ``verify`` certifies.  The cc of each
-    rigged configuration and its complement off the boxes are the form's
-    cc (the oracle) and complement, which ``map --tilde`` reads.
+    rigged configuration is the form's cc (the oracle).
     """
     answers = {cell: row for cell, (_rcs, (_ok, row, _f)) in battery.items()
                if cell[2] <= 4}
@@ -324,7 +349,7 @@ def test_verify_row_is_what_the_commands_print(battery):
         answers[cell] = verify.verify_cell(*cell, levels)[1]
     assert len(answers) > 1500
     for cell, row in answers.items():
-        at, _lam, L = cell
+        at = cell[0]
         rcs = enumerate_rc(*cell)
         mb = rc_genfun(*cell)
         assert row == (len(rcs), len(enumerate_highest(*cell)),
@@ -333,5 +358,4 @@ def test_verify_row_is_what_the_commands_print(battery):
         configs = cc_configs(*cell)
         assert rigged_cc2(at, configs) == \
             [cc2_total_by_form(at, rc) for rc in rcs], cell
-        assert complements(at, configs) == \
-            [complement(at, L, rc) for rc in rcs], cell
+

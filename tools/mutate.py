@@ -60,6 +60,12 @@ EQUIVALENT = [
     ("cartan.py", "combinations_with_replacement(range(L, -1, -1)", "1 -> 2",
      "a head entry of -1 makes the head end in -1, so the last entry's "
      "range(1 or 0, 0) is empty and the weight is never built"),
+    ("cli.py", "failed += 1", "1 -> 2",
+     "only the truthiness of failed is read"),
+    ("cli.py", "return exc.code if isinstance(exc.code, int) else 2",
+     "2 -> 3",
+     "every SystemExit raised after parsing is _usage_error's SystemExit(2), "
+     "whose code is an int"),
     ("crystal.py", "EMPTY = 10 ** 6", "10 -> 11",
      "the sentinel only has to exceed every letter (at most n + 1), and "
      "JSON and the CLI write it as E, never as its value"),
