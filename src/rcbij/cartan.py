@@ -58,6 +58,10 @@ _MIN_RANK = {
 # configurations miss paths: lam = (0), L = 1 has the path E but none.
 _LEAST_RANK = {"B1": 2, "D1": 3, "A2odd": 2, "D2": 2}
 
+# The greatest rank, relaxed or not: a type's tables grow with the square of
+# its rank (the form, the local energy on |B|^2 pairs).
+_MAX_RANK = 400
+
 # The root datum: gbar's kind and theta_0 as {epsilon index: coefficient},
 # where index -1 is the last coordinate.
 _ROOT_DATUM = {
@@ -109,8 +113,9 @@ class AffineType:
             raise ValueError("unknown family %r" % (self.family,))
         if type(self.n) is not int:
             raise RankError("rank must be an integer, got %r" % (self.n,))
-        if self.n < 1:
-            raise RankError("rank must be positive, got %d" % self.n)
+        if not 1 <= self.n <= _MAX_RANK:
+            raise RankError("rank must be in 1..%d, got %d"
+                            % (_MAX_RANK, self.n))
         if not relax_rank and self.n < _MIN_RANK[self.family]:
             raise RankError(
                 "family %s needs rank >= %d (got %d); pass relax_rank to "
@@ -206,6 +211,12 @@ def _dot(u, v) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
+def _pair(u, v) -> int:
+    """The epsilon product of two roots given by their root_entries."""
+    return sum(c * x for k, c in (u[:2], u[2:]) for m, x in (v[:2], v[2:])
+               if k == m)
+
+
 def _primitive(xs) -> tuple:
     """The primitive integer vector on the ray of the ints xs."""
     g = gcd(*xs)
@@ -287,15 +298,14 @@ def form2_matrix(at: AffineType):
     """Doubled form matrix: entry [a][b] is 2*(alpha~_a | alpha~_b).
 
     Kac's normalization 2(alpha_1|alpha_1) = 4 a_1^vee / a_1 scales the
-    epsilon products of the gbar roots.
+    epsilon products of the gbar roots (over their root_entries) to ints.
     """
     if at.family == "A2":  # on B_n, where the paper puts it: twice A2dag's
         return tuple(tuple(2 * x for x in row)
                      for row in form2_matrix(AffineType("A2dag", at.n)))
-    kd = kac_data(at)
-    vecs = simple_root_vectors(at)
-    k2 = Fraction(4 * kd.a_vee[1], kd.a[1] * _dot(vecs[0], vecs[0]))
-    return tuple(tuple(int(k2 * _dot(u, v)) for v in vecs) for u in vecs)
+    kd, ents = kac_data(at), at.root_entries
+    num, den = 4 * kd.a_vee[1], kd.a[1] * _pair(ents[0], ents[0])
+    return tuple(tuple(num * _pair(u, v) // den for v in ents) for u in ents)
 
 
 def coroot_pairings(at: AffineType, lam) -> list:

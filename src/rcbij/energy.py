@@ -1,12 +1,14 @@
 """Local and intrinsic energy on tensor powers of the vector crystal.
 
 The local energy table is computed, never hardcoded: the affine crystal
-graph on B (x) B is propagated breadth-first from the pair 1 (x) 1 with the
-increment rule (+1 when e_0 moves the left factor, -1 when it moves the
-right factor, 0 for classical moves).  The unique table normalized by
-H(1 (x) 1) = 0 that satisfies this rule is the barred local energy; the
-unbarred one is its negative.  All statistics exposed here (dbar, xbar)
-are the barred ones, which are the nonnegative ones on restricted paths.
+graph on B (x) B, read off the arrows of B by the tensor-product rule
+(e_i(x (x) y) moves x where eps_i(x) > phi_i(y), and y otherwise), is
+propagated breadth-first from the pair 1 (x) 1 with the increment rule
+(+1 when e_0 moves the left factor, -1 when it moves the right factor, 0
+for classical moves).  The unique table normalized by H(1 (x) 1) = 0 that
+satisfies this rule is the barred local energy; the unbarred one is its
+negative.  All statistics exposed here (dbar, xbar) are the barred ones,
+which are the nonnegative ones on restricted paths.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from .cartan import AffineType, per_type
-from .crystal import (
-    arrows,
-    enumerate_highest,
-    eps_letter,
-    letters,
-    phi_letter,
-)
+from .crystal import _eps_phi, arrows, enumerate_highest, letters, phi_letter
 from .qpoly import QPoly
 
 
@@ -28,32 +24,23 @@ class PropagationError(RuntimeError):
     """The pair graph was disconnected or gave conflicting increments."""
 
 
-def _pair_e(at: AffineType, i: int, pair):
-    """e_i on a two-factor tensor; returns (new_pair, side) or None."""
-    x, y = pair
-    e = arrows(at)[1][i]
-    if eps_letter(at, i, x) > phi_letter(at, i, y):
-        return (e[x], y), "left"
-    ny = e.get(y)
-    return ((x, ny), "right") if ny is not None else None
-
-
 @per_type
 def local_hbar(at: AffineType):
     """The barred local energy table on B (x) B as a dict pair -> int."""
     B = letters(at)
+    eps, phi = _eps_phi(at)
     edges = {}  # pair -> list of (other_pair, delta along pair -> other)
-    for x in B:
-        for y in B:
-            p = (x, y)
-            for i in range(at.n + 1):
-                r = _pair_e(at, i, p)
-                if r is None:
-                    continue
-                q, side = r
-                d = 0 if i else (1 if side == "left" else -1)
-                edges.setdefault(p, []).append((q, d))
-                edges.setdefault(q, []).append((p, -d))
+
+    def link(p, q, d):
+        edges.setdefault(p, []).append((q, d))
+        edges.setdefault(q, []).append((p, -d))
+    for i, e in arrows(at)[1].items():  # each e_i has at most two arrows
+        for b, eb in e.items():
+            for c in B:
+                if eps[i][b] > phi[i][c]:  # e_i(b (x) c) moves b
+                    link((b, c), (eb, c), 0 if i else 1)
+                if eps[i][c] <= phi[i][b]:  # e_i(c (x) b) moves b
+                    link((c, b), (c, eb), 0 if i else -1)
     start = (1, 1)
     h = {start: 0}
     queue = deque([start])

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rcbij.cartan import AffineType  # noqa: E402
+from rcbij.cartan import FAMILIES, AffineType, RankError  # noqa: E402
 from rcbij.rc import Config, enumerate_rc  # noqa: E402
 from rcbij.verify import BATTERY, Levels, cells_for, verify_cell  # noqa: E402
 
@@ -24,6 +24,21 @@ EXTENDED = [
     AffineType("A2odd", 3),
     AffineType("D2", 4),
 ]
+
+
+def buildable_types():
+    """Every family at ranks 1-8 that can be built, relaxed ranks included."""
+    out = []
+    for fam in FAMILIES:
+        for n in range(1, 9):
+            try:
+                out.append(AffineType(fam, n, relax_rank=True))
+            except RankError:
+                pass
+    # no diagram at B1 n=1, D1 n<=2, A2odd n=1; D2 n=1 is refused too
+    assert len(out) == 8 * 8 - 5
+    return out
+
 
 # The battery is certified once per session, up to this length.
 BATTERY_MAX_LEN = 6

@@ -9,7 +9,10 @@ is evidence that both are right.  The Kac data by hand tables
 datum per family, and the weight space by hand (``is_dominant_by_family``
 and its neighbours) what it reads off the gbar simple roots.  The tensor rule on words (``tensor_e``,
 ``tensor_f``) is the crystal's definition, which
-``enumerate_highest_bruteforce`` applies to every word.  The column sums
+``enumerate_highest_bruteforce`` applies to every word, and
+``local_hbar_by_probe`` tries it (``pair_e``) on every pair and node to
+check the local energy that ``rcbij.energy.local_hbar`` reads off the
+arrows.  The column sums
 in Fractions (``iota_image_by_fractions``) check the doubled integer ones
 that ``rcbij.rc.normalized_sizes`` reads, and ``rest_weight_rule`` the
 memo of ``rcbij.crystal.rest_weight``.  ``is_admissible_config`` and
@@ -526,6 +529,45 @@ def delta_inverse_search(at: AffineType, b, rho, L_small: int, rc_small):
             "expected exactly one preimage, found %d" % len(matches)
         )
     return matches[0]
+
+
+def pair_e(at: AffineType, i: int, pair):
+    """e_i on a two-factor tensor; returns (new_pair, side) or None."""
+    x, y = pair
+    e = arrows(at)[1][i]
+    if eps_letter(at, i, x) > phi_letter(at, i, y):
+        return (e[x], y), "left"
+    ny = e.get(y)
+    return ((x, ny), "right") if ny is not None else None
+
+
+def local_hbar_by_probe(at: AffineType):
+    """The barred local energy by trying every e_i on every pair of
+    B (x) B, then propagating from 1 (x) 1: +1 where e_0 moves the left
+    factor, -1 where it moves the right one.  Raises ValueError where the
+    increments conflict or miss a pair."""
+    B = letters(at)
+    edges = {}
+    for p in product(B, repeat=2):
+        for i in range(at.n + 1):
+            r = pair_e(at, i, p)
+            if r is not None:
+                q, side = r
+                d = 0 if i else (1 if side == "left" else -1)
+                edges.setdefault(p, []).append((q, d))
+                edges.setdefault(q, []).append((p, -d))
+    h, todo = {(1, 1): 0}, [(1, 1)]  # depth first, unlike local_hbar
+    while todo:
+        p = todo.pop()
+        for q, d in edges.get(p, ()):
+            if q not in h:
+                h[q] = h[p] + d
+                todo.append(q)
+            elif h[q] != h[p] + d:
+                raise ValueError("conflicting energy at %r" % (q,))
+    if len(h) != len(B) ** 2:
+        raise ValueError("reached %d of %d pairs" % (len(h), len(B) ** 2))
+    return h
 
 
 def _suffix_phi(at: AffineType, i: int, word):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GRID_TYPES
+from conftest import GRID_TYPES, buildable_types
 from oracles import (
     G0BAR,
     GBAR,
@@ -51,6 +51,14 @@ def test_rank_ranges_enforced():
         AffineType("C1", 1)
     # escape hatch
     assert AffineType("C1", 1, relax_rank=True).n == 1
+    # the ceiling, 400 for every family, relaxed or not: no table of a
+    # larger rank is ever built
+    assert AffineType("D2", 400).n == 400
+    refused = r"rank must be in 1\.\.400, got"
+    for n in (401, 10 ** 20):
+        for relax in (False, True):
+            with pytest.raises(RankError, match=refused):
+                AffineType("D2", n, relax_rank=relax)
 
 
 def test_kac_example_C3():
@@ -158,20 +166,6 @@ def test_forms_crosscheck():
             assert lhs == rhs, (at, b)
 
 
-def buildable_types():
-    """Every family at ranks 1-8 that can be built, relaxed ranks included."""
-    out = []
-    for fam in FAMILIES:
-        for n in range(1, 9):
-            try:
-                out.append(AffineType(fam, n, relax_rank=True))
-            except RankError:
-                pass
-    # no diagram at B1 n=1, D1 n<=2, A2odd n=1; D2 n=1 is refused too
-    assert len(out) == 8 * 8 - 5
-    return out
-
-
 def test_root_datum_matches_hand_tables():
     """The data derived from (gbar, theta_0) equal the hand tables.
 
@@ -187,6 +181,11 @@ def test_root_datum_matches_hand_tables():
             k: want[k] for k in fields}, at
         assert form2_matrix(at) == form2_by_table(at), at
         assert theta0(at) == theta0_by_table(at), at
+    # the form, read off each root's nonzero entries, at higher ranks too
+    for fam in FAMILIES:
+        for n in (12, 20, 40):
+            at = AffineType(fam, n)
+            assert form2_matrix(at) == form2_by_table(at), at
 
 
 def test_weight_space_matches_hand_rules():

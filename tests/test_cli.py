@@ -315,6 +315,27 @@ def test_crystal_output_pinned():
             assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
+# sha256 prefixes of outputs at ranks past the battery's, where the tables
+# are read off the arrows and the root entries: the same bytes as the
+# tables built by probing every pair and by dense dot products gave.
+HIGH_RANK_DIGESTS = [
+    (["verify", "--type", "C1", "--n", "60", "--max-len", "1"], None,
+     "9417ecb7c9aa0398"),
+    (["verify", "--type", "D1", "--n", "60", "--max-len", "1"], None,
+     "0140cbb71e3b709a"),
+    (["map", "--dir", "path2rc"],
+     json.dumps({"type": "C1", "n": 100, "word": ["-1", "1"]}),
+     "769fc89a53b119c3"),
+]
+
+
+def test_high_rank_output_pinned():
+    for argv, stdin_text, want in HIGH_RANK_DIGESTS:
+        code, out = run(argv, stdin_text)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, argv
+
+
 def test_usage_errors(capsys, tmp_path):
     assert main(["--help"]) == 0  # help is no error
     assert main(["x", "--type", "C1", "--n", "2"]) == 2  # missing weight
@@ -392,9 +413,10 @@ def test_usage_errors(capsys, tmp_path):
         assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 56 and all(ln.startswith("error: ") for ln in lines)
-    # relaxed ranks with no diagram to read, and D2 n=1, are refused by
-    # every command that takes a type
-    for fam, n in (("D1", 1), ("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1)):
+    # relaxed ranks with no diagram to read, D2 n=1 and ranks above the
+    # ceiling of 400 are refused by every command that takes a type
+    for fam, n in (("D1", 1), ("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1),
+                   ("C1", 401)):
         rank = ["--type", fam, "--n", str(n), "--relax-rank"]
         cell = rank + ["--len", "2", "--weight", ",".join("0" * n)]
         for argv in ([[cmd] + cell for cmd in ("x", "m", "f", "rc-enum",
@@ -404,6 +426,20 @@ def test_usage_errors(capsys, tmp_path):
             assert run(argv) == (2, ""), argv
             (line,) = capsys.readouterr().err.splitlines()
             assert line.startswith("error: "), argv
+    # also in a grid file and in map's JSON, either way, before any table
+    # of the rank is built
+    gridfile.write_text(json.dumps(
+        {"cells": [{"type": "C1", "n": 401, "max_len": 1}]}))
+    path = json.dumps({"type": "C1", "n": 401, "word": []})
+    rc = json.dumps({"type": "D2", "n": 401, "L": 3, "lambda": [0], "nu": []})
+    runs = [(["verify", "--grid", str(gridfile)], None)]
+    for tilde in ([], ["--tilde"]):
+        runs += [(["map", "--dir", "path2rc"] + tilde, path),
+                 (["map", "--dir", "rc2path"] + tilde, rc)]
+    for argv, stdin_text in runs:
+        assert run(argv, stdin_text) == (2, ""), argv
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "got 401" in line, argv
 
 
 def test_verify_same_under_optimize(tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import GRID_TYPES
+from conftest import GRID_TYPES, buildable_types
+from oracles import local_hbar_by_probe
 from rcbij import energy
 from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import EMPTY, enumerate_highest, letters
@@ -26,11 +27,21 @@ def test_disconnected_pair_graph_refused(monkeypatch):
     # without its 0-arrows the pair graph of C1 n=2 falls apart into the
     # classical components of B (x) B; the build names how many of the
     # |B|^2 = 16 pairs it reached (the 10 of the component of 1 (x) 1)
-    pair_e = energy._pair_e
-    monkeypatch.setattr(energy, "_pair_e",
-                        lambda at, i, p: pair_e(at, i, p) if i else None)
+    arrows = energy.arrows
+    monkeypatch.setattr(energy, "arrows", lambda at: (
+        arrows(at)[0], {i: e for i, e in arrows(at)[1].items() if i}))
     with pytest.raises(PropagationError, match=r"reached 10 of 16$"):
         local_hbar.__wrapped__(AffineType("C1", 2))
+
+
+def test_local_energy_matches_the_probe_of_every_pair():
+    # the pair graph read off the arrows by the tensor-product rule gives
+    # the table that trying every e_i on every pair gives: on every type
+    # at ranks 1-8 and at three families at rank 20
+    types = buildable_types() + [AffineType(f, 20)
+                                 for f in ("C1", "D1", "A2odd")]
+    for at in types:
+        assert local_hbar(at) == local_hbar_by_probe(at), at
 
 
 def test_h_normalization():
