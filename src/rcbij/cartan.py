@@ -140,8 +140,8 @@ class AffineType:
         where the paper puts the form."""
         return "B" if self.family == "A2" else self.gbar
 
-    # the memos of rc.normalized_sizes, crystal.rest_weight and
-    # crystal.enumerate_highest
+    # the memos of rc.normalized_sizes, crystal.rest_weight,
+    # crystal.enumerate_highest and rc.cc_configs (its last cell only)
     @cached_property
     def sizes(self) -> dict:
         return {}
@@ -152,6 +152,10 @@ class AffineType:
 
     @cached_property
     def paths(self) -> dict:
+        return {}
+
+    @cached_property
+    def last_cell(self) -> dict:
         return {}
 
     def __str__(self):

@@ -43,7 +43,9 @@ def arrows(at: AffineType):
 
     f_i(b) is the letter of weight wt(b) - alpha_i, and f_0(b) the letter
     of weight wt(b) + theta_0.  phi lies on no classical string; on the
-    0-string it is the letter of weight 0 instead of 0.
+    0-string it is the letter of weight 0 instead of 0.  A step moves a
+    letter to a letter only where both weights meet the step's nonzero
+    entries or are 0, so only those letters are tried.
     """
     steps = [theta0(at)] + [
         tuple(-x for x in r) for r in simple_root_vectors(at)
@@ -52,7 +54,9 @@ def arrows(at: AffineType):
     f, e = {}, {}
     for i, step in enumerate(steps):
         off = EMPTY if i else (0 if EMPTY in bs else None)  # on no i-string
-        on = {wt_letter(at, b): b for b in bs if b != off}
+        near = {k + 1 for k, x in enumerate(step) if x}  # |b| meeting the step
+        on = {wt_letter(at, b): b for b in bs
+              if b != off and (abs(b) in near or b in (0, EMPTY))}
         f[i] = {}
         for w, b in on.items():
             v = on.get(tuple(x + y for x, y in zip(w, step)))
@@ -74,10 +78,6 @@ def _eps_phi(at: AffineType):
     f, e = arrows(at)
     return tuple({i: {b: walk(m[i], b) for b in letters(at)} for i in f}
                  for m in (e, f))
-
-
-def eps_letter(at: AffineType, i: int, b) -> int:
-    return _eps_phi(at)[0][i][b]
 
 
 def phi_letter(at: AffineType, i: int, b) -> int:

@@ -18,8 +18,10 @@ Representation conventions, used across the package:
   configuration node by node and reads the vacancies of each occupied
   length once, pruning as it goes.  ``cc_configs`` pairs each admissible
   configuration's groups with its cc; ``rigged``, ``rigged_cc2`` and
-  ``fermionic`` read that one list, and ``enumerate_rc``, ``rc_genfun``
-  and ``fermionic_m`` read them.
+  ``fermionic`` read that one tuple, and ``enumerate_rc``, ``rc_genfun``
+  and ``fermionic_m`` read them.  The type keeps the tuple of the last
+  cell read (``at.last_cell``), so those three, called on one cell in
+  turn, run its admissible pass once.
 * cc is read off the vacancies.  With C the matrix of
   ``_vacancy_table``, p2(a, x) = 2L[a=1] + sum_b C[a][b] Q_x(nu^(b)),
   and cc's quadratic form has the same matrix, so
@@ -232,7 +234,7 @@ def _admissible(at: AffineType, lam, L: int):
                 if d + 1 < n:
                     yield from place(d + 1)
                 else:
-                    yield tuple(nu), [g for gs in groups for g in gs]
+                    yield tuple(nu), tuple(g for gs in groups for g in gs)
 
     return place(0)
 
@@ -241,15 +243,21 @@ def cc_configs(at: AffineType, lam, L: int):
     """(doubled cc of nu, occupied groups) for each admissible nu, in order.
 
     The one admissible pass of a cell: ``rigged``, ``rigged_cc2`` and
-    ``fermionic`` all read this list.  The cc comes off the groups'
-    vacancies (module docstring).
+    ``fermionic`` all read this tuple, kept in at.last_cell until another
+    cell is read (a pass that raises keeps nothing).  The cc comes off
+    the groups' vacancies (module docstring).
     """
-    t_vee = at.kac_data.t_vee
-    out = []
-    for nu, groups in _admissible(at, lam, L):
-        area2 = sum(t_vee[a - 1] * m * p2 for a, _i2, m, p2, _bx in groups)
-        out.append((-_half(at, area2 - 2 * L * t_vee[0] * len(nu[0])), groups))
-    return out
+    cell, last = (tuple(lam), L), at.last_cell
+    if cell not in last:
+        t_vee = at.kac_data.t_vee
+        out = []
+        for nu, groups in _admissible(at, lam, L):
+            area2 = sum(t_vee[a - 1] * m * p2 for a, _i2, m, p2, _bx in groups)
+            out.append((-_half(at, area2 - 2 * L * t_vee[0] * len(nu[0])),
+                        groups))
+        last.clear()
+        last[cell] = tuple(out)
+    return last[cell]
 
 
 def _half(at: AffineType, x2: int) -> int:
@@ -302,7 +310,7 @@ def rigged_cc2(at: AffineType, configs):
 
 def enumerate_rc(at: AffineType, lam, L: int):
     """All rigged configurations for the weight lam, in normal form."""
-    return rigged(at, _admissible(at, lam, L))
+    return rigged(at, cc_configs(at, lam, L))
 
 
 def validate_rc(at: AffineType, lam, L: int, rc) -> Config:

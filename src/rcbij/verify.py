@@ -10,13 +10,13 @@ highest paths and reads dbar once per path; Xbar and the ``cc=2dbar``
 check read those energies, and nothing of the rc side.  The rc side is
 one admissible pass (``rc.cc_configs``), which reads each configuration's
 cc off its vacancies: the rigged configurations, each one's cc, the
-rigged-configuration sum and the closed fermionic sum all read its list.
+rigged-configuration sum and the closed fermionic sum all read its tuple.
 These are the functions ``xbar``, ``enumerate_rc``, ``rc_genfun`` and
-``fermionic_m`` read too, so ``rcbij x``, ``rc-enum``, ``f`` and ``m``
-print what the certificate certifies.  Each configuration then gets one
-``Config``, which its delta step and its complement (``Config.complement``,
-what ``map --tilde`` prints) both read: the checks run the code ``map``
-runs.
+``fermionic_m`` read too (the last three share the pass the type keeps),
+so ``rcbij x``, ``rc-enum``, ``f`` and ``m`` print what it certifies.
+Each configuration then gets one ``Config``, which its delta step and its
+complement (``Config.complement``, what ``map --tilde`` prints) both read:
+the checks run the code ``map`` runs.
 
 phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so a run
 of one type's cells in increasing L (the order of ``cells_for``) shares a

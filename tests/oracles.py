@@ -9,7 +9,10 @@ is evidence that both are right.  The Kac data by hand tables
 datum per family, and the weight space by hand (``is_dominant_by_family``
 and its neighbours) what it reads off the gbar simple roots.  The tensor rule on words (``tensor_e``,
 ``tensor_f``) is the crystal's definition, which
-``enumerate_highest_bruteforce`` applies to every word, and
+``enumerate_highest_bruteforce`` applies to every word; it reads eps_i of
+a letter by ``eps_letter``.  ``arrows_dense`` tries every letter at every
+node to check the arrows that ``rcbij.crystal.arrows`` finds by trying
+only the letters a step meets, and
 ``local_hbar_by_probe`` tries it (``pair_e``) on every pair and node to
 check the local energy that ``rcbij.energy.local_hbar`` reads off the
 arrows.  The column sums
@@ -37,11 +40,12 @@ from rcbij.cartan import (
     is_dominant,
     kac_data,
     simple_root_vectors,
+    theta0,
 )
 from rcbij.crystal import (
     EMPTY,
+    _eps_phi,
     arrows,
-    eps_letter,
     letters,
     phi_letter,
     rest_weight,
@@ -529,6 +533,32 @@ def delta_inverse_search(at: AffineType, b, rho, L_small: int, rc_small):
             "expected exactly one preimage, found %d" % len(matches)
         )
     return matches[0]
+
+
+def eps_letter(at: AffineType, i: int, b) -> int:
+    """eps_i of one letter, off the crystal's table."""
+    return _eps_phi(at)[0][i][b]
+
+
+def arrows_dense(at: AffineType):
+    """``rcbij.crystal.arrows`` by trying every letter at every node: the
+    weight of each letter plus the node's step, looked up among the
+    weights of all letters on the node's strings."""
+    steps = [theta0(at)] + [
+        tuple(-x for x in r) for r in simple_root_vectors(at)
+    ]
+    bs = letters(at)
+    f, e = {}, {}
+    for i, step in enumerate(steps):
+        off = EMPTY if i else (0 if EMPTY in bs else None)  # on no i-string
+        on = {wt_letter(at, b): b for b in bs if b != off}
+        f[i] = {}
+        for w, b in on.items():
+            v = on.get(tuple(x + y for x, y in zip(w, step)))
+            if v is not None:
+                f[i][b] = v
+        e[i] = {v: k for k, v in f[i].items()}
+    return f, e
 
 
 def pair_e(at: AffineType, i: int, pair):

@@ -16,7 +16,6 @@ from rcbij.crystal import (
     EMPTY,
     arrows,
     enumerate_highest,
-    eps_letter,
     letters,
     phi_letter,
     wt_letter,
@@ -30,6 +29,7 @@ from oracles import (
     cc2_total_by_form,
     delta_inverse_search,
     delta_preimages,
+    eps_letter,
     tensor_e,
     tensor_f,
     verify_delta_identities,

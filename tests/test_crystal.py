@@ -1,7 +1,7 @@
 from collections import Counter
 from itertools import product
 
-from conftest import BATTERY_MAX_LEN, GRID_TYPES
+from conftest import BATTERY_MAX_LEN, GRID_TYPES, buildable_types
 from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import (
     EMPTY,
@@ -15,6 +15,7 @@ from rcbij.crystal import (
     wt_path,
 )
 from oracles import (
+    arrows_dense,
     classical_weight_steps_ok,
     enumerate_highest_bruteforce,
     eps_phi_word,
@@ -67,6 +68,22 @@ def test_arrows_inverse_pair():
         for i in range(at.n + 1):
             for b, v in f[i].items():
                 assert e[i][v] == b
+
+
+def test_arrows_match_the_dense_rule():
+    """The arrows found by trying only the letters a step meets are the
+    arrows of trying every letter, in the same order, on the 59 oracle
+    types at ranks 1-8 and at ranks 20 and 40."""
+    high = [AffineType(fam, n) for fam in ("C1", "D1", "A2odd", "D2")
+            for n in (20, 40)]
+    types = buildable_types() + high
+    assert len(types) == 59 + 8
+    for at in types:
+        f, e = arrows(at)
+        f_dense, e_dense = arrows_dense(at)
+        assert f == f_dense and e == e_dense, at
+        assert [list(m.items()) for m in f.values()] == \
+            [list(m.items()) for m in f_dense.values()], at
 
 
 def test_classical_weight_steps():

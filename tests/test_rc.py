@@ -364,12 +364,75 @@ def test_cc_read_off_the_vacancies(battery):
 
 def test_odd_cc_refused(monkeypatch):
     """A configuration whose vacancies make the doubled cc odd is refused,
-    not rounded."""
+    not rounded, and the pass that refused it keeps nothing: a second
+    call refuses it again."""
     at, L = AffineType("C1", 2), 1
     odd = (((2,), ()), [(1, 2, 1, 1, range(0, 2, 2))])
+    monkeypatch.setitem(vars(at), "last_cell", {})  # an empty slot
     monkeypatch.setattr(rc_mod, "_admissible", lambda *args: [odd])
-    with pytest.raises(ValueError, match="odd doubled cc"):
-        cc_configs(at, (1, 0), L)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="odd doubled cc"):
+            cc_configs(at, (1, 0), L)
+    assert at.last_cell == {}
+
+
+def counting_passes(monkeypatch, at):
+    """A Counter of the admissible passes run from now on, with at's
+    last-cell slot emptied."""
+    calls = Counter()
+    real = rc_mod._admissible
+    monkeypatch.setitem(vars(at), "last_cell", {})
+    monkeypatch.setattr(rc_mod, "_admissible",
+                        lambda *a: calls.update(["pass"]) or real(*a))
+    return calls
+
+
+def test_one_pass_per_cell_across_the_entry_points(monkeypatch):
+    """rc_genfun, fermionic_m, enumerate_rc and cc_configs of one cell,
+    called in turn, share one admissible pass; another cell runs its own,
+    and the first cell then runs a pass again."""
+    at = AffineType("C1", 2)
+    calls = counting_passes(monkeypatch, at)
+    cell, other = (at, (1, 0), 3), (at, (0, 0), 2)
+    mb = rc_genfun(*cell)
+    assert fermionic_m(*cell) == mb
+    rcs = enumerate_rc(*cell)
+    assert len(rcs) == len(enumerate_highest(*cell)) > 1
+    configs = cc_configs(*cell)
+    assert calls["pass"] == 1
+    assert list(at.last_cell) == [((1, 0), 3)]
+    assert at.last_cell[(1, 0), 3] is configs
+    rc_genfun(*other)
+    assert calls["pass"] == 2 and list(at.last_cell) == [((0, 0), 2)]
+    assert enumerate_rc(*cell) == rcs and calls["pass"] == 3
+
+
+def test_weight_as_a_list_hits_the_slot(monkeypatch):
+    """The slot is keyed on the weight as a tuple, however it is given."""
+    at = AffineType("A2", 2)
+    calls = counting_passes(monkeypatch, at)
+    configs = cc_configs(at, (1, 0), 3)
+    assert cc_configs(at, [1, 0], 3) is configs
+    assert fermionic_m(at, [1, 0], 3) == rc_genfun(at, (1, 0), 3)
+    assert calls["pass"] == 1
+
+
+def test_stored_pass_is_a_fresh_pass(battery):
+    """On every battery cell with L <= 5, what the slot holds is an
+    immutable tuple equal to a fresh pass: the cc of each admissible
+    configuration by the form's double sum, with its groups."""
+    cells = [cell for cell in battery if cell[2] <= 5]
+    assert len(cells) > 1000
+    for cell in cells:
+        at, lam, L = cell
+        stored = cc_configs(*cell)
+        assert at.last_cell == {(lam, L): stored}
+        assert cc_configs(*cell) is stored
+        fresh = tuple((cc2_config_by_form(at, nu), groups)
+                      for nu, groups in rc_mod._admissible(*cell))
+        assert stored == fresh, cell
+        assert type(stored) is tuple
+        assert all(type(groups) is tuple for _cc2, groups in stored)
 
 
 def test_cc_oracle():

@@ -247,8 +247,10 @@ def test_one_pass_per_cell(monkeypatch, cell):
     its delta step and its complement both read; with an empty level
     table each smaller configuration is validated into one Config, which
     phi steps from (L - 1 more).  One Config for each delta_inverse check,
-    and L + 1 inside phi_inverse.
+    and L + 1 inside phi_inverse.  The type's last-cell slot starts empty,
+    so a pass an earlier test kept does not stand in for this one.
     """
+    monkeypatch.setitem(vars(cell[0]), "last_cell", {})
     paths = enumerate_highest(*cell)
     calls = Counter()
     configs_in = []  # (the map, the Configs built in it)
