@@ -25,7 +25,7 @@ change-of-statistic identities are stated (tests/oracles.py checks them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import AffineType, form2_matrix, is_dominant, kac_data, per_type
 from .crystal import EMPTY, letters, rest_weight, wt_letter
@@ -36,19 +36,16 @@ class NoPreimage(ValueError):
     """delta_inverse found no (or not exactly one) matching configuration."""
 
 
-@dataclass(frozen=True)
-class DeltaTrace:
+class DeltaTrace(namedtuple("DeltaTrace", "ell ellbar cases rank")):
     """Selected string lengths and case flags of one box-removal step.
 
-    ell and ellbar are tuples indexed by node-1 holding doubled lengths,
-    INF where undefined.  cases holds one of '', 'S', 'Q', 'QS', 'P' per
-    node.  rank is the extracted letter.
+    A named tuple (ell, ellbar, cases, rank).  ell and ellbar are tuples
+    indexed by node-1 holding doubled lengths, INF where undefined.  cases
+    holds one of '', 'S', 'Q', 'QS', 'P' per node.  rank is the extracted
+    letter.
     """
 
-    ell: tuple
-    ellbar: tuple
-    cases: tuple
-    rank: object
+    __slots__ = ()
 
 
 class _Scan:
@@ -153,7 +150,6 @@ class _Single:
         fs.chain(range(n, 0, -1), _outward(fs, -b, n)[0])
 
 
-@dataclass(frozen=True)
 class _NodeN:
     """Node n: the shortest length from the bound up takes a singular string
     (case S, or P on a one-column string where E is a letter) or one quasi
@@ -165,9 +161,10 @@ class _NodeN:
     string can keep a singular rigging (Qprime).
     """
 
-    half: bool
-    quasi: int
-    case_p: bool
+    __slots__ = ("half", "quasi", "case_p")
+
+    def __init__(self, half: bool, quasi: int, case_p: bool):
+        self.half, self.quasi, self.case_p = half, quasi, case_p
 
     def forward(self, sc, n):
         prev = sc.fwd(n - 1)

@@ -29,7 +29,10 @@ when L*eps_1 - lam lies in the roots' span (``iota2``).
 All rationals that occur here have denominator 1 or 2.  Quantities that can
 be half-integral are stored doubled (suffix ``2``); everything else is a
 plain int, and so are the column sums (``iota2``): a weight has
-configurations only where they are even and nonnegative.
+configurations only where they are even and nonnegative.  t and t^vee are
+ratios compared and divided in ints (``kac_data``), so there is no
+``Fraction`` anywhere, but in ``iota_image``, the halved column sums that
+only the tests and the benchmark's tracer read.
 
 ``AffineType`` is interned, so each type is one object, and its tables
 live on it: a function decorated ``per_type`` becomes a cached property
@@ -39,8 +42,7 @@ reader of it.  Hot paths read ``at.<table>`` directly.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property, wraps
 from itertools import accumulate, combinations_with_replacement
 from math import gcd
@@ -89,42 +91,55 @@ class RankError(ValueError):
 _INTERNED = {}  # (family, n) -> the one AffineType of that type
 
 
-@dataclass(frozen=True)
 class AffineType:
     """One nonexceptional affine family together with its rank.
 
     Interned: a valid (family, n) has one instance, which holds the type's
     tables and memos.  relax_rank only widens the rank check, which every
-    construction runs.
+    construction runs.  Immutable: its tables are cached properties, which
+    write the instance's __dict__ directly.
     """
-
-    family: str
-    n: int
-    relax_rank: InitVar[bool] = False
 
     def __new__(cls, family, n, relax_rank=False):
         # family is checked before (family, n) is hashed: a JSON list or
-        # object is refused as an unknown family by __post_init__
+        # object is refused as an unknown family by __init__
         known = family in FAMILIES and type(n) is int
         return (known and _INTERNED.get((family, n))) or super().__new__(cls)
 
-    def __post_init__(self, relax_rank):
-        if self.family not in FAMILIES:
-            raise ValueError("unknown family %r" % (self.family,))
-        if type(self.n) is not int:
-            raise RankError("rank must be an integer, got %r" % (self.n,))
-        if not 1 <= self.n <= _MAX_RANK:
-            raise RankError("rank must be in 1..%d, got %d"
-                            % (_MAX_RANK, self.n))
-        if not relax_rank and self.n < _MIN_RANK[self.family]:
+    def __init__(self, family, n, relax_rank=False):
+        if family not in FAMILIES:
+            raise ValueError("unknown family %r" % (family,))
+        if type(n) is not int:
+            raise RankError("rank must be an integer, got %r" % (n,))
+        if not 1 <= n <= _MAX_RANK:
+            raise RankError("rank must be in 1..%d, got %d" % (_MAX_RANK, n))
+        if not relax_rank and n < _MIN_RANK[family]:
             raise RankError(
                 "family %s needs rank >= %d (got %d); pass relax_rank to "
-                "override" % (self.family, _MIN_RANK[self.family], self.n)
+                "override" % (family, _MIN_RANK[family], n)
             )
-        if self.n < _LEAST_RANK.get(self.family, 1):
+        if n < _LEAST_RANK.get(family, 1):
             raise RankError("family %s needs rank >= %d, even relaxed"
-                            % (self.family, _LEAST_RANK[self.family]))
-        _INTERNED.setdefault((self.family, self.n), self)
+                            % (family, _LEAST_RANK[family]))
+        vars(self).update(family=family, n=n)
+        _INTERNED.setdefault((family, n), self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.n) == (other.family, other.n)
+
+    def __hash__(self):  # the hash of (family, n), so set order is the key's
+        return hash((self.family, self.n))
+
+    def __repr__(self):
+        return "AffineType(family=%r, n=%r)" % (self.family, self.n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
 
     def __reduce__(self):  # re-interned where it is unpickled, no table
         return AffineType, (self.family, self.n, True)
@@ -193,8 +208,7 @@ def roots_sum_zero(at: AffineType) -> bool:
     return not any(map(sum, simple_root_vectors(at)))
 
 
-@dataclass(frozen=True)
-class KacData:
+class KacData(namedtuple("KacData", "a a_vee t t_vee up2 t_lat")):
     """Kac labels and the scaling constants derived from them.
 
     a, a_vee are indexed 0..n.  t, t_vee, up2 are indexed 1..n (stored as
@@ -203,12 +217,7 @@ class KacData:
     t with the single exception of A2dag (see the A2dag remark below).
     """
 
-    a: tuple
-    a_vee: tuple
-    t: tuple
-    t_vee: tuple
-    up2: tuple
-    t_lat: tuple
+    __slots__ = ()
 
 
 def _dot(u, v) -> int:
@@ -243,6 +252,12 @@ def _root_coords(kind: str, v, n: int) -> list:
     return [2 * x for x in partial[: n - 2]] + [s - v[n - 1], s + v[n - 1]]
 
 
+def _max_ratio(p: int, q: int, least: int):
+    """max(p/q, least) for positive ints, or None where it is no int."""
+    whole, rest = divmod(p, q)
+    return None if rest and whole >= least else max(whole, least)
+
+
 @per_type
 def kac_data(at: AffineType) -> KacData:
     n = at.n
@@ -253,12 +268,10 @@ def kac_data(at: AffineType) -> KacData:
     a_vee = _primitive([ai * _dot(r, r) for ai, r in zip(a, roots)])
     # t_i = max(a_i/a_i^vee, a_0^vee), t_i^vee = max(a_i^vee/a_i, a_0);
     # both are always 1 or 2 for these families.
-    t = tuple(max(Fraction(a[i], a_vee[i]), a_vee[0]) for i in range(1, n + 1))
-    t_vee = tuple(max(Fraction(a_vee[i], a[i]), a[0]) for i in range(1, n + 1))
-    if any(x.denominator != 1 for x in t + t_vee):
+    t = tuple(_max_ratio(a[i], a_vee[i], a_vee[0]) for i in range(1, n + 1))
+    t_vee = tuple(_max_ratio(a_vee[i], a[i], a[0]) for i in range(1, n + 1))
+    if None in t + t_vee:
         raise ValueError("%s: t or t^vee is not integral" % at)
-    t = tuple(int(x) for x in t)
-    t_vee = tuple(int(x) for x in t_vee)
     # A2dag: its rigged-configuration combinatorics (vacancy formula shaped
     # like C1 with integer indices everywhere, plain area statistic) is the
     # t == 1 normalization, not the raw t == 2 of the Kac labels.
@@ -360,6 +373,8 @@ def iota2(at: AffineType, lam, L: int):
 
 def iota_image(at: AffineType, lam, L: int):
     """iota2 halved: the column sums as Fractions, or None."""
+    from fractions import Fraction  # only tests and the tracer read this
+
     c2 = iota2(at, lam, L)
     return None if c2 is None else tuple(Fraction(x, 2) for x in c2)
 

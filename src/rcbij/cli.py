@@ -125,10 +125,18 @@ def cmd_path_enum(args) -> int:
     return 0
 
 
+def _json_load(fh):
+    """json.load, with JSON nested too deeply to parse as a ValueError."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
 def _stdin_object() -> dict:
     """The JSON object on stdin; exit 2 on anything else."""
     try:
-        data = json.load(sys.stdin)
+        data = _json_load(sys.stdin)
     except ValueError as exc:
         _usage_error("stdin is not JSON: %s" % exc)
     if not isinstance(data, dict):
@@ -210,7 +218,7 @@ def _grid_cells(path: str, relax_rank: bool):
     cells = []
     try:
         with open(path) as fh:
-            entries = json.load(fh)["cells"]
+            entries = _json_load(fh)["cells"]
         for entry in entries:
             at = AffineType(entry["type"], _json_int(entry["n"], "n"),
                             relax_rank=relax_rank)

@@ -15,7 +15,9 @@ node to check the arrows that ``rcbij.crystal.arrows`` finds by trying
 only the letters a step meets, and
 ``local_hbar_by_probe`` tries it (``pair_e``) on every pair and node to
 check the local energy that ``rcbij.energy.local_hbar`` reads off the
-arrows.  The column sums
+arrows.  t and t^vee by the
+Fraction rule (``max_ratio_by_fraction``) check the integer one of
+``rcbij.cartan.kac_data``.  The column sums
 in Fractions (``iota_image_by_fractions``) check the doubled integer ones
 that ``rcbij.rc.normalized_sizes`` reads, and ``rest_weight_rule`` the
 memo of ``rcbij.crystal.rest_weight``.  ``is_admissible_config`` and
@@ -108,6 +110,12 @@ def labels_by_table(family: str, n: int) -> tuple:
     }[family]
 
 
+def max_ratio_by_fraction(p: int, q: int, least: int) -> Fraction:
+    """max(p/q, least) as a Fraction: t_i = max(a_i/a_i^vee, a_0^vee)
+    and t_i^vee = max(a_i^vee/a_i, a_0)."""
+    return max(Fraction(p, q), least)
+
+
 def kac_by_table(at: AffineType) -> dict:
     """The Kac data from the hand tables, with r and eps as well.
 
@@ -119,8 +127,10 @@ def kac_by_table(at: AffineType) -> dict:
     a = labels_by_table(fam, n)
     a_vee = labels_by_table(DUAL_DIAGRAM[fam], n)
     nodes = range(1, n + 1)
-    t = tuple(int(max(Fraction(a[i], a_vee[i]), a_vee[0])) for i in nodes)
-    t_vee = tuple(int(max(Fraction(a_vee[i], a[i]), a[0])) for i in nodes)
+    t = tuple(int(max_ratio_by_fraction(a[i], a_vee[i], a_vee[0]))
+              for i in nodes)
+    t_vee = tuple(int(max_ratio_by_fraction(a_vee[i], a[i], a[0]))
+                  for i in nodes)
     last = {"C1": 4, "B1": 1}.get(fam, 2)
     return {
         "a": a,

@@ -6,6 +6,7 @@ from rcbij.cartan import AffineType, dominant_weights, is_dominant
 from rcbij.crystal import EMPTY, wt_letter
 from rcbij.rc import INF, InvalidRC, complement, enumerate_rc, validate_rc
 from rcbij.bijection import (
+    DeltaTrace,
     NoPreimage,
     delta,
     delta_inverse,
@@ -48,6 +49,12 @@ def test_delta_frozen_C2_step():
     assert rc2 == empty_rc(at)
     assert tr.ell == (2, 2) and tr.ellbar == (4, 4)
     assert tr.cases == ("S", "S")
+    # a trace is a named tuple: repr, equality and hash of its fields
+    assert repr(tr) == ("DeltaTrace(ell=(2, 2), ellbar=(4, 4), "
+                        "cases=('S', 'S'), rank=-1)")
+    assert tr == DeltaTrace((2, 2), (4, 4), ("S", "S"), -1)
+    assert hash(tr) == hash(((2, 2), (4, 4), ("S", "S"), -1))
+    assert tr._fields == ("ell", "ellbar", "cases", "rank")
 
 
 def test_delta_well_defined_over_grid():

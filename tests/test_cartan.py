@@ -1,3 +1,4 @@
+import fractions
 import inspect
 import pickle
 import re
@@ -17,6 +18,7 @@ from oracles import (
     iota_image_by_fractions,
     is_dominant_by_family,
     kac_by_table,
+    max_ratio_by_fraction,
     normalized_sizes_by_family,
     theta0_by_table,
     weight_len_by_family,
@@ -188,6 +190,23 @@ def test_root_datum_matches_hand_tables():
             assert form2_matrix(at) == form2_by_table(at), at
 
 
+def test_integer_t_rule_matches_the_fraction_rule():
+    # t and t^vee are compared and divided in ints: on every buildable
+    # type, and on every small ratio, integral or not
+    for at in buildable_types():
+        kd = kac_data(at)
+        nodes = range(1, at.n + 1)
+        assert kd.t == tuple(max_ratio_by_fraction(kd.a[i], kd.a_vee[i],
+                                                   kd.a_vee[0]) for i in nodes)
+        assert kd.t_vee == tuple(max_ratio_by_fraction(kd.a_vee[i], kd.a[i],
+                                                       kd.a[0]) for i in nodes)
+    for p, q, least in product(range(1, 9), range(1, 5), range(1, 4)):
+        want = max_ratio_by_fraction(p, q, least)
+        got = cartan._max_ratio(p, q, least)
+        assert got == (want if want.denominator == 1 else None), (p, q, least)
+        assert got is None or type(got) is int
+
+
 def test_weight_space_matches_hand_rules():
     """Weight length, dominance, the cells' weights and their column sums,
     read off the gbar roots, equal the per-family hand rules.
@@ -224,18 +243,25 @@ def test_weight_space_matches_hand_rules():
 def test_normalized_sizes_build_no_fraction(monkeypatch):
     # the column sums are doubled ints: a cell without configurations is
     # found by parity or sign, and no Fraction is built on the way
-    def no_fraction(*args):
-        raise AssertionError("a Fraction was built")
-
-    monkeypatch.setattr(cartan, "Fraction", no_fraction)
+    # (the Fraction oracle runs first: with fractions.Fraction replaced,
+    # building any Fraction fails, also from a name imported before)
+    wants = {}
     for at in GRID_TYPES:
-        monkeypatch.setitem(at.__dict__, "sizes", {})  # an empty memo
         for L in range(6):
             # and one weight too long for L, whose first column sum is < 0
             over = (L + 1,) + (0,) * (at.weight_len - 1)
             for lam in dominant_weights(at, L) + [over]:
-                want = normalized_sizes_by_family(at, lam, L)
-                assert normalized_sizes(at, lam, L) == want, (at, lam, L)
+                wants[at, lam, L] = normalized_sizes_by_family(at, lam, L)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
+    for at in GRID_TYPES:
+        monkeypatch.setitem(at.__dict__, "sizes", {})  # an empty memo
+    for (at, lam, L), want in wants.items():
+        assert normalized_sizes(at, lam, L) == want, (at, lam, L)
+    for at in GRID_TYPES:
         assert None in at.sizes.values(), at
 
 
@@ -266,6 +292,55 @@ def test_equal_types_share_one_table_object():
         with pytest.raises(RankError):
             AffineType("A1", n)
     assert type(AffineType("A1", 1).n) is int
+
+
+def test_type_behaves_as_the_frozen_record_it_was():
+    # repr, equality, hash and refusals, pinned to the frozen dataclass
+    # AffineType was (pickling: the test below); the hash is that of
+    # (family, n), so sets of types iterate in one order for a given
+    # PYTHONHASHSEED
+    at = AffineType("C1", 2)
+    assert repr(at) == "AffineType(family='C1', n=2)" and str(at) == "C1(n=2)"
+    assert hash(at) == hash(("C1", 2))
+    assert at == AffineType("C1", 2, relax_rank=True)
+    assert at != AffineType("C1", 3) and at != AffineType("A2odd", 2)
+    assert at != ("C1", 2) and at.__eq__(("C1", 2)) is NotImplemented
+    for change in (lambda: setattr(at, "n", 3), lambda: delattr(at, "n"),
+                   lambda: setattr(at, "family", "B1"),
+                   lambda: setattr(at, "fresh", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert (at.family, at.n, hasattr(at, "fresh")) == ("C1", 2, False)
+    # the checks run in one order: family, rank kind, range, least rank
+    # unrelaxed, least rank relaxed
+    for args, exc, msg in (
+        (([1], 2), ValueError, "unknown family [1]"),
+        (("X", 2.0), ValueError, "unknown family 'X'"),
+        (("A1", True), RankError, "rank must be an integer, got True"),
+        (("A1", "2"), RankError, "rank must be an integer, got '2'"),
+        (("A1", 0, True), RankError, "rank must be in 1..400, got 0"),
+        (("B1", 401, True), RankError, "rank must be in 1..400, got 401"),
+        (("B1", 1), RankError, "family B1 needs rank >= 3 (got 1); pass "
+                               "relax_rank to override"),
+        (("B1", 1, True), RankError,
+         "family B1 needs rank >= 2, even relaxed"),
+        (("D2", 1, True), RankError,
+         "family D2 needs rank >= 2, even relaxed"),
+    ):
+        with pytest.raises(exc) as info:
+            AffineType(*args)
+        assert type(info.value) is exc and str(info.value) == msg, args
+    assert not {("X", 2.0), ("B1", 1)} & cartan._INTERNED.keys()
+
+
+def test_kac_data_is_a_named_tuple_of_six_fields():
+    kd = kac_data(AffineType("C1", 2))
+    assert kd._fields == ("a", "a_vee", "t", "t_vee", "up2", "t_lat")
+    assert repr(kd) == ("KacData(a=(1, 2, 1), a_vee=(1, 1, 1), t=(2, 1), "
+                        "t_vee=(1, 1), up2=(2, 4), t_lat=(2, 1))")
+    assert hash(kd) == hash(tuple(kd))
+    with pytest.raises(AttributeError):
+        kd.t = (1, 1)
 
 
 def test_pickled_type_is_reinterned_without_tables():

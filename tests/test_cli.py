@@ -442,6 +442,57 @@ def test_usage_errors(capsys, tmp_path):
         assert line.startswith("error: ") and "got 401" in line, argv
 
 
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    # deeper than the JSON parser recurses, closed or not: one error line
+    # and exit 2, on stdin either way and in a grid file
+    depth = 200000
+    blobs = ["[" * depth, "[" * depth + "]" * depth, '{"a": ' * depth]
+    runs = [(["map", "--dir", way], blob)
+            for way in ("rc2path", "path2rc") for blob in blobs]
+    for k, blob in enumerate(blobs):
+        gridfile = tmp_path / ("grid%d.json" % k)
+        gridfile.write_text('{"cells": %s}' % blob)
+        runs.append((["verify", "--grid", str(gridfile)], None))
+    for argv, text in runs:
+        assert run(argv, text) == (2, ""), argv
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "nested too deeply" in line
+
+
+# Stdlib modules that no command runs; loading them cost every rcbij
+# process about 15 ms and 1.5 MB at start-up.
+UNUSED_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                 "fractions", "decimal", "numbers")
+
+FOOTPRINT = """
+import io, json, sys
+from contextlib import redirect_stdout
+from rcbij import cli
+
+def run(argv, text=""):
+    sys.stdin = io.StringIO(text)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(argv) == 0, argv
+    return buf.getvalue()
+
+path = json.dumps({"type": "C1", "n": 2, "word": ["-1", "1", "1"]})
+rc = run(["map", "--dir", "path2rc"], path)
+assert json.loads(run(["map", "--dir", "rc2path"], rc)) == dict(
+    json.loads(path), L=3, **{"lambda": [1, 0]})
+run(["verify", "--max-len", "2"])
+print(json.dumps(sorted(set(sys.argv[1:]) & set(sys.modules))))
+"""
+
+
+def test_commands_load_no_unused_stdlib():
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT, *UNUSED_STDLIB],
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
+
+
 def test_verify_same_under_optimize(tmp_path):
     # results must not depend on assert statements
     argv = ["-m", "rcbij", "verify", "--type", "A1", "--n", "2",
