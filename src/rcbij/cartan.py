@@ -102,11 +102,7 @@ class AffineType:
 
     def __new__(cls, family, n, relax_rank=False):
         # family is checked before (family, n) is hashed: a JSON list or
-        # object is refused as an unknown family by __init__
-        known = family in FAMILIES and type(n) is int
-        return (known and _INTERNED.get((family, n))) or super().__new__(cls)
-
-    def __init__(self, family, n, relax_rank=False):
+        # object is refused as an unknown family
         if family not in FAMILIES:
             raise ValueError("unknown family %r" % (family,))
         if type(n) is not int:
@@ -121,13 +117,11 @@ class AffineType:
         if n < _LEAST_RANK.get(family, 1):
             raise RankError("family %s needs rank >= %d, even relaxed"
                             % (family, _LEAST_RANK[family]))
-        vars(self).update(family=family, n=n)
-        _INTERNED.setdefault((family, n), self)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.n) == (other.family, other.n)
+        at = _INTERNED.get((family, n))
+        if at is None:
+            at = _INTERNED[family, n] = super().__new__(cls)
+            vars(at).update(family=family, n=n)
+        return at
 
     def __hash__(self):  # the hash of (family, n), so set order is the key's
         return hash((self.family, self.n))

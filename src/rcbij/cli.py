@@ -37,7 +37,7 @@ from .rc import (
     rigged_cc2,
     validate_rc,
 )
-from .verify import BATTERY, Levels, cells_for
+from .verify import BATTERY, cells_for
 from .verify import verify_cell as _verify_cell
 
 
@@ -204,7 +204,7 @@ def _run_cells(run):
     call, so the benchmark's timer and tracer can rebind
     ``cli._verify_cell``.
     """
-    levels = Levels()
+    levels = {}
     results = []
     for cell in run:
         t0 = time.monotonic()
@@ -241,6 +241,8 @@ def _grid_cells(path: str, relax_rank: bool):
 def cmd_verify(args) -> int:
     if (args.type is None) != (args.n is None):
         _usage_error("verify takes --type and --n together")
+    if args.grid and args.type is not None:
+        _usage_error("verify takes --grid or --type and --n, not both")
     _check_len(args.max_len)
     if args.jobs < 1:
         _usage_error("--jobs takes a positive count, not %d" % args.jobs)

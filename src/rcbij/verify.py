@@ -18,10 +18,10 @@ Each configuration then gets one ``Config``, which its delta step and its
 complement (``Config.complement``, what ``map --tilde`` prints) both read:
 the checks run the code ``map`` runs.
 
-phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so a run
-of one type's cells in increasing L (the order of ``cells_for``) shares a
-``Levels`` table: the words of the configurations certified one level
-down.  Each configuration then costs one delta step.
+phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so the
+cells of a run share a table of the words certified at each (type, L).  A
+cell reads L - 1 and keeps only L - 1 and L, in any order of cells; in the
+order of ``cells_for`` each configuration then costs one delta step.
 
 That step is checked once.  A smaller configuration found in the table
 is an enumerated configuration of its cell, which proves it valid; only
@@ -78,30 +78,6 @@ def cells_for(at: AffineType, max_len: int):
     ]
 
 
-class Levels:
-    """Words of the configurations certified in a run of one type's cells.
-
-    below and here map (weight, rc) to phi(rc) for the cells that passed
-    at level L-1 and at the level L now being certified.  A cell at the
-    next level drops level L-1; any other type or level starts empty.
-    """
-
-    __slots__ = ("at", "L", "below", "here")
-
-    def __init__(self):
-        self.at = self.L = None
-        self.below, self.here = {}, {}
-
-    def enter(self, at: AffineType, L: int) -> None:
-        if at == self.at and L == self.L:
-            return
-        if at == self.at and L == self.L + 1:
-            self.below, self.here = self.here, {}
-        else:
-            self.below, self.here = {}, {}
-        self.at, self.L = at, L
-
-
 def verify_cell(at: AffineType, lam, L: int, levels=None):
     """Certify one cell; returns (ok, row, failure).
 
@@ -111,11 +87,16 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
     InvalidRC or NoPreimage fails the check it was called for.  Each
     check runs over every configuration before the next begins.
 
-    levels is the ``Levels`` table of the run this cell belongs to, or
-    None for an empty one.  phi of the smaller configuration comes from
-    the table, or, where the table lacks it, from validate_rc and the
-    recursion.
+    levels is the level table of this cell's run, {(type, L): {(weight,
+    rc): phi(rc)}}, or None for an empty one.  The cell drops every key
+    but (at, L - 1), where phi of each smaller configuration is looked up
+    (a miss is validated and recursed on), and (at, L), filled on a pass.
     """
+    if levels is None:
+        levels = {}
+    for key in list(levels):  # drop all but (at, L - 1) and (at, L)
+        if key[0] is not at or not L - 1 <= key[1] <= L:
+            del levels[key]
     # the path side, which reads nothing of the rc side
     paths = enumerate_highest(at, lam, L)
     energy2 = {p: 2 * dbar(at, p) for p in paths}
@@ -136,10 +117,7 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
         return fail("fermionic_m=rc_genfun")
     if len(paths) != len(rcs):
         return fail("|rc|=|paths|")
-    if levels is None:
-        levels = Levels()
-    levels.enter(at, L)
-    below = levels.below
+    below = levels.get((at, L - 1), {})
     unhit = {p: p for p in paths}  # each word maps to the enumerated tuple
     words = {}  # rc -> phi(rc)
     steps = []  # (rc, its letter, the weight left, delta(rc))
@@ -182,5 +160,6 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
     except (InvalidRC, NoPreimage):
         # a map that gives up on a configuration fails the check it was in
         return fail(check, rc)
-    levels.here.update(((lam, rc), word) for rc, word in words.items())
+    levels.setdefault((at, L), {}).update(
+        ((lam, rc), word) for rc, word in words.items())
     return True, row, None

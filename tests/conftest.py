@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rcbij.cartan import FAMILIES, AffineType, RankError  # noqa: E402
 from rcbij.rc import Config, enumerate_rc  # noqa: E402
-from rcbij.verify import BATTERY, Levels, cells_for, verify_cell  # noqa: E402
+from rcbij.verify import BATTERY, cells_for, verify_cell  # noqa: E402
 
 # The verification grid: the default battery of ``rcbij verify``.
 GRID_TYPES = [AffineType(fam, n) for fam, n in BATTERY]
@@ -53,7 +53,7 @@ def battery():
     t0 = time.monotonic()
     cells = {}
     for gt in GRID_TYPES:
-        levels = Levels()
+        levels = {}
         for cell in cells_for(gt, BATTERY_MAX_LEN):
             cells[cell] = (enumerate_rc(*cell), verify_cell(*cell, levels))
     elapsed = time.monotonic() - t0

@@ -356,6 +356,11 @@ def test_usage_errors(capsys, tmp_path):
                  "--weight", "1,0"]) == 2  # negative length
     assert main(["verify", "--type", "C1"]) == 2  # no --n
     assert main(["verify", "--n", "2"]) == 2  # no --type
+    gridfile = tmp_path / "grid.json"
+    gridfile.write_text(json.dumps(
+        {"cells": [{"type": "A1", "n": 1, "L": 1, "lambda": [1, 0]}]}))
+    assert main(["verify", "--grid", str(gridfile), "--type", "C1",
+                 "--n", "2"]) == 2  # a grid and a type
     assert main(["verify", "--type", "C1", "--n", "2",
                  "--max-len", "-1"]) == 2  # negative length
     for jobs in ("0", "-3"):  # not a positive worker count
@@ -394,7 +399,6 @@ def test_usage_errors(capsys, tmp_path):
                  {"type": "A1", "n": 2, "word": [2, 1]}):  # JSON numbers
         code = run(["map", "--dir", "path2rc"], stdin_text=json.dumps(blob))[0]
         assert code == 2
-    gridfile = tmp_path / "grid.json"
     for cell in ({"type": "C1", "n": 2, "L": 2, "lambda": [0, 1]},  # not dominant
                  {"type": "Z1", "n": 2, "max_len": 2},  # unknown family
                  {"type": "C1", "n": 2, "lambda": [1, 1]},  # no L
@@ -412,7 +416,7 @@ def test_usage_errors(capsys, tmp_path):
         gridfile.write_text(json.dumps({"cells": [cell]}))
         assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 56 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 57 and all(ln.startswith("error: ") for ln in lines)
     # relaxed ranks with no diagram to read, D2 n=1 and ranks above the
     # ceiling of 400 are refused by every command that takes a type
     for fam, n in (("D1", 1), ("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1),

@@ -20,7 +20,7 @@ from rcbij.cartan import AffineType, dominant_weights
 from rcbij.crystal import wt_letter
 from rcbij.bijection import delta, delta_inverse
 from rcbij.rc import enumerate_rc
-from rcbij.verify import Levels, cells_for, verify_cell
+from rcbij.verify import cells_for, verify_cell
 from oracles import delta_inverse_search
 
 B_QS_STEPS = [
@@ -82,7 +82,7 @@ RELAXED = [
 
 def test_extended_ranks_full_checks():
     for at, max_len in [(at, 4) for at in EXTENDED] + RELAXED:
-        levels = Levels()
+        levels = {}
         for cell in cells_for(at, max_len):
             ok, _row, failure = verify_cell(*cell, levels)
             assert ok, (cell, failure)

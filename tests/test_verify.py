@@ -14,7 +14,7 @@ import oracles
 from oracles import cc2_total_by_form
 from rcbij import bijection, energy, rc as rc_mod, verify
 from rcbij.bijection import NoPreimage
-from rcbij.cartan import AffineType
+from rcbij.cartan import AffineType, dominant_weights
 from rcbij.cli import main
 from rcbij.crystal import enumerate_highest
 from rcbij.energy import xbar
@@ -124,6 +124,16 @@ def test_verify_writes_failure_record(monkeypatch, capsys, tmp_path):
     assert list(record) == ["type", "n", "L", "lambda", "check", "rc"]
     assert record["check"] == "cc=2dbar"
     assert record["rc"]["lambda"] == [1, 0]
+    # with the fault undone, the record's configuration replays through map
+    monkeypatch.undo()
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record["rc"])))
+    assert main(["map", "--dir", "rc2path"]) == 0
+    out, err = capsys.readouterr()
+    (line,) = out.splitlines()
+    word = json.loads(line)
+    assert {k: word[k] for k in ("type", "n", "L", "lambda")} == \
+        {k: record[k] for k in ("type", "n", "L", "lambda")}
+    assert len(word["word"]) == 3 and not err
 
 
 def test_verify_tsv_matches_bench_reference():
@@ -158,12 +168,25 @@ def test_level_table_changes_no_answer(monkeypatch):
         monkeypatch.setattr(verify, name, lambda *a, _name=name, _real=real:
                             calls.update([_name]) or _real(*a))
     for at in LEVEL_TYPES:
-        levels = verify.Levels()
+        levels = {}
         for cell in verify.cells_for(at, 4):
             calls.clear()
             in_run = verify.verify_cell(*cell, levels)
             assert calls == (Counter(_phi=1) if cell[2] == 0 else Counter())
             assert in_run == verify.verify_cell(*cell), cell
+    # out of order on one table: L = 0..4, then 2, then 4 again; the
+    # table holds at most the cell's level and the one below it
+    at = LEVEL_TYPES[0]
+    levels = {}
+    other = {(AffineType("B1", 3), 1): {}, (at, 0): {}}  # dropped at once
+    for L in (0, 1, 2, 3, 4, 2, 4):
+        for lam in dominant_weights(at, L):
+            if L == 3:
+                levels.update(other)
+            in_run = verify.verify_cell(at, lam, L, levels)
+            assert in_run == verify.verify_cell(at, lam, L), (at, lam, L)
+            assert levels.keys() <= {(at, L - 1), (at, L)}, (at, lam, L)
+            assert (at, L) in levels
 
 
 @pytest.mark.parametrize("at", LEVEL_TYPES, ids=str)
@@ -180,7 +203,7 @@ def test_level_run_catches_wrong_delta(monkeypatch, at):
         return b, complement(cf.at, cf.L - 1, small), sc
 
     monkeypatch.setattr(verify, "_delta", wrong)
-    levels = verify.Levels()
+    levels = {}
     checks = []
     for cell in verify.cells_for(at, 4):
         ok, _row, failure = verify.verify_cell(*cell, levels)
@@ -211,7 +234,7 @@ def test_level_run_validates_a_missed_step(monkeypatch):
         verify, "_phi", lambda cf, lam: recursed.append(cf.rc)
         or real_phi(cf, lam))
     at = AffineType("C1", 2)
-    levels = verify.Levels()
+    levels = {}
     failed = 0
     for cell in verify.cells_for(at, 4):
         ok, _row, failure = verify.verify_cell(*cell, levels)
@@ -346,7 +369,7 @@ def test_verify_row_is_what_the_commands_print(battery):
     """
     answers = {cell: row for cell, (_rcs, (_ok, row, _f)) in battery.items()
                if cell[2] <= 4}
-    levels = verify.Levels()
+    levels = {}
     for cell in _extended_cells():
         answers[cell] = verify.verify_cell(*cell, levels)[1]
     assert len(answers) > 1500
