@@ -219,7 +219,7 @@ class _NodeN:
         hi, outward = (None, {}) if b == 0 else _outward(fs, -b, n)
         s = fs.longest(n, INF if hi is None else hi)
         if hi is not None:
-            if half and hi < INF and fs.free(n, hi + 1, 0):
+            if half and fs.free(n, hi + 1, 0):
                 # QS, the second string kept singular (Qprime)
                 t, toff = hi + 1, 0
             else:  # without case Q, t is s

@@ -34,10 +34,10 @@ ratios compared and divided in ints (``kac_data``), so there is no
 ``Fraction`` anywhere, but in ``iota_image``, the halved column sums that
 only the tests and the benchmark's tracer read.
 
-``AffineType`` is interned, so each type is one object, and its tables
-live on it: a function decorated ``per_type`` becomes a cached property
-of the type, built on its first read, and the function is replaced by a
-reader of it.  Hot paths read ``at.<table>`` directly.
+``AffineType`` is interned, so each type is one object that holds its
+tables: its kinds and memos are set when it is interned, and a function
+decorated ``per_type`` becomes a cached property, built on its first read,
+and is replaced by a reader of it.  Hot paths read ``at.<table>`` directly.
 """
 
 from __future__ import annotations
@@ -94,10 +94,11 @@ _INTERNED = {}  # (family, n) -> the one AffineType of that type
 class AffineType:
     """One nonexceptional affine family together with its rank.
 
-    Interned: a valid (family, n) has one instance, which holds the type's
-    tables and memos.  relax_rank only widens the rank check, which every
-    construction runs.  Immutable: its tables are cached properties, which
-    write the instance's __dict__ directly.
+    Interned: a valid (family, n) has one instance, made whole when it is
+    first built: family, n, the kinds gbar and g0bar and four empty memos
+    are plain attributes.  relax_rank only widens the rank check, which
+    every construction runs.  Immutable: the memos fill in place, and the
+    tables are cached properties, which write the instance's __dict__.
     """
 
     def __new__(cls, family, n, relax_rank=False):
@@ -120,7 +121,14 @@ class AffineType:
         at = _INTERNED.get((family, n))
         if at is None:
             at = _INTERNED[family, n] = super().__new__(cls)
-            vars(at).update(family=family, n=n)
+            # gbar: the classical kind (weights, dominance, crystal); g0bar:
+            # the kind whose roots carry the form, B_n for A2 as in the paper;
+            # then the memos of rc.normalized_sizes, crystal.rest_weight,
+            # crystal.enumerate_highest and rc.cc_configs (its last cell)
+            gbar = _ROOT_DATUM[family][0]
+            vars(at).update(family=family, n=n, gbar=gbar,
+                            g0bar="B" if family == "A2" else gbar,
+                            sizes={}, rest={}, paths={}, last_cell={})
         return at
 
     def __hash__(self):  # the hash of (family, n), so set order is the key's
@@ -137,35 +145,6 @@ class AffineType:
 
     def __reduce__(self):  # re-interned where it is unpickled, no table
         return AffineType, (self.family, self.n, True)
-
-    @property
-    def gbar(self) -> str:
-        """Kind of the classical subalgebra: weights, dominance, crystal."""
-        return _ROOT_DATUM[self.family][0]
-
-    @property
-    def g0bar(self) -> str:
-        """Kind whose roots carry the normalized form: gbar, but B_n for A2,
-        where the paper puts the form."""
-        return "B" if self.family == "A2" else self.gbar
-
-    # the memos of rc.normalized_sizes, crystal.rest_weight,
-    # crystal.enumerate_highest and rc.cc_configs (its last cell only)
-    @cached_property
-    def sizes(self) -> dict:
-        return {}
-
-    @cached_property
-    def rest(self) -> dict:
-        return {}
-
-    @cached_property
-    def paths(self) -> dict:
-        return {}
-
-    @cached_property
-    def last_cell(self) -> dict:
-        return {}
 
     def __str__(self):
         return "%s(n=%d)" % (self.family, self.n)

@@ -26,6 +26,7 @@ from .crystal import (
 from .energy import PropagationError, dbar, local_hbar, xbar
 from .rc import (
     Config,
+    _cell_json,
     _json_int,
     cc_configs,
     complement,
@@ -155,19 +156,9 @@ def cmd_map(args) -> int:
             _usage_error("invalid rigged configuration: %s" % exc)
         if args.tilde:  # phi of the complement, off the checked Config
             cf = Config(at, L, cf.complement())
-        word = _phi(cf, lam)
-        print(
-            json.dumps(
-                {
-                    "type": at.family,
-                    "n": at.n,
-                    "L": L,
-                    "lambda": list(lam),
-                    "word": [letter_str(b) for b in word],
-                },
-                sort_keys=True,
-            )
-        )
+        word = [letter_str(b) for b in _phi(cf, lam)]
+        print(json.dumps(dict(_cell_json(at, lam, L), word=word),
+                         sort_keys=True))
         return 0
     try:
         at = AffineType(data["type"], _json_int(data["n"], "n"))
@@ -241,13 +232,13 @@ def _grid_cells(path: str, relax_rank: bool):
 def cmd_verify(args) -> int:
     if (args.type is None) != (args.n is None):
         _usage_error("verify takes --type and --n together")
-    if args.grid and args.type is not None:
+    if args.grid is not None and args.type is not None:
         _usage_error("verify takes --grid or --type and --n, not both")
     _check_len(args.max_len)
     if args.jobs < 1:
         _usage_error("--jobs takes a positive count, not %d" % args.jobs)
     cells = []
-    if args.grid:
+    if args.grid is not None:
         cells.extend(_grid_cells(args.grid, args.relax_rank))
     elif args.type is not None:
         cells.extend(cells_for(_type_from_args(args), args.max_len))
@@ -281,8 +272,8 @@ def cmd_verify(args) -> int:
         print(line)
         if not ok:
             failed += 1
-            cell = {"type": at.family, "n": at.n, "L": L, "lambda": list(lam)}
-            print(json.dumps(dict(cell, **failure)), file=sys.stderr)
+            print(json.dumps(dict(_cell_json(at, lam, L), **failure)),
+                  file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -404,10 +404,15 @@ def fermionic(at: AffineType, configs) -> QPoly:
     return QPoly(total)
 
 
+def _cell_json(at: AffineType, lam, L: int) -> dict:
+    """The JSON header of a cell, in the order every record prints it."""
+    return {"type": at.family, "n": at.n, "L": L, "lambda": list(lam)}
+
+
 def rc_to_json(at: AffineType, lam, L: int, rc) -> dict:
     nu = [{"a": a, "strings": [{"len2": ln, "rig2": rg} for ln, rg in node]}
           for a, node in enumerate(rc, 1)]
-    return {"type": at.family, "n": at.n, "L": L, "lambda": list(lam), "nu": nu}
+    return dict(_cell_json(at, lam, L), nu=nu)
 
 
 _JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}

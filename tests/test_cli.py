@@ -361,6 +361,8 @@ def test_usage_errors(capsys, tmp_path):
         {"cells": [{"type": "A1", "n": 1, "L": 1, "lambda": [1, 0]}]}))
     assert main(["verify", "--grid", str(gridfile), "--type", "C1",
                  "--n", "2"]) == 2  # a grid and a type
+    assert main(["verify", "--grid", "", "--max-len", "0"]) == 2  # no file
+    assert main(["graph", "--type", "C1", "--n", "2"]) == 2  # no --dot
     assert main(["verify", "--type", "C1", "--n", "2",
                  "--max-len", "-1"]) == 2  # negative length
     for jobs in ("0", "-3"):  # not a positive worker count
@@ -396,7 +398,8 @@ def test_usage_errors(capsys, tmp_path):
         assert code == 2
     for blob in ({"type": "Z1", "n": 2, "word": ["1"]}, {"type": "C1", "n": 2},
                  ["1"],  # unknown family; no word; not an object
-                 {"type": "A1", "n": 2, "word": [2, 1]}):  # JSON numbers
+                 {"type": "A1", "n": 2, "word": [2, 1]},  # JSON numbers
+                 {"type": "C1", "n": 2, "word": "12"}):  # a string, no list
         code = run(["map", "--dir", "path2rc"], stdin_text=json.dumps(blob))[0]
         assert code == 2
     for cell in ({"type": "C1", "n": 2, "L": 2, "lambda": [0, 1]},  # not dominant
@@ -416,7 +419,7 @@ def test_usage_errors(capsys, tmp_path):
         gridfile.write_text(json.dumps({"cells": [cell]}))
         assert main(["verify", "--grid", str(gridfile)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 57 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 60 and all(ln.startswith("error: ") for ln in lines)
     # relaxed ranks with no diagram to read, D2 n=1 and ranks above the
     # ceiling of 400 are refused by every command that takes a type
     for fam, n in (("D1", 1), ("D1", 2), ("B1", 1), ("A2odd", 1), ("D2", 1),

@@ -25,6 +25,12 @@ def test_zero_coefficients_dropped():
     assert poly({2: 0, 0: 1}).terms == {0: 1}
     assert (poly({2: 1}) + poly({2: -1})) == QPoly()
     assert poly({0: 1}) + poly({2: -1}) == poly({0: 1, 2: -1})
+    # so truth, hash and repr read the stored terms alone
+    assert not poly({2: 0}) and poly({2: 1})
+    assert hash(poly({2: 0, 0: 1})) == hash(poly({0: 1}))
+    assert repr(poly({0: 1, 1: -2})) == "QPoly(1 - 2*q^(1/2))"
+    with pytest.raises(AttributeError, match="immutable"):
+        poly({0: 1}).terms = {}
 
 
 def test_qbinom_small():
