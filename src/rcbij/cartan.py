@@ -20,11 +20,12 @@ labels a^vee are proportional to a_i (alpha_i|alpha_i) with alpha_0 =
 from them (Kac, Infinite dimensional Lie algebras, Tables Aff 1-2).  Three
 exceptions are named where they apply: A2dag's t_lat and the box width of
 relaxed C1 n=1 (``kac_data``), and A2's form, which the paper puts on B_n
-(``AffineType.g0bar``, ``form2_matrix``).  The weight space is read off
-the gbar simple roots (``simple_root_vectors``): a weight has as many
-entries as a root (``weight_len``), it is dominant when it pairs
-nonnegatively with every root (``is_dominant``), and it has column sums
-when L*eps_1 - lam lies in the roots' span (``iota2``).
+(``AffineType.g0bar``, ``form2_matrix``).  gbar's simple roots
+(``simple_root_vectors``) are eps_a - eps_{a+1} and one last root per kind,
+as offsets from eps_n (``_LAST_ROOT``): the kind is read off it, never
+tested.  A weight has as many entries as a root (``weight_len``), is
+dominant when it pairs nonnegatively with every root (``is_dominant``), and
+has column sums when L*eps_1 - lam lies in the roots' span (``iota2``).
 
 All rationals that occur here have denominator 1 or 2.  Quantities that can
 be half-integral are stored doubled (suffix ``2``); everything else is a
@@ -77,11 +78,14 @@ _ROOT_DATUM = {
     "D2": ("B", {0: 1}),          # eps_1
 }
 
-# The last simple root alpha_n of each kind in the same encoding; alpha_a =
-# eps_a - eps_{a+1} before it, and type A has n+1 coordinates.
+# The last simple root alpha_n of each kind: {offset from eps_n: coefficient}.
 _LAST_ROOT = {
-    "A": {-2: 1, -1: -1}, "B": {-1: 1}, "C": {-1: 2}, "D": {-2: 1, -1: 1},
+    "A": {0: 1, 1: -1}, "B": {0: 1}, "C": {0: 2}, "D": {-1: 1, 0: 1},
 }
+# Its partial sums up to eps_n, right-aligned: the last n serve rank n.
+_LAST_SUMS = {kind: list(accumulate(root.get(k, 0) for k in
+                                    range(1 - _MAX_RANK, 1)))
+              for kind, root in _LAST_ROOT.items()}
 
 
 class RankError(ValueError):
@@ -210,19 +214,16 @@ def _primitive(xs) -> tuple:
 
 
 def _root_coords(kind: str, v, n: int) -> list:
-    """Doubled coordinates of the integer epsilon vector v in the simple
-    roots of kind_n: ints, halved only at C's last root and D's fork.
+    """Doubled coordinates c of the integer epsilon vector v in the simple
+    roots of kind_n: with s and r the partial sums of v and of alpha_n over
+    eps_1..eps_n, 2c_n = 2s_n/r_n (r_n is 1 or 2), 2c_k = 2s_k - 2c_n r_k.
 
     For type A, v has n+1 entries and lies in the root span only when
     they sum to 0; the callers see to that.
     """
-    partial = list(accumulate(v[:n]))
-    if kind in ("A", "B"):
-        return [2 * x for x in partial]
-    if kind == "C":
-        return [2 * x for x in partial[:-1]] + [partial[-1]]
-    s = partial[n - 2]
-    return [2 * x for x in partial[: n - 2]] + [s - v[n - 1], s + v[n - 1]]
+    s, r = list(accumulate(v[:n])), _LAST_SUMS[kind][-n:]
+    cn = 2 * s[-1] // r[-1]
+    return [2 * x - cn * y for x, y in zip(s[:-1], r)] + [cn]
 
 
 def _max_ratio(p: int, q: int, least: int):
@@ -261,16 +262,15 @@ def kac_data(at: AffineType) -> KacData:
 def simple_root_vectors(at: AffineType):
     """Realizations of the gbar simple roots in the epsilon basis.
 
-    Returns a list of n integer vectors; for type A they live in Z^(n+1),
-    otherwise in Z^n.
+    Returns a list of n integer vectors in Z^(n + max offset of alpha_n):
+    Z^(n+1) for type A, otherwise Z^n.
     """
-    n = at.n
-    kind, vecs = at.gbar, []
-    for a in range(1, n + 1):
-        v = [0] * (n + 1 if kind == "A" else n)
-        root = _LAST_ROOT[kind] if a == n else {a - 1: 1, a: -1}
-        for k, c in root.items():
-            v[k] = c
+    n, last = at.n, _LAST_ROOT[at.gbar]
+    vecs = []
+    for a in range(1, n + 1):  # alpha_a = eps_a - eps_{a+1} before alpha_n
+        v = [0] * (n + max(last))
+        for k, c in (last if a == n else {0: 1, 1: -1}).items():
+            v[a - 1 + k] = c
         vecs.append(tuple(v))
     return vecs
 

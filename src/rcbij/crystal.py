@@ -5,9 +5,9 @@ and the empty letter (phi) is the sentinel EMPTY.  A path is a tuple of
 letters with index 0 holding the leftmost tensor factor b_L and index -1
 the rightmost factor b_1.
 
-The crystal is read off the root data: f_i lowers the weight of a letter
-by the gbar simple root alpha_i, and f_0 raises it by theta_0.  Its tables
-and the memos of ``rest_weight`` and the paths live on the type itself.
+The crystal is read off the root data: the letters off gbar's last root,
+f_i lowers a letter's weight by alpha_i and f_0 raises it by theta_0.  Its
+tables and the memos of ``rest_weight`` and the paths live on the type.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ EMPTY = 10 ** 6  # the letter usually written phi
 def letters(at: AffineType) -> tuple:
     """All letters, in the displayed chain order (phi last where present).
 
-    Type A has 1..n+1; the others 1..n, then 0 where gbar is B, then
-    -n..-1, then phi where theta_0 = eps_1.
+    Type A (its roots sum to 0) has 1..n+1; the others 1..n, then 0 where
+    eps_n is a simple root (B), then -n..-1, then phi where theta_0 = eps_1.
     """
     n = at.n
-    if at.gbar == "A":
+    if at.roots_sum_zero:
         return tuple(range(1, n + 2))
-    zero = (0,) if at.gbar == "B" else ()
+    zero = (0,) if (n - 1, 1, 0, 0) in at.root_entries else ()
     empty = (EMPTY,) if theta0(at) == wt_letter(at, 1) else ()
     return tuple(range(1, n + 1)) + zero + tuple(range(-n, 0)) + empty
 

@@ -684,7 +684,8 @@ def zero_step_vector(at: AffineType) -> tuple:
         tuple(x - y for x, y in zip(wt_letter(at, v), wt_letter(at, b)))
         for b, v in f[0].items()
     }
-    assert len(steps) == 1, "0-arrows do not share a weight step"
+    if len(steps) != 1:
+        raise ValueError("0-arrows do not share a weight step")
     return next(iter(steps))
 
 

@@ -166,8 +166,42 @@ def test_delta_inverse_A2_phi():
 
 def test_delta_inverse_no_preimage():
     at = AffineType("C1", 2)
-    with pytest.raises(NoPreimage):
-        delta_inverse(at, -1, (0, 0), 0, empty_rc(at))  # weight not dominant
+    for b, why in ((-1, "cannot come off"),  # weight not dominant
+                   (7, "7 is not a letter")):
+        with pytest.raises(NoPreimage, match=why):
+            delta_inverse(at, b, (0, 0), 0, empty_rc(at))
+
+
+@pytest.mark.parametrize("lam,L,exc,why", [
+    ((0, 0), 0, ValueError, "delta needs L >= 1"),
+    ((1, 1), 1, InvalidRC, r"letter 1 cannot come off the weight \(1, 1\)"),
+], ids=("L=0", "letter-off-weight"))
+def test_delta_refuses_bad_input(lam, L, exc, why):
+    at = AffineType("C1", 2)
+    with pytest.raises(exc, match=why):
+        delta(at, lam, L, empty_rc(at))
+
+
+@pytest.mark.parametrize("lam,L,word,exc,why", [
+    ((1, 0), 1, (), ValueError, "word of length 0, expected 1"),
+    ((1, 1), 2, (1, 1), NoPreimage, r"weight is not \(1, 1\)"),
+], ids=("wrong-length", "wrong-weight"))
+def test_phi_inverse_refuses_bad_words(lam, L, word, exc, why):
+    with pytest.raises(exc, match=why):
+        phi_inverse(AffineType("C1", 2), lam, L, word)
+
+
+def test_fork_bound_round_trip():
+    """delta_inverse undoes delta on D1 n=4, lam = (1, 1, 0, 0), L = 6.
+
+    Here delta_inverse must bound the chain below the D fork by the
+    shorter of the two fork strings: the longer one gives another rc.
+    """
+    at, lam, L = AffineType("D1", 4), (1, 1, 0, 0), 6
+    for rc in enumerate_rc(at, lam, L):
+        b, small, _tr = delta(at, lam, L, rc)
+        rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
+        assert delta_inverse(at, b, rho, L - 1, small) == rc, rc
 
 
 def test_phi_inverse_round_trip():

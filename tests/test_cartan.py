@@ -39,7 +39,7 @@ from rcbij.cartan import (
     simple_root_vectors,
     theta0,
 )
-from rcbij.crystal import letters
+from rcbij.crystal import enumerate_highest, letters
 from rcbij.energy import local_hbar
 from rcbij.rc import _vacancy_table, normalized_sizes
 
@@ -188,6 +188,12 @@ def test_root_datum_matches_hand_tables():
         for n in (12, 20, 40):
             at = AffineType(fam, n)
             assert form2_matrix(at) == form2_by_table(at), at
+        # the Kac data at the greatest rank, whose root coordinates read
+        # all of alpha_n's row of partial sums
+        at = AffineType(fam, cartan._MAX_RANK)
+        want, kd = kac_by_table(at), kac_data(at)
+        assert {k: getattr(kd, k) for k in fields} == {
+            k: want[k] for k in fields}, at
 
 
 def test_integer_t_rule_matches_the_fraction_rule():
@@ -362,6 +368,17 @@ def test_dominance_examples():
         is_dominant(AffineType("C1", 2), (1, 0, 0))
 
 
+@pytest.mark.parametrize("fn", [iota2, enumerate_highest],
+                         ids=("iota2", "enumerate_highest"))
+@pytest.mark.parametrize("lam,L,why", [
+    ((0, 1), 1, r"weight \(0, 1\) is not dominant for C1\(n=2\)"),
+    ((0, 0), -1, "L must be nonnegative"),
+], ids=("not-dominant", "negative-L"))
+def test_weight_and_length_refused(fn, lam, L, why):
+    with pytest.raises(ValueError, match=why):
+        fn(AffineType("C1", 2), lam, L)
+
+
 def test_dominance_matches_coroot_pairings():
     for at in GRID_TYPES:
         for lam in dominant_weights(at, 3):
@@ -440,11 +457,14 @@ KIND_TEST = re.compile(r'(==|!=|\bin) *\(?"[ABCD]"')
 def test_family_name_tests_ratchet():
     text = "".join(p.read_text() for p in sorted(SRC.glob("*.py")))
     assert len(FAMILY_TEST.findall(text)) <= 5
-    assert len(KIND_TEST.findall(text)) <= 5
-    # the weight space is read off the gbar roots, with no family or kind
+    assert len(KIND_TEST.findall(text)) <= 0
+    # the weight space and the crystal are read off the gbar roots, and the
+    # roots off the last one, with no family or kind
     for fn in (AffineType.weight_len.func, AffineType.root_entries.func,
                AffineType.roots_sum_zero.func, is_dominant, iota2,
-               iota_image, dominant_weights, normalized_sizes):
+               iota_image, dominant_weights, normalized_sizes,
+               simple_root_vectors, cartan._root_coords,
+               AffineType.letters.func, AffineType.arrows.func):
         body = inspect.getsource(fn)
         assert ".family" not in body and not KIND_TEST.search(body), fn
     # the diagram's ends are read off its data, never off the family code,

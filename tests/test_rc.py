@@ -323,6 +323,24 @@ def test_validate_rc_rejects_lengths_off_lattice(capsys, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("fam,n,lam,L,rc,why", [
+    # node 1 must hold 2 boxes at (1, 0), L = 3; it holds 1
+    ("C1", 2, (1, 0), 3, (((2, 0),), ()), "size constraint violated"),
+    # (1, 1, 0) has size 2, not 3: L eps_1 - lam is off the A_2 roots
+    ("A1", 2, (1, 1, 0), 3, ((), ()), "no configurations exist for this "
+     "weight"),
+], ids=("size", "no-configurations"))
+def test_validate_rc_refuses(capsys, monkeypatch, fam, n, lam, L, rc, why):
+    at = AffineType(fam, n)
+    with pytest.raises(InvalidRC, match=why):
+        validate_rc(at, lam, L, rc)
+    blob = json.dumps(rc_to_json(at, lam, L, rc))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+    assert main(["map", "--dir", "rc2path"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid rigged configuration: %s\n" % why)
+
+
 def test_a2dag_odd_riggings_halfodd():
     at = AffineType("A2dag", 1)
     rcs = enumerate_rc(at, (1,), 3)

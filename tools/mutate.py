@@ -3,7 +3,8 @@
     python tools/mutate.py src/rcbij/bijection.py
 
 Each mutant changes one spot of the module: one comparison swapped
-(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``) or one integer
+(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), one call of
+``min`` made a call of ``max`` or the other way round, or one integer
 literal raised by 1.  ``src``, ``tests``, ``bench`` and ``pyproject.toml``
 are copied into a temporary directory once, the working tree is never
 written, and each mutant replaces the module in the copy before
@@ -39,6 +40,7 @@ SWAPS = {
 }
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
           ast.Eq: "==", ast.NotEq: "!="}
+CALL_SWAPS = {"min": "max", "max": "min"}
 
 # Survivors known to be equivalent: (module, a piece of the mutated
 # spot's source line, mutation, why no test can tell the mutant apart).
@@ -52,6 +54,9 @@ EQUIVALENT = [
     ("bijection.py", "form2[-1][-1] > form2[-2][-2]", "> -> >=",
      "past the tail and the fork, no diagram has roots of one length at "
      "nodes n-1 and n"),
+    ("bijection.py", "quasi = p2 - max(r for r in box(", "max -> min",
+     "at p2 = 2 the box holds one rigging below 2 (0, or 1 on A2dag's "
+     "half-odd lattice), so its max and its min agree"),
     ("bijection.py", "quasi if 0 in bs else 0", "0 -> 1",
      "where 0 is no letter (C1, A2) the doubled riggings and vacancies at "
      "node n are even, so no string sits 1 below its vacancy"),
@@ -104,8 +109,8 @@ def known_reason(module, text, desc):
 def sites(tree):
     """Every mutable spot of tree, in a fixed walk order.
 
-    A spot is (node, index of the operator or None for a literal,
-    description).
+    A spot is (node, index of the operator or None for a literal or a
+    called name, description).
     """
     out = []
     for node in ast.walk(tree):
@@ -115,6 +120,11 @@ def sites(tree):
                     new = SWAPS[type(op)]
                     out.append((node, k, "%s -> %s" % (SYMBOL[type(op)],
                                                        SYMBOL[new])))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in CALL_SWAPS):
+            name = node.func.id
+            out.append((node.func, None, "%s -> %s" % (name,
+                                                       CALL_SWAPS[name])))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             out.append((node, None, "%d -> %d" % (node.value,
                                                   node.value + 1)))
@@ -125,7 +135,9 @@ def mutant_source(source, index):
     """source with its index-th spot mutated, unparsed."""
     tree = ast.parse(source)
     node, k, _desc = sites(tree)[index]
-    if k is None:
+    if isinstance(node, ast.Name):
+        node.id = CALL_SWAPS[node.id]
+    elif k is None:
         node.value += 1
     else:
         node.ops[k] = SWAPS[type(node.ops[k])]()
