@@ -17,10 +17,14 @@ and ``rcbij.verify`` each one its level table of certified configurations
 lacks.  phi and phi_inverse build one ``Config`` per configuration, which
 the step, its check and the next step all read; ``rcbij.verify`` and
 ``rcbij map`` build their own and step from it through ``_delta`` and
-``_phi``.  Only the public delta builds a ``DeltaTrace``, off its
-``_Scan``.  A trace records the selected lengths (doubled, INF when
-undefined) and the case flags, in which the change-of-vacancy and
-change-of-statistic identities are stated (tests/oracles.py checks them).
+``_phi``.  phi_inverse adds the boxes one letter at a time from the right,
+so the words of a type share their first steps: each step that passes its
+checks is kept on the type (``at.grown``), keyed by the suffix of the word
+it has added, and is taken and checked once per process.  Only the public
+delta builds a ``DeltaTrace``, off its ``_Scan``.  A trace records the
+selected lengths (doubled, INF when undefined) and the case flags, in
+which the change-of-vacancy and change-of-statistic identities are stated
+(tests/oracles.py checks them).
 """
 
 from __future__ import annotations
@@ -449,23 +453,35 @@ def phi_inverse(at: AffineType, lam, L: int, word):
     Each box addition must be a valid rigged configuration that one delta
     maps back to the letter and the configuration it grew from; otherwise
     the word is not a classically restricted path and NoPreimage is raised.
+    phi_inverse(b . w) is delta_inverse(b, phi_inverse(w)), so a step reads
+    only the suffix of the word it adds a letter to.  Each step that passes
+    its checks is kept on the type with its grown Config and weight
+    (``at.grown``, keyed by that suffix), and a later word with the same
+    suffix reads it there: each distinct step is taken and checked once.
+    The word's weight is checked on every call.
     """
+    word = tuple(word)
     if len(word) != L:
         raise ValueError("word of length %d, expected %d" % (len(word), L))
+    grown = at.grown
     cf = Config(at, 0, tuple(tuple() for _ in range(at.n)))
     rho = tuple([0] * at.weight_len)
     for j in range(L - 1, -1, -1):
-        b = word[j]
-        big = Config(at, L - j, _delta_inverse(cf, b, rho))
-        rho = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
-        try:
-            validate_config(big, rho)
-            image = _delta(big, rho)[:2]
-        except InvalidRC as exc:
-            raise NoPreimage("box addition gives no preimage: %s" % exc)
-        if image != (b, cf.rc):
-            raise NoPreimage("box addition does not invert delta")
-        cf = big
+        suffix = word[j:]
+        step = grown.get(suffix)
+        if step is None:
+            b = word[j]
+            big = Config(at, L - j, _delta_inverse(cf, b, rho))
+            big_rho = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
+            try:
+                validate_config(big, big_rho)
+                image = _delta(big, big_rho)[:2]
+            except InvalidRC as exc:
+                raise NoPreimage("box addition gives no preimage: %s" % exc)
+            if image != (b, cf.rc):
+                raise NoPreimage("box addition does not invert delta")
+            step = grown[suffix] = big, big_rho
+        cf, rho = step
     if rho != tuple(lam):
         raise NoPreimage("the word's weight is not %r" % (tuple(lam),))
     return cf.rc

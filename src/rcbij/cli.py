@@ -149,7 +149,7 @@ def cmd_map(args) -> int:
     data = _stdin_object()
     if args.dir == "rc2path":
         try:
-            at, lam, L, rc = rc_from_json(data)
+            at, lam, L, rc = rc_from_json(data, args.relax_rank)
             _check_cell(at, lam, L)
             cf = validate_rc(at, lam, L, rc)
         except ValueError as exc:  # InvalidRC, or an unknown family
@@ -161,7 +161,8 @@ def cmd_map(args) -> int:
                          sort_keys=True))
         return 0
     try:
-        at = AffineType(data["type"], _json_int(data["n"], "n"))
+        at = AffineType(data["type"], _json_int(data["n"], "n"),
+                        relax_rank=args.relax_rank)
         letters_in = data["word"]
     except KeyError as exc:
         _usage_error("invalid path: missing key %s" % exc)
@@ -315,6 +316,7 @@ def _build_parser():
     sp = sub.add_parser("map", help="apply the bijection to stdin JSON")
     sp.add_argument("--dir", choices=("rc2path", "path2rc"), required=True)
     sp.add_argument("--tilde", action="store_true")
+    sp.add_argument("--relax-rank", action="store_true")
     sp.set_defaults(fn=cmd_map)
 
     sp = sub.add_parser("verify", help="exhaustive certificate over a grid")

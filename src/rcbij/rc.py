@@ -429,16 +429,17 @@ def _json_int(x, what: str) -> int:
     return _json_as(int, x, what)
 
 
-def rc_from_json(data: dict):
+def rc_from_json(data: dict, relax_rank: bool = False):
     """(type, weight, L, rc) of rigged-configuration JSON.
 
     Raises InvalidRC on a missing key, an entry of the wrong JSON kind (the
     weight, nu and each node's strings are lists, each node and string an
     object) or a node index outside 1..n or given twice, and ValueError on
-    an unknown family.
+    an unknown family or a rank outside its range (relax_rank widens it as
+    ``AffineType`` does).
     """
     try:
-        at = AffineType(data["type"], _json_int(data["n"], "n"))
+        at = AffineType(data["type"], _json_int(data["n"], "n"), relax_rank)
         lam = tuple(_json_int(x, "a lambda entry")
                     for x in _json_as(list, data["lambda"], "lambda"))
         L = _json_int(data["L"], "L")

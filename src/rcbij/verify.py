@@ -29,7 +29,10 @@ one the table lacks is validated, and the recursion steps from the
 ``Config`` the validation built.
 The ``delta_inverse`` check compares the box addition with rc itself,
 which holds more than the image check of ``phi_inverse``: rc is
-enumerated, and its step is already in hand.
+enumerated, and its step is already in hand.  The ``phi_inverse`` check
+runs the code ``map --dir path2rc`` runs, which keeps each box addition
+that passed its checks on the type: it computes only the steps no earlier
+call took, and compares the configuration it ends on with rc.
 """
 
 from __future__ import annotations

@@ -62,6 +62,21 @@ def battery():
     return cells
 
 
+# The memos every AffineType carries, each empty when the type is interned.
+MEMOS = ("sizes", "rest", "paths", "last_cell", "grown")
+
+
+def empty_memos(monkeypatch, *types):
+    """Give each type empty memos until the test ends.
+
+    A step or pass an earlier test kept then stands in for none that the
+    test plants or counts; the memos come back when the test ends.
+    """
+    for at in types:
+        for name in MEMOS:
+            monkeypatch.setitem(vars(at), name, {})
+
+
 def out_of_box(at, L, rc):
     """rc with its first string's rigging raised above its box, or rc.
 

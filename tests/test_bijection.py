@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import GRID_TYPES, out_of_box
+from conftest import GRID_TYPES, empty_memos, out_of_box
 from rcbij import bijection
 from rcbij.cartan import AffineType, dominant_weights, is_dominant
-from rcbij.crystal import EMPTY, wt_letter
+from rcbij.crystal import EMPTY, enumerate_highest, wt_letter
 from rcbij.rc import INF, InvalidRC, complement, enumerate_rc, validate_rc
 from rcbij.bijection import (
     DeltaTrace,
@@ -250,8 +250,11 @@ def test_phi_inverse_checks_each_box_addition(monkeypatch, breaker, why):
 
     Each step hands the Config of the smaller configuration to the box
     addition, so the fault is planted in the addition that reads one.
+    The type's memos start empty: no box addition an earlier test kept
+    stands in for a planted one.
     """
     at, lam, L = FIVE
+    empty_memos(monkeypatch, at)
     words = [phi(at, lam, L, rc) for rc in enumerate_rc(*FIVE)]
     real = bijection._delta_inverse
 
@@ -262,6 +265,101 @@ def test_phi_inverse_checks_each_box_addition(monkeypatch, breaker, why):
     for word in words:
         with pytest.raises(NoPreimage, match=why):
             phi_inverse(at, lam, L, word)
+
+
+# the four cells ``rcbij map`` is benchmarked on
+MAP_CELLS = [
+    (AffineType("A2", 2), (2, 1), 7), (AffineType("D2", 3), (2, 1, 0), 6),
+    (AffineType("B1", 3), (1, 1, 0), 6), (AffineType("C1", 3), (2, 0, 0), 6),
+]
+
+
+def counting_steps(monkeypatch):
+    """The box additions phi_inverse takes from now on, one list entry each."""
+    fresh = []
+    real = bijection._delta_inverse
+    monkeypatch.setattr(bijection, "_delta_inverse",
+                        lambda *a: fresh.append(a) or real(*a))
+    return fresh
+
+
+@pytest.mark.parametrize("cell", MAP_CELLS, ids=str)
+def test_phi_inverse_warm_as_cold(monkeypatch, cell):
+    """phi_inverse reads off a warm table what it builds on a cold one.
+
+    For every path of the cell: cold, the table emptied before each word;
+    filling, one table for all words, which then holds each distinct
+    suffix once; warm, every step read off that table, none taken.
+    """
+    at, _lam, L = cell
+    rcs = enumerate_rc(*cell)
+    words = [phi(*cell, rc) for rc in rcs]
+    paths = enumerate_highest(*cell)
+    assert set(words) == set(paths) and len(words) == len(paths)
+    empty_memos(monkeypatch, at)
+    cold = []
+    for word in words:
+        at.grown.clear()
+        cold.append(phi_inverse(*cell, word))
+    at.grown.clear()
+    filling = [phi_inverse(*cell, word) for word in words]
+    assert len(at.grown) == len({w[j:] for w in words for j in range(L)})
+    fresh = counting_steps(monkeypatch)
+    warm = [phi_inverse(*cell, list(word)) for word in words]
+    assert not fresh
+    assert cold == filling == warm == rcs
+
+
+@pytest.mark.parametrize("lam,word,why,kept", [
+    ((2, -1), (-2, 1, 1), r"letter -2 cannot come off the weight \(2, -1\)",
+     {(1,), (1, 1)}),
+    ((3, 0), (-1, 1, 1), r"weight is not \(3, 0\)",
+     {(1,), (1, 1), (-1, 1, 1)}),
+    ((2, 0), (1, 7, 1), "7 is not a letter", {(1,)}),
+], ids=("not-highest", "wrong-weight", "no-letter"))
+def test_phi_inverse_refuses_warm_as_cold(monkeypatch, lam, word, why, kept):
+    """A word that is not a path raises the same NoPreimage warm and cold.
+
+    The steps before the one that raised passed and are kept; the second
+    call takes none and leaves the table as it was.
+    """
+    at = AffineType("C1", 2)
+    empty_memos(monkeypatch, at)
+    seen = []
+    for _warm in range(2):
+        with pytest.raises(NoPreimage, match=why) as info:
+            phi_inverse(at, lam, len(word), word)
+        seen.append((str(info.value), dict(at.grown)))
+    assert seen[0] == seen[1] and set(at.grown) == kept
+
+
+def test_phi_inverse_keeps_no_failed_step(monkeypatch):
+    """A box addition that fails its checks is not kept.
+
+    With every step of FIVE's words kept, a fault planted in the box
+    addition is first met one letter further on; it raises, and the table
+    keeps nothing of it.  The same words then pass with the real step.
+    """
+    at, lam, L = FIVE
+    empty_memos(monkeypatch, at)
+    words = [phi(at, lam, L, rc) for rc in enumerate_rc(*FIVE)]
+    for word in words:
+        phi_inverse(at, lam, L, word)
+    kept = dict(at.grown)
+    longer = [(1,) + word for word in words]
+    real = bijection._delta_inverse
+    monkeypatch.setattr(bijection, "_delta_inverse", lambda cf, b, rho:
+                        out_of_box(cf.at, cf.L + 1, real(cf, b, rho)))
+    for word in longer:
+        with pytest.raises(NoPreimage, match="rigging out of box"):
+            phi_inverse(at, (lam[0] + 1,) + lam[1:], L + 1, word)
+    assert at.grown == kept
+    monkeypatch.setattr(bijection, "_delta_inverse", real)
+    fresh = counting_steps(monkeypatch)
+    for word in longer:
+        phi_inverse(at, (lam[0] + 1,) + lam[1:], L + 1, word)
+    assert len(fresh) == len(longer)
+    assert len(at.grown) == len(kept) + len(longer)
 
 
 def test_identities_over_grid():

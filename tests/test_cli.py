@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from rcbij import cli, rc as rc_mod
-from rcbij.cartan import AffineType
+from rcbij.cartan import AffineType, dominant_weights
 from rcbij.cli import main
 from rcbij.rc import complement, enumerate_rc, rc_from_json, rc_to_json
 from rcbij.verify import BATTERY
@@ -548,6 +548,33 @@ def test_relax_rank_flag():
     code, out = run(["x", "--type", "C1", "--n", "1", "--relax-rank",
                      "--len", "1", "--weight", "1"])
     assert code == 0 and out.strip() == "1"
+
+
+def test_map_relax_rank(capsys):
+    """map --relax-rank reads a relaxed type either way, as verify does,
+    so a failure record of ``verify --relax-rank`` replays; without the
+    flag the rank is refused with one error line and exit 2."""
+    at = AffineType("C1", 1, relax_rank=True)
+    refused = ("family C1 needs rank >= 2 (got 1); pass relax_rank to "
+               "override")
+    trips = 0
+    for L in range(6):
+        for lam in dominant_weights(at, L):
+            for rc in enumerate_rc(at, lam, L):
+                blob = json.dumps(rc_to_json(at, lam, L, rc), sort_keys=True)
+                code, path = run(["map", "--dir", "rc2path", "--relax-rank"],
+                                 blob)
+                assert code == 0
+                back = run(["map", "--dir", "path2rc", "--relax-rank"], path)
+                assert back == (0, blob + "\n")
+                for way, text, what in (
+                        ("rc2path", blob, "invalid rigged configuration"),
+                        ("path2rc", path, "invalid path")):
+                    assert run(["map", "--dir", way], text) == (2, "")
+                    assert capsys.readouterr().err == "error: %s: %s\n" % (
+                        what, refused)
+                trips += 1
+    assert trips == 23
 
 
 def test_one_parser_many_commands(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EXTENDED, out_of_box
+from conftest import EXTENDED, empty_memos, out_of_box
 import oracles
 from oracles import cc2_total_by_form
 from rcbij import bijection, energy, rc as rc_mod, verify
@@ -270,10 +270,11 @@ def test_one_pass_per_cell(monkeypatch, cell):
     its delta step and its complement both read; with an empty level
     table each smaller configuration is validated into one Config, which
     phi steps from (L - 1 more).  One Config for each delta_inverse check,
-    and L + 1 inside phi_inverse.  The type's last-cell slot starts empty,
-    so a pass an earlier test kept does not stand in for this one.
+    and L + 1 inside phi_inverse.  The type's memos start empty, so a
+    pass or a box addition an earlier test kept does not stand in for
+    this one.
     """
-    monkeypatch.setitem(vars(cell[0]), "last_cell", {})
+    empty_memos(monkeypatch, cell[0])
     paths = enumerate_highest(*cell)
     calls = Counter()
     configs_in = []  # (the map, the Configs built in it)
@@ -337,6 +338,34 @@ def test_one_pass_per_cell(monkeypatch, cell):
     assert all(a is b for a, b in zip(read["_delta"], read["complement"],
                                       strict=True))
     assert [cf.rc for cf in read["_delta"]] == enumerate_rc(*cell)
+
+
+def test_verify_takes_each_phi_inverse_step_once(monkeypatch):
+    """verify --max-len 4 takes each distinct box addition of its
+    phi_inverse checks once: 212 of the 653 steps those checks fold, and
+    none on a second run in the same process."""
+    empty_memos(monkeypatch,
+                *(AffineType(fam, n) for fam, n in verify.BATTERY))
+    folded, fresh, inside = [], [], []
+    real_inverse, real_step = verify.phi_inverse, bijection._delta_inverse
+
+    def phi_inverse(at, lam, L, word):
+        folded.append(L)
+        inside.append(word)
+        try:
+            return real_inverse(at, lam, L, word)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(verify, "phi_inverse", phi_inverse)
+    monkeypatch.setattr(bijection, "_delta_inverse", lambda *a: (
+        fresh.append(a) if inside else None) or real_step(*a))
+    for taken in (212, 0):
+        folded.clear()
+        fresh.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify", "--max-len", "4"]) == 0
+        assert sum(folded) == 653 and len(fresh) == taken
 
 
 def test_no_trace_on_the_hot_path(monkeypatch):
