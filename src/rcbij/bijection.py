@@ -20,7 +20,12 @@ the step, its check and the next step all read; ``rcbij.verify`` and
 ``_phi``.  phi_inverse adds the boxes one letter at a time from the right,
 so the words of a type share their first steps: each step that passes its
 checks is kept on the type (``at.grown``), keyed by the suffix of the word
-it has added, and is taken and checked once per process.  Only the public
+it has added, and is taken and checked once per process.  phi removes
+them from the left, and phi(rc) = b . phi(delta(rc)): each smaller
+configuration whose chain passed is kept with the rest of its word
+(``at.tails``), and a later chain stops at the first one it meets.
+Neither reads the other's memo, so a round trip checks both directions,
+and each memo is cleared when it holds ``MEMO_CAP`` entries.  Only the public
 delta builds a ``DeltaTrace``, off its ``_Scan``.  A trace records the
 selected lengths (doubled, INF when undefined) and the case flags, in
 which the change-of-vacancy and change-of-statistic identities are stated
@@ -34,6 +39,11 @@ from collections import namedtuple
 from .cartan import AffineType, form2_matrix, is_dominant, kac_data, per_type
 from .crystal import EMPTY, letters, rest_weight, wt_letter
 from .rc import INF, Config, InvalidRC, box, vacancy2, validate_config
+
+# A step memo on the type (at.grown, at.tails) that holds this many entries
+# is cleared before the next goes in, so a process that maps many long
+# words stays bounded; the map benchmark keeps 681, a deep verify 124.
+MEMO_CAP = 8192
 
 
 class NoPreimage(ValueError):
@@ -314,16 +324,23 @@ def _move_strings(cf, L2, moves):
 
     A move is (node, len2 or 0 for no old string, the old rigging's offset
     below its vacancy in cf, new len2 or 0 for no new string, the new
-    rigging's offset below the vacancy of the result at length L2).
+    rigging's offset below the vacancy of the result at length L2).  Only
+    the nodes a move touches are copied; every node is sorted, since cf.rc
+    need not be in normal form.
     """
-    nodes = [list(node) for node in cf.rc]
-    for a, len2, off, _new_len2, _new_off in moves:
+    nodes, nu, p2 = list(cf.rc), list(cf.nu), cf.p2
+    touched, grown = set(), []
+    for a, len2, off, new_len2, new_off in moves:
+        if a not in touched:
+            touched.add(a)
+            nodes[a - 1] = list(nodes[a - 1])
         if len2:
-            nodes[a - 1].remove((len2, cf.p2[a - 1][len2] - off))
-    grown = [(a, len2, off) for a, _len2, _old_off, len2, off in moves
-             if len2 > 0]
+            nodes[a - 1].remove((len2, p2[a - 1][len2] - off))
+        if new_len2 > 0:
+            grown.append((a, new_len2, new_off))
     # the result's vacancies depend on its lengths only
-    nu = [[ln for ln, _rg in node] for node in nodes]
+    for a in touched:
+        nu[a - 1] = [ln for ln, _rg in nodes[a - 1]]
     for a, len2, _off in grown:
         nu[a - 1].append(len2)
     for a, len2, off in grown:
@@ -335,23 +352,50 @@ def phi(at: AffineType, lam, L: int, rc):
     """The full bijection: iterate delta L times, collecting the letters.
 
     rc itself is taken as valid; each smaller configuration delta steps
-    to is validated, so a faulty step raises InvalidRC.
+    to is validated, so a faulty step raises InvalidRC.  Each checked
+    step is taken once per process (``_phi``).
     """
     return _phi(Config(at, L, rc), lam)
 
 
 def _phi(cf, lam):
-    """phi of cf.rc at the weight lam, stepping from cf."""
+    """phi of cf.rc at the weight lam, stepping from cf.
+
+    phi(rc) = b . phi(delta(rc)), so the rest of the word depends only on
+    the smaller configuration, its weight and its length: each one whose
+    whole chain passed (every smaller Config validated and the weight used
+    up) is kept in ``at.tails`` with the rest of its word, and the walk
+    stops at the first smaller configuration found there.  cf itself,
+    taken as valid without a check, is never kept, and a chain that
+    raises keeps nothing.
+    """
     at, word, cur_lam = cf.at, [], tuple(lam)
+    tails, passed, tail = at.tails, [], ()
     for step in range(cf.L, 0, -1):
         b, small, _sc = _delta(cf, cur_lam)
         word.append(b)
         cur_lam = rest_weight(at, cur_lam, b)
+        key = step - 1, cur_lam, small
+        if key in tails:
+            tail = tails[key]
+            break
+        passed.append(key)
         cf = Config(at, step - 1, small)
         validate_config(cf, cur_lam)
-    if any(cur_lam):
-        raise InvalidRC("letters do not exhaust the weight")
-    return tuple(word)
+    else:
+        if any(cur_lam):
+            raise InvalidRC("letters do not exhaust the weight")
+    word = tuple(word) + tail
+    for j, key in enumerate(passed, 1):
+        _keep(tails, key, word[j:])
+    return word
+
+
+def _keep(memo, key, value):
+    """memo[key] = value, clearing memo first when it holds MEMO_CAP."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
 
 
 class _Fill:
@@ -369,9 +413,14 @@ class _Fill:
 
     def free(self, a, i2, off):
         """A string of length i2 at node a, off below its vacancy, untaken."""
-        rigs, p2 = self.cf.by[a - 1].get(i2), self.cf.p2[a - 1].get(i2)
-        taken = sum(1 for r in self.additions if r[:3] == (a, i2, off))
-        return rigs is not None and rigs.count(p2 - off) > taken
+        rigs = self.cf.by[a - 1].get(i2)
+        if rigs is None:
+            return False
+        left = rigs.count(self.cf.p2[a - 1][i2] - off)
+        for x, y, z, _grow2, _new_off in self.additions:
+            if x == a and y == i2 and z == off:
+                left -= 1
+        return left > 0
 
     def longest(self, a, hi, off=0):
         """Longest len2 <= hi at node a with a free string off below, or 0."""
@@ -480,7 +529,8 @@ def phi_inverse(at: AffineType, lam, L: int, word):
                 raise NoPreimage("box addition gives no preimage: %s" % exc)
             if image != (b, cf.rc):
                 raise NoPreimage("box addition does not invert delta")
-            step = grown[suffix] = big, big_rho
+            step = big, big_rho
+            _keep(grown, suffix, step)
         cf, rho = step
     if rho != tuple(lam):
         raise NoPreimage("the word's weight is not %r" % (tuple(lam),))

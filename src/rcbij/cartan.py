@@ -99,7 +99,7 @@ class AffineType:
     """One nonexceptional affine family together with its rank.
 
     Interned: a valid (family, n) has one instance, made whole when it is
-    first built: family, n, the kinds gbar and g0bar and five empty memos
+    first built: family, n, the kinds gbar and g0bar and six empty memos
     are plain attributes.  relax_rank only widens the rank check, which
     every construction runs.  Immutable: the memos fill in place, and the
     tables are cached properties, which write the instance's __dict__.
@@ -128,13 +128,14 @@ class AffineType:
             # gbar: the classical kind (weights, dominance, crystal); g0bar:
             # the kind whose roots carry the form, B_n for A2 as in the paper;
             # then the memos of rc.normalized_sizes, crystal.rest_weight,
-            # crystal.enumerate_highest, rc.cc_configs (its last cell) and
-            # bijection.phi_inverse (its checked box additions)
+            # crystal.enumerate_highest, rc.cc_configs (its last cell),
+            # bijection.phi_inverse (its checked box additions) and
+            # bijection.phi (the rest of each word it checked)
             gbar = _ROOT_DATUM[family][0]
             vars(at).update(family=family, n=n, gbar=gbar,
                             g0bar="B" if family == "A2" else gbar,
                             sizes={}, rest={}, paths={}, last_cell={},
-                            grown={})
+                            grown={}, tails={})
         return at
 
     def __hash__(self):  # the hash of (family, n), so set order is the key's

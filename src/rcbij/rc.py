@@ -181,7 +181,10 @@ def _node_groups(at: AffineType, L: int, nu, a: int, row):
     base = 2 * L if a == 1 else 0
     out = []
     for i2 in dict.fromkeys(node):
-        p2 = _row_vacancy(row, base, nu, i2)
+        p2 = base  # _row_vacancy, inline
+        for b, c in row:
+            for x in nu[b]:
+                p2 += c * (x if x < i2 else i2)
         bx = box(at, a, i2, p2)
         if not bx:
             return None

@@ -26,7 +26,8 @@ order of ``cells_for`` each configuration then costs one delta step.
 That step is checked once.  A smaller configuration found in the table
 is an enumerated configuration of its cell, which proves it valid; only
 one the table lacks is validated, and the recursion steps from the
-``Config`` the validation built.
+``Config`` the validation built, as far as the first smaller
+configuration whose chain an earlier recursion checked (``at.tails``).
 The ``delta_inverse`` check compares the box addition with rc itself,
 which holds more than the image check of ``phi_inverse``: rc is
 enumerated, and its step is already in hand.  The ``phi_inverse`` check

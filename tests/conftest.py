@@ -63,7 +63,7 @@ def battery():
 
 
 # The memos every AffineType carries, each empty when the type is interned.
-MEMOS = ("sizes", "rest", "paths", "last_cell", "grown")
+MEMOS = ("sizes", "rest", "paths", "last_cell", "grown", "tails")
 
 
 def empty_memos(monkeypatch, *types):

@@ -1,9 +1,12 @@
+import math
+import random
+
 import pytest
 
 from conftest import GRID_TYPES, empty_memos, out_of_box
 from rcbij import bijection
 from rcbij.cartan import AffineType, dominant_weights, is_dominant
-from rcbij.crystal import EMPTY, enumerate_highest, wt_letter
+from rcbij.crystal import EMPTY, enumerate_highest, letter_str, wt_letter
 from rcbij.rc import INF, InvalidRC, complement, enumerate_rc, validate_rc
 from rcbij.bijection import (
     DeltaTrace,
@@ -224,8 +227,10 @@ def test_phi_validates_each_step(monkeypatch):
     """phi rejects a smaller configuration that left its box.
 
     phi steps on each configuration's Config, so the fault is planted in
-    the step that reads one.
+    the step that reads one.  The type's memos start empty: no chain an
+    earlier test kept stands in for a planted step.
     """
+    empty_memos(monkeypatch, FIVE[0])
     real = bijection._delta
 
     def wrong(cf, lam):
@@ -274,11 +279,12 @@ MAP_CELLS = [
 ]
 
 
-def counting_steps(monkeypatch):
-    """The box additions phi_inverse takes from now on, one list entry each."""
+def counting_steps(monkeypatch, name="_delta_inverse"):
+    """The steps bijection.<name> takes from now on, one list entry each:
+    the box additions of phi_inverse by default."""
     fresh = []
-    real = bijection._delta_inverse
-    monkeypatch.setattr(bijection, "_delta_inverse",
+    real = getattr(bijection, name)
+    monkeypatch.setattr(bijection, name,
                         lambda *a: fresh.append(a) or real(*a))
     return fresh
 
@@ -360,6 +366,133 @@ def test_phi_inverse_keeps_no_failed_step(monkeypatch):
         phi_inverse(at, (lam[0] + 1,) + lam[1:], L + 1, word)
     assert len(fresh) == len(longer)
     assert len(at.grown) == len(kept) + len(longer)
+
+
+@pytest.mark.parametrize("cell", MAP_CELLS, ids=str)
+def test_phi_warm_as_cold(monkeypatch, cell):
+    """phi reads off a warm table the words it steps to on a cold one.
+
+    For every configuration of the cell and for its complement (the word
+    ``map --tilde`` prints): cold, the table emptied before each one;
+    filling, one table for all; warm, each chain met in that table after
+    its first delta step.  All three give the enumerated paths.
+    """
+    at, _lam, L = cell
+    rcs = enumerate_rc(*cell)
+    paths = enumerate_highest(*cell)
+    empty_memos(monkeypatch, at)
+    real = bijection._delta
+    for start in (rcs, [complement(at, L, rc) for rc in rcs]):
+        cold = []
+        for rc in start:
+            at.tails.clear()
+            cold.append(phi(*cell, rc))
+        at.tails.clear()
+        filling = [phi(*cell, rc) for rc in start]
+        fresh = counting_steps(monkeypatch, "_delta")
+        warm = [phi(*cell, rc) for rc in start]
+        monkeypatch.setattr(bijection, "_delta", real)
+        assert len(fresh) == len(start)
+        assert cold == filling == warm
+        assert sorted(cold) == sorted(paths) and len(set(cold)) == len(cold)
+
+
+@pytest.mark.parametrize("cell", MAP_CELLS, ids=str)
+def test_phi_refuses_warm_as_cold(monkeypatch, cell):
+    """A first step that leaves its box raises the same InvalidRC with the
+    table warm and cold, and leaves the table as large as it was."""
+    at, _lam, L = cell
+    rcs = enumerate_rc(*cell)
+    empty_memos(monkeypatch, at)
+    words = [phi(*cell, rc) for rc in rcs]
+    real = bijection._delta
+
+    def wrong(cf, lam):
+        b, small, sc = real(cf, lam)
+        if cf.L == L:
+            small = out_of_box(cf.at, L - 1, small)
+        return b, small, sc
+
+    monkeypatch.setattr(bijection, "_delta", wrong)
+    for table in (dict(at.tails), {}):
+        monkeypatch.setitem(vars(at), "tails", table)
+        size = len(table)
+        for rc in rcs:
+            with pytest.raises(InvalidRC, match="rigging out of box"):
+                phi(*cell, rc)
+            assert len(table) == size
+    monkeypatch.setattr(bijection, "_delta", real)
+    assert [phi(*cell, rc) for rc in rcs] == words
+
+
+def test_phi_keys_the_rest_by_length(monkeypatch):
+    """A kept chain answers only at the length it was checked at.
+
+    phi takes its rc as valid, so an empty rc given at too short a length
+    steps to the empty configuration the chain of (3, 0) at L = 3 kept at
+    weight (2, 0).  Warm as cold it is validated there and refused.
+    """
+    at = AffineType("C1", 2)
+    empty_memos(monkeypatch, at)
+    assert phi(at, (3, 0), 3, empty_rc(at)) == (1, 1, 1)
+    for table in (at.tails, {}):
+        monkeypatch.setitem(vars(at), "tails", table)
+        with pytest.raises(InvalidRC, match="no configurations exist"):
+            phi(at, (3, 0), 2, empty_rc(at))
+
+
+def map_sample(seed):
+    """The paths the map benchmark draws with seed: a quarter of each
+    pinned cell's paths, as lists of letter strings sorted, drawn in cell
+    order (its shuffle does not change which paths are drawn)."""
+    rng = random.Random(seed)
+    out = []
+    for cell in MAP_CELLS:
+        words = sorted([letter_str(b) for b in p]
+                       for p in enumerate_highest(*cell))
+        drawn = rng.sample(words, math.ceil(len(words) / 4))
+        out += [(cell, w) for w in drawn]
+    return out
+
+
+def test_phi_steps_each_distinct_suffix_once(monkeypatch):
+    """Over the map benchmark's seed-0 sample, rc2path takes one delta step
+    per distinct suffix of the drawn words (the whole word included, the
+    empty one not): 681 of the 1,327 steps a cold table takes."""
+    sample = map_sample(0)
+    for at in {cell[0] for cell in MAP_CELLS}:
+        empty_memos(monkeypatch, at)
+    trips = []
+    for cell, w in sample:
+        known = {letter_str(b): b for b in cell[0].letters}
+        word = tuple(known[s] for s in w)
+        trips.append((cell, word, phi_inverse(*cell, word)))
+    fresh = counting_steps(monkeypatch, "_delta")
+    for cell, word, rc in trips:
+        assert phi(*cell, rc) == word
+    suffixes = {(cell[0], word[j:]) for cell, word, _rc in trips
+                for j in range(cell[2])}
+    assert len(sample) == 199
+    assert sum(cell[2] for cell, _w, _rc in trips) == 1327
+    assert len(fresh) == len(suffixes) == 681
+
+
+def test_step_memos_stay_under_their_cap(monkeypatch):
+    """With a small cap each step memo is cleared when it fills, stays at
+    or under the cap after every call, and changes no answer."""
+    answers = []
+    for cell in MAP_CELLS:
+        rcs = enumerate_rc(*cell)
+        answers.append((cell, rcs, [phi(*cell, rc) for rc in rcs]))
+    cap = 5
+    monkeypatch.setattr(bijection, "MEMO_CAP", cap)
+    for cell, rcs, words in answers:
+        at = cell[0]
+        empty_memos(monkeypatch, at)
+        for rc, word in zip(rcs, words):
+            assert phi_inverse(*cell, word) == rc
+            assert phi(*cell, rc) == word
+            assert 0 < len(at.grown) <= cap and 0 < len(at.tails) <= cap
 
 
 def test_identities_over_grid():

@@ -8,6 +8,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from conftest import empty_memos
 from rcbij import cli, rc as rc_mod
 from rcbij.cartan import AffineType, dominant_weights
 from rcbij.cli import main
@@ -111,18 +112,28 @@ def test_map_round_trip():
 
 def test_rc2path_builds_the_input_config_once(monkeypatch):
     """map --dir rc2path validates one Config of the input and phi steps
-    from it: L + 1 Configs in all, one more with --tilde (its complement)."""
+    from it: L + 1 Configs in all, one more with --tilde (its complement).
+
+    That is with the type's table of checked phi steps cold.  Warm, the
+    first smaller configuration is found there, and only the input's
+    Configs are built.
+    """
     built = []
     init = rc_mod.Config.__init__
     monkeypatch.setattr(rc_mod.Config, "__init__",
                         lambda self, *a: built.append(a[1]) or init(self, *a))
     at = AffineType("C1", 2)
+    empty_memos(monkeypatch, at)
     for rc in enumerate_rc(at, (1, 0), 3):
         blob = json.dumps(rc_to_json(at, (1, 0), 3, rc))
         for flag, extra in (([], 0), (["--tilde"], 1)):
+            at.tails.clear()
             built.clear()
             assert run(["map", "--dir", "rc2path"] + flag, blob)[0] == 0
             assert built == [3] * (1 + extra) + [2, 1, 0], (rc, flag)
+            built.clear()
+            assert run(["map", "--dir", "rc2path"] + flag, blob)[0] == 0
+            assert built == [3] * (1 + extra), (rc, flag)
 
 
 def test_verify_ok_and_deterministic(monkeypatch):

@@ -272,9 +272,25 @@ def test_one_pass_per_cell(monkeypatch, cell):
     phi steps from (L - 1 more).  One Config for each delta_inverse check,
     and L + 1 inside phi_inverse.  The type's memos start empty, so a
     pass or a box addition an earlier test kept does not stand in for
-    this one.
+    this one, and the table of checked phi steps is emptied before each
+    recursion, so each one runs cold.
+
+    Warm, once a certificate of the cell has filled the type's tables,
+    each recursion meets the rest of its word after one delta step and
+    phi_inverse takes no step: neither builds a Config of its own but the
+    empty one phi_inverse starts from.
     """
-    empty_memos(monkeypatch, cell[0])
+    at = cell[0]
+    empty_memos(monkeypatch, at)
+    cold = [True]
+    real_phi = verify._phi
+
+    def phi_cold(cf, lam):
+        if cold[0]:
+            at.tails.clear()
+        return real_phi(cf, lam)
+
+    monkeypatch.setattr(verify, "_phi", phi_cold)
     paths = enumerate_highest(*cell)
     calls = Counter()
     configs_in = []  # (the map, the Configs built in it)
@@ -338,6 +354,18 @@ def test_one_pass_per_cell(monkeypatch, cell):
     assert all(a is b for a, b in zip(read["_delta"], read["complement"],
                                       strict=True))
     assert [cf.rc for cf in read["_delta"]] == enumerate_rc(*cell)
+    cold[0] = False
+    assert verify.verify_cell(*cell)[0]  # fills at.tails
+    configs_in.clear()
+    calls.clear()
+    assert verify.verify_cell(*cell) == (ok, row, None)
+    per_map = {}
+    for name, k in configs_in:
+        per_map.setdefault(name, []).append(k)
+    assert per_map == {"_delta": [0] * nrc, "validate_rc": [1] * nrc,
+                       "_phi": [0] * nrc, "delta_inverse": [1] * nrc,
+                       "phi_inverse": [1]}
+    assert calls["Config"] - sum(k for _name, k in configs_in) == nrc
 
 
 def test_verify_takes_each_phi_inverse_step_once(monkeypatch):

@@ -57,6 +57,12 @@ EQUIVALENT = [
     ("bijection.py", "quasi = p2 - max(r for r in box(", "max -> min",
      "at p2 = 2 the box holds one rigging below 2 (0, or 1 on A2dag's "
      "half-odd lattice), so its max and its min agree"),
+    ("bijection.py", "MEMO_CAP = 8192", "8192 -> 8193",
+     "the cap bounds the step memos and changes no answer; a memo reaches "
+     "it only after thousands of distinct steps, which no test takes"),
+    ("bijection.py", "key = step - 1, cur_lam, small", "1 -> 2",
+     "the key's length is compared only with keys made by the same line, "
+     "so shifting every key's length by one keeps the same keys apart"),
     ("bijection.py", "quasi if 0 in bs else 0", "0 -> 1",
      "where 0 is no letter (C1, A2) the doubled riggings and vacancies at "
      "node n are even, so no string sits 1 below its vacancy"),
@@ -82,7 +88,7 @@ EQUIVALENT = [
      "every doubled vacancy is even (C[a][b] is even wherever node a's or "
      "node b's lattice is odd), so the end p2 - lo + 2 adds no value to "
      "the step-2 range"),
-    ("rc.py", "total += c * (x if x < i2 else i2)", "< -> <=",
+    ("rc.py", "+= c * (x if x < i2 else i2)", "< -> <=",
      "x if x <= i2 else i2 is min(x, i2) as well"),
     ("qpoly.py", "prev = [(1,)] * (m + 1)", "1 -> 2",
      "the row list's entry m + 1 is never read"),
