@@ -7,6 +7,7 @@ fermionic sum), bijection (box removal and the recursive bijection), cli.
 """
 
 from .cartan import AffineType, FAMILIES, kac_data
+from . import energy  # noqa: F401  (its tables, which crystal reads)
 from .qpoly import QPoly, qbinom
 
 __all__ = ["AffineType", "FAMILIES", "kac_data", "QPoly", "qbinom"]

@@ -23,7 +23,7 @@ from .crystal import (
     letters,
     wt_path,
 )
-from .energy import PropagationError, dbar, local_hbar, xbar
+from .energy import PropagationError, dbars, local_hbar, xbar
 from .rc import (
     Config,
     _cell_json,
@@ -120,9 +120,10 @@ def cmd_rc_enum(args) -> int:
 
 def cmd_path_enum(args) -> int:
     at, lam, L = _cell_from_args(args)
-    for word in enumerate_highest(at, lam, L):
+    paths = enumerate_highest(at, lam, L)
+    for word, d in zip(paths, dbars(at, lam, L)):
         row = " ".join(letter_str(b) for b in word)
-        print("%s  dbar=%d" % (row, dbar(at, word)))
+        print("%s  dbar=%d" % (row, d))
     return 0
 
 

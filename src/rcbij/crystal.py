@@ -8,6 +8,9 @@ the rightmost factor b_1.
 The crystal is read off the root data: the letters off gbar's last root,
 f_i lowers a letter's weight by alpha_i and f_0 raises it by theta_0.  Its
 tables and the memos of ``rest_weight`` and the paths live on the type.
+The path memo holds each path's intrinsic energy too, built in the pass
+that builds the path from the local energy ``rcbij.energy`` puts on the
+type, so Xbar reads one number per path (``energy.dbars``).
 """
 
 from __future__ import annotations
@@ -116,9 +119,24 @@ def wt_path(at: AffineType, word) -> tuple:
     return tuple(v)
 
 
+_NONE = (), (), ()  # a state without paths
+_EMPTY_WORD = ((),), (0,), (0,)  # the empty word, of energy 0
+
+
 def _highest(at: AffineType, lam: tuple, L: int):
-    """The paths of (lam, L), built on an explicit stack: no recursion.
-    Each state's paths are kept in the type's memo, for every cell."""
+    """The paths of (lam, L) with their energies, built on an explicit
+    stack: no recursion.  Each state's entry in the type's memo, for every
+    cell, is (words, D, T): its paths in sorted order and two int tuples
+    parallel to them, read by one lookup so the three keep in step.
+
+    D is the barred intrinsic energy (``energy.dbar``) and T the sum of a
+    word's adjacent local energies plus its end term H(w_L (x) natural) -
+    H(1 (x) natural), read through the same tables as dbar.  Putting b in
+    front of w adds e = H(b (x) w_1), or b's end term when w is empty:
+    D(b.w) = D(w) + T(w) + e and T(b.w) = T(w) + e, from D = T = 0 on the
+    empty word.  The tables are the type's once ``rcbij.energy``, which
+    the package imports, has loaded.
+    """
     memo = at.paths
     todo = [(lam, L, None)]  # a state, with its steps once they are found
     while todo:
@@ -126,30 +144,41 @@ def _highest(at: AffineType, lam: tuple, L: int):
         if (wt, ln) in memo:
             continue
         if ln == 0 or sum(map(abs, wt)) > ln:  # a letter moves |wt|_1 by <= 1
-            memo[wt, ln] = () if any(wt) else ((),)
-        elif steps is None:
-            steps = [(b, rho) for b in at.letters
+            memo[wt, ln] = _NONE if any(wt) else _EMPTY_WORD
+        elif steps is None:  # in ascending letters: joined, they sort
+            steps = [(b, rho) for b in sorted(at.letters)
                      if (rho := rest_weight(at, wt, b)) is not None]
             todo.append((wt, ln, steps))
             todo.extend((rho, ln - 1, None) for _b, rho in steps)
         else:
-            memo[wt, ln] = tuple(sorted((b,) + word for b, rho in steps
-                                        for word in memo[rho, ln - 1]))
+            h, words, ds, ts = at.local_hbar, [], [], []
+            if ln == 1:
+                end = at.b_natural
+                one = h[1, end]
+            for b, rho in steps:
+                kids, kds, kts = memo[rho, ln - 1]
+                for w, d, t in zip(kids, kds, kts):
+                    t += h[b, w[0]] if w else h[b, end] - one
+                    words.append((b,) + w)
+                    ds.append(d + t)
+                    ts.append(t)
+            memo[wt, ln] = tuple(words), tuple(ds), tuple(ts)
     return memo[lam, L]
 
 
 def enumerate_highest(at: AffineType, lam, L: int):
-    """All classically restricted paths of weight lam in the L-fold power.
+    """All classically restricted paths of weight lam in the L-fold power,
+    in sorted order.
 
     Peels letters off the left with rest_weight, which avoids scanning all
-    |B|^L words.
+    |B|^L words; the energies built with them are read by ``energy.dbars``.
     """
     lam = tuple(lam)
     if not is_dominant(at, lam):
         raise ValueError("weight %r is not dominant for %s" % (lam, at))
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return _highest(at, lam, L)
+    return _highest(at, lam, L)[0]
 
 
 def dot_export(at: AffineType) -> str:

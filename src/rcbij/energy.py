@@ -7,8 +7,12 @@ propagated breadth-first from the pair 1 (x) 1 with the increment rule
 (+1 when e_0 moves the left factor, -1 when it moves the right factor, 0
 for classical moves).  The unique table normalized by H(1 (x) 1) = 0 that
 satisfies this rule is the barred local energy; the unbarred one is its
-negative.  All statistics exposed here (dbar, xbar) are the barred ones,
-which are the nonnegative ones on restricted paths.
+negative.  All statistics exposed here (dbar, dbars, xbar) are the barred
+ones, which are the nonnegative ones on restricted paths.
+
+``dbar`` is the definition for one word; the path memo
+(``crystal._highest``) builds each path's with the path, reading H through
+the same tables, and ``dbars`` and ``xbar`` read it there.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 from collections import deque
 
 from .cartan import AffineType, per_type
-from .crystal import _eps_phi, arrows, enumerate_highest, letters, phi_letter
+from .crystal import (_eps_phi, _highest, arrows, enumerate_highest, letters,
+                      phi_letter)
 from .qpoly import QPoly
 
 
@@ -86,7 +91,22 @@ def dbar(at: AffineType, word) -> int:
     return total
 
 
+def dbars(at: AffineType, lam, L: int) -> tuple:
+    """dbar of each path of the cell, in the order of enumerate_highest.
+
+    The path memo builds them with the paths (``crystal._highest``), so no
+    local energy is read here.  lam and L are taken as enumerate_highest
+    has checked them: call it first.
+    """
+    return _highest(at, tuple(lam), L)[1]
+
+
 def xbar(at: AffineType, lam, L: int) -> QPoly:
-    """One-dimensional sum in the barred variable: sum of q^dbar over paths."""
-    return QPoly.count([2 * dbar(at, word)
-                        for word in enumerate_highest(at, lam, L)])
+    """One-dimensional sum in the barred variable: sum of q^dbar over paths.
+
+    enumerate_highest checks the cell; a cell with paths reads their dbar
+    off the path memo.
+    """
+    if not enumerate_highest(at, lam, L):
+        return QPoly.count(())
+    return QPoly.count([2 * d for d in dbars(at, lam, L)])

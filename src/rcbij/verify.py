@@ -6,8 +6,9 @@ the first that fails with the configuration it failed on, as JSON that
 ``rcbij map --dir rc2path`` reads.
 
 Each side of the cell is built once.  The path side enumerates the
-highest paths and reads dbar once per path; Xbar and the ``cc=2dbar``
-check read those energies, and nothing of the rc side.  The rc side is
+highest paths and reads their dbar off the path memo, which built them
+with the paths (``energy.dbars``); Xbar and the ``cc=2dbar`` check read
+those energies, and nothing of the rc side.  The rc side is
 one admissible pass (``rc.cc_configs``), which reads each configuration's
 cc off its vacancies: the rigged configurations, each one's cc, the
 rigged-configuration sum and the closed fermionic sum all read its tuple.
@@ -41,7 +42,7 @@ from __future__ import annotations
 from .bijection import NoPreimage, _delta, _phi, delta_inverse, phi_inverse
 from .cartan import AffineType, dominant_weights
 from .crystal import enumerate_highest, rest_weight
-from .energy import dbar
+from .energy import dbars
 from .qpoly import QPoly
 from .rc import (
     Config,
@@ -103,7 +104,8 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
             del levels[key]
     # the path side, which reads nothing of the rc side
     paths = enumerate_highest(at, lam, L)
-    energy2 = {p: 2 * dbar(at, p) for p in paths}
+    energy2 = ({p: 2 * d for p, d in zip(paths, dbars(at, lam, L))}
+               if paths else {})
     # the rc side: one admissible pass, and everything read off it
     configs = cc_configs(at, lam, L)
     rcs = rigged(at, configs)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import GRID_TYPES, buildable_types
+from conftest import EXTENDED, GRID_TYPES, buildable_types, empty_memos
 from oracles import local_hbar_by_probe
 from rcbij import energy
 from rcbij.cartan import AffineType, dominant_weights
@@ -9,6 +9,7 @@ from rcbij.energy import (
     PropagationError,
     b_natural,
     dbar,
+    dbars,
     local_hbar,
     xbar,
 )
@@ -234,3 +235,49 @@ def test_xbar_nonnegative_exponents():
                     lam,
                     L,
                 )
+
+
+# type -> the greatest length: the battery to L = 6, the extended ranks to
+# L = 4, and the grid of the benchmark's sums workload, where it is longer
+SUMS_GRID = {AffineType("A2", 2): 7, AffineType("B1", 3): 6,
+             AffineType("C1", 3): 7, AffineType("D1", 4): 5,
+             AffineType("D2", 3): 6}
+MEMO_GRID = dict.fromkeys(GRID_TYPES, 6) | dict.fromkeys(EXTENDED, 4)
+MEMO_GRID.update({at: max(L, MEMO_GRID.get(at, 0))
+                  for at, L in SUMS_GRID.items()})
+
+
+def t_of(at, word):
+    """The sum of the word's adjacent local energies and its end term."""
+    h, bnat = local_hbar(at), b_natural(at)
+    if not word:
+        return 0
+    return (sum(h[pair] for pair in zip(word, word[1:]))
+            + h[word[-1], bnat] - h[1, bnat])
+
+
+@pytest.mark.parametrize("at,max_len", MEMO_GRID.items(),
+                         ids=lambda v: str(v) if isinstance(v, AffineType)
+                         else "L%d" % v)
+def test_memo_energy_is_dbar(monkeypatch, at, max_len):
+    # the path memo builds each path's dbar, and the sum T it is built
+    # from, with the path: both equal their definitions on every path of
+    # every state the memo holds once the type's cells are enumerated,
+    # each cell's words come in sorted order, and Xbar is the sum of
+    # q^dbar over them, as it was defined before the memo carried dbar
+    empty_memos(monkeypatch, at)
+    for L in range(max_len + 1):
+        for lam in dominant_weights(at, L):
+            words = enumerate_highest(at, lam, L)
+            assert list(words) == sorted(words), (at, lam, L)
+            assert dbars(at, lam, L) == tuple(dbar(at, w) for w in words)
+            assert xbar(at, lam, L) == QPoly.count(
+                [2 * dbar(at, w) for w in words]), (at, lam, L)
+    held = 0
+    for (lam, L), (words, ds, ts) in at.paths.items():
+        assert len(words) == len(ds) == len(ts), (at, lam, L)
+        assert all(len(w) == L for w in words), (at, lam, L)
+        assert ds == tuple(dbar(at, w) for w in words), (at, lam, L)
+        assert ts == tuple(t_of(at, w) for w in words), (at, lam, L)
+        held += len(words)
+    assert held

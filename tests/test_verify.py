@@ -60,7 +60,9 @@ def complement_out_of_box(f):
 # the functions verify_cell reads them from; their ids are the ones of the
 # faults they replace.  The path energies feed Xbar as well as the cc
 # check, so a wrong dbar or a lost path now fails Xbar first, and a lost
-# rigged configuration is what |rc|=|paths| is left to catch.
+# rigged configuration is what |rc|=|paths| is left to catch.  The path
+# energies come off the path memo, so their fault is planted in dbars,
+# which reads them, with the id of the fault in dbar it replaces.
 PLANTED = [
     pytest.param("rigged_cc2", lambda f: lambda *a: f(*a) + [0],
                  "xbar=rc_genfun", id="rc_genfun-<lambda>-xbar=rc_genfun"),
@@ -71,7 +73,8 @@ PLANTED = [
     ("rigged", lambda f: lambda *a: f(*a)[1:], "|rc|=|paths|"),
     pytest.param("_phi", lambda f: lambda *a: (), "phi",
                  id="phi-<lambda>-phi"),
-    ("dbar", lambda f: lambda *a: f(*a) + 1, "xbar=rc_genfun"),
+    pytest.param("dbars", lambda f: lambda *a: [d + 1 for d in f(*a)],
+                 "xbar=rc_genfun", id="dbar-<lambda>-xbar=rc_genfun"),
     pytest.param("Config.complement", complement_out_of_box, "cc=2dbar",
                  id="complement-<lambda>-cc=2dbar"),
     ("delta_inverse", lambda f: lambda *a: (), "delta_inverse"),
@@ -264,7 +267,8 @@ PINNED = [
 def test_one_pass_per_cell(monkeypatch, cell):
     """verify_cell builds each side of a cell once.
 
-    One path enumeration and one dbar per path; one admissible pass, which
+    One path enumeration and one read of the energies the path memo built
+    with the paths, and no dbar call; one admissible pass, which
     gives every cc with it (neither the form's double sum nor the per-rc
     cc2_total runs).  In the phi loop, one Config per configuration, which
     its delta step and its complement both read; with an empty level
@@ -319,7 +323,8 @@ def test_one_pass_per_cell(monkeypatch, cell):
 
     for module, name in ((verify, "enumerate_highest"),
                          (energy, "enumerate_highest"),
-                         (verify, "dbar"), (energy, "dbar"),
+                         (verify, "dbars"), (energy, "dbars"),
+                         (energy, "dbar"),
                          (rc_mod, "_admissible"), (rc_mod, "cc2_total"),
                          (oracles, "cc2_config_by_form")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -337,7 +342,7 @@ def test_one_pass_per_cell(monkeypatch, cell):
     ok, row, _failure = verify.verify_cell(*cell)
     assert ok and row[1] == len(paths) > 1
     assert calls["enumerate_highest"] == 1
-    assert calls["dbar"] == len(paths)
+    assert calls["dbars"] == 1 and calls["dbar"] == 0
     assert calls["_admissible"] == 1
     assert calls["cc2_total"] == calls["cc2_config_by_form"] == 0
     L, nrc = cell[2], row[0]
