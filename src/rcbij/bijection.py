@@ -8,19 +8,22 @@ n-1 and n, a single string at node n that both scans select, or the
 cases S, P, Q and QS at node n.  Each end is one object, read off the
 type's form, box widths and letters by ``_end``: its forward(sc, n) runs
 delta's scans into the end and back, and its backward(fs, n, b) runs them
-in reverse for each letter b that is not positive.  Iterating delta gives
-the bijection onto classically restricted paths; composing with rigging
-complementation gives the statistic-preserving variant.
+in reverse for each letter b that is not positive.  Both steps end in
+``_move_strings``, which copies and sorts only the nodes a move touches:
+a Config's rc is in normal form, so the result is too.  Iterating delta
+gives the bijection onto classically restricted paths; composing with
+rigging complementation gives the statistic-preserving variant.
 
 Neither step re-checks its result: phi and phi_inverse check each step,
 and ``rcbij.verify`` each one its level table of certified configurations
 lacks.  phi and phi_inverse build one ``Config`` per configuration, which
-the step, its check and the next step all read; ``rcbij.verify`` and
-``rcbij map`` build their own and step from it through ``_delta`` and
-``_phi``.  phi_inverse adds the boxes one letter at a time from the right,
-so the words of a type share their first steps: each step that passes its
-checks is kept on the type (``at.grown``), keyed by the suffix of the word
-it has added, and is taken and checked once per process.  phi removes
+the step, its check and the next step all read; ``rcbij.verify`` steps
+from the Configs ``rc.rigged`` builds and ``rcbij map`` from the one it
+validated, through ``_delta`` and ``_phi``.  phi_inverse adds the boxes
+one letter at a time from the right, so the words of a type share their
+first steps: each step that passes its checks is kept on the type
+(``at.grown``), keyed by the suffix of the word it has added, and is
+taken and checked once per process.  phi removes
 them from the left, and phi(rc) = b . phi(delta(rc)): each smaller
 configuration whose chain passed is kept with the rest of its word
 (``at.tails``), and a later chain stops at the first one it meets.
@@ -64,12 +67,15 @@ class DeltaTrace(namedtuple("DeltaTrace", "ell ellbar cases rank")):
 
 class _Scan:
     """One delta run on the Config of rc: the lengths its scans selected,
-    their cases, the letter b, and the removals the standard rule misses."""
+    their cases, the letter b, the weight rho it leaves, and the moves of
+    node n's own rule, which replaces the standard rule there."""
+
+    __slots__ = ("cf", "ell", "ellbar", "cases", "moves", "b", "rho")
 
     def __init__(self, cf):
         self.cf = cf
         self.ell, self.ellbar, self.cases = {}, {}, {}
-        self.removals, self.b = [], None
+        self.moves, self.b = [], None
 
     def min_sing(self, a, lo, need_two_at=None):
         """Minimal occupied length >= lo with a singular string, or two
@@ -157,7 +163,7 @@ class _Single:
         i2 = sc.fwd(n)
         if i2 is not None:
             sc.ellbar[n] = i2
-            sc.removals.append((n, i2, 0, 2, 0))
+            sc.moves.append((n, i2, 0, i2 - 2, 0))
             sc.ret(n - 1, i2, False)
 
     def backward(self, fs, n, b):
@@ -205,12 +211,12 @@ class _NodeN:
                 return
             # case S: both scans take the string, two columns come off
             sc.ellbar[n], sc.ell[n], sc.cases[n] = i2, i2 - col, "S"
-            sc.removals.append((n, i2, 0, 2 * col, 0))
+            sc.moves.append((n, i2, 0, i2 - 2 * col, 0))
             sc.ret(n - 1, i2, not half)
             return
         # case Q: the string loses a column and becomes singular
         sc.ell[n] = i2
-        sc.removals.append((n, i2, off, col, 0))
+        sc.moves.append((n, i2, off, i2 - col, 0))
         j2 = sc.min_sing(n, i2 + 1)
         if j2 is None:
             sc.cases[n], sc.b = "Q", 0
@@ -221,7 +227,7 @@ class _NodeN:
         sc.ellbar[n], sc.cases[n] = j2, "QS"
         sc.ret(n - 1, j2, not half)
         qs_off = 0 if half and j2 == sc.ellbar.get(n - 1) else quasi
-        sc.removals.append((n, j2, 0, col, qs_off))
+        sc.moves.append((n, j2, 0, j2 - col, qs_off))
 
     def backward(self, fs, n, b):
         if b == EMPTY:  # case P: a singular string of length one at every node
@@ -293,30 +299,25 @@ def _delta(cf, lam):
         raise ValueError("delta needs L >= 1")
     sc = _Scan(cf)
     cf.at._end.forward(sc, n)
-    ell, ellbar, cases, removals = sc.ell, sc.ellbar, sc.cases, sc.removals
+    cases, moves = sc.cases, sc.moves
 
-    # The standard rule at every other node: a selected string loses one
-    # column, or two under case S, where both scans selected the same
-    # string (ell one column below ellbar); it becomes singular.
-    own = {r[0] for r in removals}
-    for a in range(1, n + 1):
-        if a in own:
-            continue
-        if cases.get(a) == "S":
-            removals.append((a, ellbar[a], 0, 4, 0))
-        else:
-            for sel in (ell, ellbar):
-                if a in sel:
-                    removals.append((a, sel[a], 0, 2, 0))
+    # The standard rule at every node but node n where the end moved its
+    # strings: a selected string loses one column, or two under case S,
+    # where both scans selected the same string (ell one column below
+    # ellbar); it becomes singular.
+    own = n if moves else 0
+    for a, i2 in sc.ell.items():
+        if a != own and cases.get(a) != "S":
+            moves.append((a, i2, 0, i2 - 2, 0))
+    for a, i2 in sc.ellbar.items():
+        if a != own:
+            moves.append((a, i2, 0, i2 - (4 if cases.get(a) == "S" else 2), 0))
 
     b = sc.b
-    if rest_weight(cf.at, lam, b) is None:
+    sc.rho = rest_weight(cf.at, lam, b)
+    if sc.rho is None:
         raise InvalidRC("letter %s cannot come off the weight %r" % (b, lam))
-
-    rc2 = _move_strings(
-        cf, L - 1, [(a, i2, o, i2 - d2, p) for a, i2, o, d2, p in removals]
-    )
-    return b, rc2, sc
+    return b, _move_strings(cf, L - 1, moves), sc
 
 
 def _move_strings(cf, L2, moves):
@@ -325,27 +326,28 @@ def _move_strings(cf, L2, moves):
     A move is (node, len2 or 0 for no old string, the old rigging's offset
     below its vacancy in cf, new len2 or 0 for no new string, the new
     rigging's offset below the vacancy of the result at length L2).  Only
-    the nodes a move touches are copied; every node is sorted, since cf.rc
-    need not be in normal form.
+    the nodes a move touches are copied and sorted: cf.rc is in normal
+    form.
     """
     nodes, nu, p2 = list(cf.rc), list(cf.nu), cf.p2
-    touched, grown = set(), []
+    touched, grown = {}, []  # node -> a copy of its strings
     for a, len2, off, new_len2, new_off in moves:
-        if a not in touched:
-            touched.add(a)
-            nodes[a - 1] = list(nodes[a - 1])
+        node = touched.get(a)
+        if node is None:
+            touched[a] = node = list(nodes[a - 1])
+            nu[a - 1] = list(nu[a - 1])
         if len2:
-            nodes[a - 1].remove((len2, p2[a - 1][len2] - off))
+            node.remove((len2, p2[a - 1][len2] - off))
+            nu[a - 1].remove(len2)
         if new_len2 > 0:
+            nu[a - 1].append(new_len2)
             grown.append((a, new_len2, new_off))
     # the result's vacancies depend on its lengths only
-    for a in touched:
-        nu[a - 1] = [ln for ln, _rg in nodes[a - 1]]
-    for a, len2, _off in grown:
-        nu[a - 1].append(len2)
     for a, len2, off in grown:
-        nodes[a - 1].append((len2, vacancy2(cf.at, L2, nu, a, len2) - off))
-    return tuple([tuple(sorted(node, reverse=True)) for node in nodes])
+        touched[a].append((len2, vacancy2(cf.at, L2, nu, a, len2) - off))
+    for a, node in touched.items():
+        nodes[a - 1] = tuple(sorted(node, reverse=True))
+    return tuple(nodes)
 
 
 def phi(at: AffineType, lam, L: int, rc):
@@ -372,9 +374,9 @@ def _phi(cf, lam):
     at, word, cur_lam = cf.at, [], tuple(lam)
     tails, passed, tail = at.tails, [], ()
     for step in range(cf.L, 0, -1):
-        b, small, _sc = _delta(cf, cur_lam)
+        b, small, sc = _delta(cf, cur_lam)
         word.append(b)
-        cur_lam = rest_weight(at, cur_lam, b)
+        cur_lam = sc.rho
         key = step - 1, cur_lam, small
         if key in tails:
             tail = tails[key]
@@ -401,11 +403,13 @@ def _keep(memo, key, value):
 class _Fill:
     """Shared helpers for one delta_inverse run on the Config of rc_small.
 
-    additions holds records shaped like delta's removals: (node, len2 in
-    rc_small or 0 for a new string, its rigging's offset below the small
-    vacancy, grow2, the new rigging's offset below the large vacancy).
+    additions holds records (node, len2 in rc_small or 0 for a new
+    string, its rigging's offset below the small vacancy, grow2, the new
+    rigging's offset below the large vacancy).
     A string taken once is not free for a later choice at its node.
     """
+
+    __slots__ = ("cf", "additions")
 
     def __init__(self, cf):
         self.cf = cf
@@ -483,7 +487,7 @@ def _delta_inverse(cf, b, rho):
     at = cf.at
     if b not in at.letters:
         raise NoPreimage("%r is not a letter of %s" % (b, at))
-    lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
+    lam = tuple([x + y for x, y in zip(rho, wt_letter(at, b))])
     if not is_dominant(at, lam) or rest_weight(at, lam, b) is None:
         raise NoPreimage("letter %s cannot come off the weight %r" % (b, lam))
     fs = _Fill(cf)
@@ -521,7 +525,7 @@ def phi_inverse(at: AffineType, lam, L: int, word):
         if step is None:
             b = word[j]
             big = Config(at, L - j, _delta_inverse(cf, b, rho))
-            big_rho = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
+            big_rho = tuple([x + y for x, y in zip(rho, wt_letter(at, b))])
             try:
                 validate_config(big, big_rho)
                 image = _delta(big, big_rho)[:2]

@@ -108,7 +108,8 @@ def cmd_f(args) -> int:
 def cmd_rc_enum(args) -> int:
     at, lam, L = _cell_from_args(args)
     configs = cc_configs(at, lam, L)
-    for rc, cc2 in sorted(zip(rigged(at, configs), rigged_cc2(at, configs))):
+    rcs = [cf.rc for cf in rigged(at, L, configs)]
+    for rc, cc2 in sorted(zip(rcs, rigged_cc2(at, configs))):
         if args.json:
             print(json.dumps(rc_to_json(at, lam, L, rc), sort_keys=True))
         else:

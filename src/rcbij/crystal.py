@@ -104,11 +104,12 @@ def rest_weight(at: AffineType, lam, b):
     kept in at.rest.
     """
     lam, rest = tuple(lam), at.rest
-    if (lam, b) not in rest:
+    rho = rest.get((lam, b), rest)  # the memo itself marks a miss
+    if rho is rest:
         rho = tuple(x - y for x, y in zip(lam, wt_letter(at, b)))
         ok = is_dominant(at, rho) and (b != 0 or lam[at.n - 1] > 0)
-        rest[lam, b] = rho if ok else None
-    return rest[lam, b]
+        rest[lam, b] = rho = rho if ok else None
+    return rho
 
 
 def wt_path(at: AffineType, word) -> tuple:

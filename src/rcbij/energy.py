@@ -81,10 +81,10 @@ def b_natural(at: AffineType):
 def dbar(at: AffineType, word) -> int:
     """Barred intrinsic energy: the barred total energy of the word
     (leftmost factor first) relative to the all-ones word."""
-    h, bnat = at.local_hbar, at.b_natural
     L = len(word)
-    if L == 0:
+    if L == 0:  # before the |B|^2 table is read, which it may build
         return 0
+    h, bnat = at.local_hbar, at.b_natural
     total = L * (h[(word[-1], bnat)] - h[(1, bnat)])
     for idx in range(L - 1):
         total += (idx + 1) * h[(word[idx], word[idx + 1])]

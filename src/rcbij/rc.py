@@ -10,18 +10,19 @@ Representation conventions, used across the package:
   is the value that is compared, hashed and written as JSON.
 * ``Config`` wraps one rc for the code that reads it string by string
   (``validate_config``, ``Config.complement`` and the steps of
-  ``bijection``): at each node the strings grouped by length, longest
-  first whatever the order of rc, and the doubled vacancy of each
-  occupied length, computed in one pass when it is built.  The
+  ``bijection``): rc in normal form, whatever the order it is given in,
+  at each node the strings grouped by length, longest first, and the
+  doubled vacancy of each occupied length.  Built from an rc, it reads
+  them in one pass; ``rigged`` builds the Configs of a cell off its
+  admissible pass instead, with no sort and no vacancy pass.  The
   complement is read off it, by ``map --tilde`` and ``verify`` alike.
-* Enumeration builds no ``Config``: ``_admissible`` places a
-  configuration node by node and reads the vacancies of each occupied
-  length once, pruning as it goes.  ``cc_configs`` pairs each admissible
-  configuration's groups with its cc; ``rigged``, ``rigged_cc2`` and
-  ``fermionic`` read that one tuple, and ``enumerate_rc``, ``rc_genfun``
-  and ``fermionic_m`` read them.  The type keeps the tuple of the last
-  cell read (``at.last_cell``), so those three, called on one cell in
-  turn, run its admissible pass once.
+* ``_admissible`` places a configuration node by node and reads the
+  vacancies of each occupied length once, pruning as it goes.
+  ``cc_configs`` pairs each admissible configuration's groups with its
+  cc; ``rigged``, ``rigged_cc2`` and ``fermionic`` read that one tuple,
+  and ``enumerate_rc`` (the rcs of ``rigged``), ``rc_genfun`` and
+  ``fermionic_m`` read them.  The type keeps the tuple of the last cell
+  read (``at.last_cell``), so those three run its pass once.
 * cc is read off the vacancies.  With C the matrix of
   ``_vacancy_table``, p2(a, x) = 2L[a=1] + sum_b C[a][b] Q_x(nu^(b)),
   and cc's quadratic form has the same matrix, so
@@ -95,6 +96,15 @@ def _vacancy_table(at: AffineType):
     return kd.up2, tuple(rows)
 
 
+@per_type
+def _due(at: AffineType):
+    """Per node d, the nodes whose row of ``_vacancy_table`` ends at d."""
+    due = [[] for _ in range(at.n)]
+    for a, row in enumerate(at._vacancy_table[1], 1):
+        due[max(b for b, _c in row)].append(a)
+    return tuple(map(tuple, due))
+
+
 def vacancy2(at: AffineType, L: int, nu, a: int, i2: int) -> int:
     """Doubled vacancy number at node a, doubled length i2 (> 0)."""
     up2, rows = at._vacancy_table
@@ -136,9 +146,11 @@ def config_of(rc):
 class Config:
     """A rigged configuration at length L, read string by string.
 
-    rc is the rigged configuration and nu its configuration.  by[a-1] and
-    p2[a-1] map each occupied len2 at node a, longest first whatever the
-    order of rc, to its riggings and to its doubled vacancy.
+    rc is the rigged configuration in normal form, whatever the order it
+    is given in, and nu its configuration.  by[a-1] and p2[a-1] map each
+    occupied len2 at node a, longest first, to its riggings and to its
+    doubled vacancy.  ``rigged`` builds the Configs of enumerated rigged
+    configurations off their groups, without this constructor.
     """
 
     __slots__ = ("at", "L", "rc", "nu", "by", "p2")
@@ -146,13 +158,14 @@ class Config:
     def __init__(self, at: AffineType, L: int, rc):
         self.at = at
         self.L = L
-        self.rc = rc
+        self.rc = rc = tuple([tuple(sorted(node, reverse=True))
+                              for node in rc])
         self.nu = nu = config_of(rc)
         self.by, self.p2 = [], []
         total = 2 * L  # node 1's part of the vacancy
         for node, row in zip(rc, at._vacancy_table[1]):
             by, p2 = {}, {}
-            for ln, rg in sorted(node, reverse=True):
+            for ln, rg in node:
                 if ln in by:
                     by[ln].append(rg)
                 else:  # no lattice check: validate_config reports that
@@ -164,10 +177,9 @@ class Config:
 
     def complement(self):
         """rc with every rigging complemented in its box: p2 - rg."""
-        return tuple(
-            tuple(sorted(((ln, p2[ln] - rg) for ln, rg in node), reverse=True))
-            for p2, node in zip(self.p2, self.rc)
-        )
+        return tuple(tuple([(ln, p2[ln] - rg) for ln, rigs in by.items()
+                            for rg in reversed(rigs)])
+                     for by, p2 in zip(self.by, self.p2))
 
 
 def _node_groups(at: AffineType, L: int, nu, a: int, row):
@@ -193,36 +205,30 @@ def _node_groups(at: AffineType, L: int, nu, a: int, row):
 
 
 @lru_cache(maxsize=None)
-def _partitions(total: int, most: int = INF):
+def _partitions(total: int, width: int = 1, most: int = INF):
     """All weakly decreasing tuples of positive ints at most ``most`` with
-    the given sum, in reverse lexicographic order."""
+    the given sum, in reverse lexicographic order, each part times width."""
     if total == 0:
         return ((),)
-    return tuple((p,) + rest for p in range(min(total, most), 0, -1)
-                 for rest in _partitions(total - p, p))
+    return tuple((p * width,) + rest for p in range(min(total, most), 0, -1)
+                 for rest in _partitions(total - p, width, p))
 
 
 def _admissible(at: AffineType, lam, L: int):
     """(nu, its occupied groups) for every admissible lam-configuration.
 
     The nodes are placed in order, each running through the partitions of
-    its column sum, so the configurations come in the order of the product
-    of those lists.  Node a is checked (``_node_groups``) once every node
-    of its row of ``_vacancy_table`` is placed, on a chain one node later,
-    and a prefix that fails is not extended.
+    its column sum in its box width (kept per process by ``_partitions``),
+    so the configurations come in the order of the product of those lists.
+    Node a is checked (``_node_groups``) once every node of its row of
+    ``_vacancy_table`` is placed (the type's ``_due``), on a chain one node
+    later, and a prefix that fails is not extended.
     """
     sizes = normalized_sizes(at, lam, L)
     if sizes is None:
         return ()
-    up2, rows = at._vacancy_table
-    n = at.n
-    per_node = [
-        [tuple(p * up2[a] for p in part) for part in _partitions(c)]
-        for a, c in enumerate(sizes)
-    ]
-    due = [[] for _ in range(n)]  # the nodes checked once node d is placed
-    for a, row in enumerate(rows, 1):
-        due[max(b for b, _c in row)].append(a)
+    (up2, rows), due, n = at._vacancy_table, at._due, at.n
+    per_node = [_partitions(c, w) for c, w in zip(sizes, up2)]
     nu = [()] * n
     groups = [None] * n
 
@@ -276,24 +282,33 @@ def _multisets(bx: range, m: int):
     return combinations_with_replacement(bx[::-1], m)
 
 
-def _build(n: int, groups, picks):
-    """The rc in normal form whose group g carries the riggings picks[g]."""
-    nodes = [[] for _ in range(n)]
-    for (a, i2, _m, _p2, _bx), rigs in zip(groups, picks):
-        nodes[a - 1].extend((i2, rg) for rg in rigs)
-    return tuple(map(tuple, nodes))
-
-
-def rigged(at: AffineType, configs):
-    """Every rigged configuration of configs, in normal form.
+def rigged(at: AffineType, L: int, configs):
+    """The Config at length L of every rigged configuration of configs.
 
     configs holds pairs whose second entry is a configuration's occupied
-    groups.  The groups come longest first at each node and each rigging
-    multiset largest first, so every node's strings are already sorted.
+    groups.  Each Config is read off the groups and a rigging multiset per
+    group, longest group and largest rigging first, so rc is in normal
+    form.  Those of a configuration share its nu and p2, and a node's by
+    with all that pick its riggings alike; all of them are read-only.
     """
-    return [_build(at.n, groups, picks) for _x, groups in configs
-            for picks in product(*[_multisets(bx, m)
-                                   for _a, _i2, m, _p2, bx in groups])]
+    n, new, out, no_strings = at.n, object.__new__, [], [((), {})]
+    for _x, groups in configs:
+        nu, p2, picks = [()] * n, [{}] * n, [no_strings] * n
+        for a, i2, m, p, bx in groups:  # (strings, by) of each node's picks
+            a -= 1
+            picks[a] = [(s + tuple([(i2, rg) for rg in rigs]),
+                         {**by, i2: list(rigs)})
+                        for s, by in picks[a] for rigs in _multisets(bx, m)]
+            nu[a] += (i2,) * m
+            p2[a] = {**p2[a], i2: p}
+        nu = tuple(nu)
+        for pick in product(*picks):
+            cf = new(Config)
+            cf.at, cf.L, cf.nu, cf.p2 = at, L, nu, p2
+            cf.rc = tuple([s for s, _by in pick])
+            cf.by = [by for _s, by in pick]
+            out.append(cf)
+    return out
 
 
 def rigged_cc2(at: AffineType, configs):
@@ -313,7 +328,7 @@ def rigged_cc2(at: AffineType, configs):
 
 def enumerate_rc(at: AffineType, lam, L: int):
     """All rigged configurations for the weight lam, in normal form."""
-    return rigged(at, cc_configs(at, lam, L))
+    return [cf.rc for cf in rigged(at, L, cc_configs(at, lam, L))]
 
 
 def validate_rc(at: AffineType, lam, L: int, rc) -> Config:

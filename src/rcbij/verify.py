@@ -15,9 +15,11 @@ rigged-configuration sum and the closed fermionic sum all read its tuple.
 These are the functions ``xbar``, ``enumerate_rc``, ``rc_genfun`` and
 ``fermionic_m`` read too (the last three share the pass the type keeps),
 so ``rcbij x``, ``rc-enum``, ``f`` and ``m`` print what it certifies.
-Each configuration then gets one ``Config``, which its delta step and its
-complement (``Config.complement``, what ``map --tilde`` prints) both read:
-the checks run the code ``map`` runs.
+Each configuration gets one ``Config``, which ``rc.rigged`` reads off
+the pass's groups and its picks of riggings (no sort and no vacancy pass
+per configuration), and which its delta step and its complement
+(``Config.complement``, what ``map --tilde`` prints) both read: the
+checks run the code ``map`` runs.
 
 phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so the
 cells of a run share a table of the words certified at each (type, L).  A
@@ -41,11 +43,10 @@ from __future__ import annotations
 
 from .bijection import NoPreimage, _delta, _phi, delta_inverse, phi_inverse
 from .cartan import AffineType, dominant_weights
-from .crystal import enumerate_highest, rest_weight
+from .crystal import enumerate_highest
 from .energy import dbars
 from .qpoly import QPoly
 from .rc import (
-    Config,
     InvalidRC,
     cc_configs,
     fermionic,
@@ -108,10 +109,10 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
                if paths else {})
     # the rc side: one admissible pass, and everything read off it
     configs = cc_configs(at, lam, L)
-    rcs = rigged(at, configs)
+    cfs = rigged(at, L, configs)
     cc2s = rigged_cc2(at, configs)
     xb, mb = QPoly.count(energy2.values()), QPoly.count(cc2s)
-    row = (len(rcs), len(paths), str(xb), str(mb))
+    row = (len(cfs), len(paths), str(xb), str(mb))
 
     def fail(check, rc=None):
         rc_json = None if rc is None else rc_to_json(at, lam, L, rc)
@@ -121,23 +122,23 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
         return fail("xbar=rc_genfun")
     if fermionic(at, configs) != mb:
         return fail("fermionic_m=rc_genfun")
-    if len(paths) != len(rcs):
+    if len(paths) != len(cfs):
         return fail("|rc|=|paths|")
     below = levels.get((at, L - 1), {})
     unhit = {p: p for p in paths}  # each word maps to the enumerated tuple
     words = {}  # rc -> phi(rc)
     steps = []  # (rc, its letter, the weight left, delta(rc))
-    rcs_c = []  # the complement of each rc, off the Config delta read
+    comps = []  # (rc, its complement off the Config delta read)
     rc = None
     try:
         check = "phi"
-        for rc in rcs:
-            cf = Config(at, L, rc)
+        for cf in cfs:
+            rc = cf.rc
             if L == 0:
                 word = _phi(cf, lam)
             else:
-                b, rc_small, _sc = _delta(cf, lam)
-                rho = rest_weight(at, lam, b)
+                b, rc_small, sc = _delta(cf, lam)
+                rho = sc.rho
                 steps.append((rc, b, rho, rc_small))
                 tail = below.get((rho, rc_small))
                 if tail is None:
@@ -147,9 +148,9 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
             if word is None:  # not a path, or the image of an earlier rc
                 return fail(check, rc)
             words[rc] = word
-            rcs_c.append(cf.complement())
+            comps.append((rc, cf.complement()))
         check = "cc=2dbar"
-        for rc, cc2, rc_c in zip(rcs, cc2s, rcs_c):
+        for (rc, rc_c), cc2 in zip(comps, cc2s):
             # phi-tilde(rc) is the word of the complement, which the cell
             # enumerates; a complement outside it is itself a fault
             word = words.get(rc_c)
@@ -159,8 +160,8 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
         for rc, b, rho, rc_small in steps:
             if delta_inverse(at, b, rho, L - 1, rc_small) != rc:
                 return fail(check, rc)
-        if rcs:
-            check, rc = "phi_inverse", rcs[0]
+        if cfs:
+            check, rc = "phi_inverse", cfs[0].rc
             if phi_inverse(at, lam, L, words[rc]) != rc:
                 return fail(check, rc)
     except (InvalidRC, NoPreimage):

@@ -25,6 +25,12 @@ EXTENDED = [
     AffineType("D2", 4),
 ]
 
+# the four cells ``rcbij map`` is benchmarked on
+MAP_CELLS = [
+    (AffineType("A2", 2), (2, 1), 7), (AffineType("D2", 3), (2, 1, 0), 6),
+    (AffineType("B1", 3), (1, 1, 0), 6), (AffineType("C1", 3), (2, 0, 0), 6),
+]
+
 
 def buildable_types():
     """Every family at ranks 1-8 that can be built, relaxed ranks included."""

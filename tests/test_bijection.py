@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import GRID_TYPES, empty_memos, out_of_box
+from conftest import GRID_TYPES, MAP_CELLS, empty_memos, out_of_box
 from rcbij import bijection
 from rcbij.cartan import AffineType, dominant_weights, is_dominant
 from rcbij.crystal import EMPTY, enumerate_highest, letter_str, wt_letter
@@ -270,13 +270,6 @@ def test_phi_inverse_checks_each_box_addition(monkeypatch, breaker, why):
     for word in words:
         with pytest.raises(NoPreimage, match=why):
             phi_inverse(at, lam, L, word)
-
-
-# the four cells ``rcbij map`` is benchmarked on
-MAP_CELLS = [
-    (AffineType("A2", 2), (2, 1), 7), (AffineType("D2", 3), (2, 1, 0), 6),
-    (AffineType("B1", 3), (1, 1, 0), 6), (AffineType("C1", 3), (2, 0, 0), 6),
-]
 
 
 def counting_steps(monkeypatch, name="_delta_inverse"):

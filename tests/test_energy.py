@@ -217,6 +217,15 @@ def test_dbar_examples():
     assert -dbar(AffineType("A2", 1), (EMPTY,)) == -1
 
 
+def test_dbar_of_the_empty_word_builds_no_table(monkeypatch):
+    """dbar of the empty word is 0 without the |B|^2 local energy table: a
+    type whose table is not built yet does not build it for that word."""
+    at = AffineType("C1", 200)
+    monkeypatch.delitem(vars(at), "local_hbar", raising=False)
+    assert dbar(at, ()) == 0
+    assert "local_hbar" not in vars(at)
+
+
 def test_xbar_examples():
     at = AffineType("C1", 2)
     assert xbar(at, (2, 0), 2) == QPoly({0: 1})

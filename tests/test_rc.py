@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import EXTENDED, GRID_TYPES
+from conftest import EXTENDED, GRID_TYPES, MAP_CELLS
 from rcbij import rc as rc_mod
 from rcbij.bijection import delta
 from rcbij.cartan import AffineType, dominant_weights, form2_matrix, kac_data
@@ -30,6 +30,7 @@ from rcbij.rc import (
     rc_from_json,
     rc_genfun,
     rc_to_json,
+    rigged,
     vacancy2,
     validate_rc,
 )
@@ -142,6 +143,29 @@ def test_config_vacancies_are_vacancy2(battery):
                             at, L1, nu, a, i2), (at, L1, rc1, a, i2)
                         seen += 1
     assert seen > 10000
+
+
+def test_rigged_configs_equal_built_configs(battery):
+    """The Config rigged reads off the admissible pass equals the one
+    Config.__init__ builds from its rc, field by field and in the order of
+    each node's lengths, on every rigged configuration of the battery
+    cells to L = 5 and of the four pinned map cells."""
+    cells = [cell for cell in battery if cell[2] <= 5] + MAP_CELLS
+    seen = 0
+    for at, lam, L in cells:
+        cfs = rigged(at, L, cc_configs(at, lam, L))
+        assert [cf.rc for cf in cfs] == enumerate_rc(at, lam, L)
+        for cf in cfs:
+            built = Config(at, L, cf.rc)
+            assert (cf.at, cf.L) == (at, L)
+            for field in ("rc", "nu", "by", "p2"):
+                mine, theirs = getattr(cf, field), getattr(built, field)
+                assert mine == theirs, (at, lam, L, cf.rc, field)
+                if field in ("by", "p2"):
+                    assert [list(d) for d in mine] == \
+                        [list(d) for d in theirs], (at, lam, L, cf.rc)
+            seen += 1
+    assert seen > 2500
 
 
 def _m_at(nu, a, i2, n):

@@ -271,6 +271,7 @@ def test_one_pass_per_cell(monkeypatch, cell):
     with the paths, and no dbar call; one admissible pass, which
     gives every cc with it (neither the form's double sum nor the per-rc
     cc2_total runs).  In the phi loop, one Config per configuration, which
+    rigged builds off that pass (not through Config.__init__), and which
     its delta step and its complement both read; with an empty level
     table each smaller configuration is validated into one Config, which
     phi steps from (L - 1 more).  One Config for each delta_inverse check,
@@ -330,6 +331,15 @@ def test_one_pass_per_cell(monkeypatch, cell):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Config, "__init__",
                         counted("Config", Config.__init__))
+    real_rigged = verify.rigged
+    from_groups = []  # the Configs rigged built
+
+    def rigged(*args):
+        out = real_rigged(*args)
+        from_groups.extend(out)
+        return out
+
+    monkeypatch.setattr(verify, "rigged", rigged)
     monkeypatch.setattr(Config, "complement",
                         reading("complement", Config.complement))
     monkeypatch.setattr(verify, "_delta",
@@ -352,10 +362,13 @@ def test_one_pass_per_cell(monkeypatch, cell):
     assert per_map == {"_delta": [0] * nrc, "validate_rc": [1] * nrc,
                        "_phi": [L - 1] * nrc, "delta_inverse": [1] * nrc,
                        "phi_inverse": [L + 1]}
-    # the rest were built by verify_cell itself, one per configuration
-    assert calls["Config"] - sum(k for _name, k in configs_in) == nrc
+    # the rest were built by rigged, one per configuration, and none by
+    # verify_cell itself
+    assert calls["Config"] - sum(k for _name, k in configs_in) == 0
+    assert len(from_groups) == nrc
     # ... and each was read by its delta step and then its complement
-    assert len(read["_delta"]) == nrc
+    assert all(a is b for a, b in zip(read["_delta"], from_groups,
+                                      strict=True))
     assert all(a is b for a, b in zip(read["_delta"], read["complement"],
                                       strict=True))
     assert [cf.rc for cf in read["_delta"]] == enumerate_rc(*cell)
@@ -363,6 +376,7 @@ def test_one_pass_per_cell(monkeypatch, cell):
     assert verify.verify_cell(*cell)[0]  # fills at.tails
     configs_in.clear()
     calls.clear()
+    from_groups.clear()
     assert verify.verify_cell(*cell) == (ok, row, None)
     per_map = {}
     for name, k in configs_in:
@@ -370,7 +384,40 @@ def test_one_pass_per_cell(monkeypatch, cell):
     assert per_map == {"_delta": [0] * nrc, "validate_rc": [1] * nrc,
                        "_phi": [0] * nrc, "delta_inverse": [1] * nrc,
                        "phi_inverse": [1]}
-    assert calls["Config"] - sum(k for _name, k in configs_in) == nrc
+    assert calls["Config"] - sum(k for _name, k in configs_in) == 0
+    assert len(from_groups) == nrc
+
+
+@pytest.mark.parametrize("cell", PINNED, ids=str)
+def test_out_of_box_rigging_in_a_group_built_config(monkeypatch, cell):
+    """An out-of-box rigging planted in the first Config rigged builds off
+    the admissible pass fails the phi check, which names that
+    configuration.  The cell runs with the level table of the cells below
+    it filled: the smaller configuration the planted Config steps to is in
+    no table, so verify_cell validates it.
+    """
+    at, lam, L = cell
+    levels = {}
+    for below in verify.cells_for(at, L - 1):
+        assert verify.verify_cell(*below, levels)[0]
+    real = verify.rigged
+    planted = []
+
+    def rigged(*args):
+        cfs = real(*args)
+        cf = cfs[0]
+        bad = out_of_box(at, L, cf.rc)
+        assert bad != cf.rc
+        # by read off the planted rc, in its own dicts: the by of the
+        # other Configs, shared with this one, stays as it was
+        cf.rc, cf.by = bad, Config(at, L, bad).by
+        planted.append(bad)
+        return cfs
+
+    monkeypatch.setattr(verify, "rigged", rigged)
+    ok, _row, failure = verify.verify_cell(*cell, levels)
+    assert not ok and failure["check"] == "phi"
+    assert rc_from_json(failure["rc"]) == cell + (planted[0],)
 
 
 def test_verify_takes_each_phi_inverse_step_once(monkeypatch):

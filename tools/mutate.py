@@ -47,8 +47,6 @@ CALL_SWAPS = {"min": "max", "max": "min"}
 EQUIVALENT = [
     ("bijection.py", "prev = 0", "0 -> 1",
      "every doubled length is >= 1, so a bound of 0 or 1 excludes nothing"),
-    ("bijection.py", "for a in range(1, n + 1):", "1 -> 2",
-     "range(1, n + 2) reaches node n+1, which has no selection"),
     ("bijection.py", "fs.chain(range(n, 0, -1), 0)", "0 -> 1",
      "case P: no doubled length 1 where E is a letter"),
     ("bijection.py", "form2[-1][-1] > form2[-2][-2]", "> -> >=",
