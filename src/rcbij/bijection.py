@@ -19,11 +19,12 @@ and ``rcbij.verify`` each one its level table of certified configurations
 lacks.  phi and phi_inverse build one ``Config`` per configuration, which
 the step, its check and the next step all read; ``rcbij.verify`` steps
 from the Configs ``rc.rigged`` builds and ``rcbij map`` from the one it
-validated, through ``_delta`` and ``_phi``.  phi_inverse adds the boxes
-one letter at a time from the right, so the words of a type share their
-first steps: each step that passes its checks is kept on the type
-(``at.grown``), keyed by the suffix of the word it has added, and is
-taken and checked once per process.  phi removes
+validated, through ``_delta`` and ``_phi``, and verify adds the boxes
+back onto the smaller Config its phi check read (``_delta_inverse``).
+phi_inverse adds the boxes one letter at a time from the right, so the
+words of a type share their first steps: each step that passes its
+checks is kept on the type (``at.grown``), keyed by the suffix of the
+word it has added, and is taken and checked once per process.  phi removes
 them from the left, and phi(rc) = b . phi(delta(rc)): each smaller
 configuration whose chain passed is kept with the rest of its word
 (``at.tails``), and a later chain stops at the first one it meets.

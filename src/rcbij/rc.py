@@ -11,8 +11,9 @@ Representation conventions, used across the package:
 * ``Config`` wraps one rc for the code that reads it string by string
   (``validate_config``, ``Config.complement`` and the steps of
   ``bijection``): rc in normal form, whatever the order it is given in,
-  at each node the strings grouped by length, longest first, and the
-  doubled vacancy of each occupied length.  Built from an rc, it reads
+  at each node the strings' riggings grouped by length as tuples, longest
+  first, and the doubled vacancy of each occupied length; nothing writes
+  into a Config once it is built.  Built from an rc, it reads
   them in one pass; ``rigged`` builds the Configs of a cell off its
   admissible pass instead, with no sort and no vacancy pass.  The
   complement is read off it, by ``map --tilde`` and ``verify`` alike.
@@ -148,9 +149,11 @@ class Config:
 
     rc is the rigged configuration in normal form, whatever the order it
     is given in, and nu its configuration.  by[a-1] and p2[a-1] map each
-    occupied len2 at node a, longest first, to its riggings and to its
-    doubled vacancy.  ``rigged`` builds the Configs of enumerated rigged
-    configurations off their groups, without this constructor.
+    occupied len2 at node a, longest first, to its riggings (a tuple,
+    largest first) and to its doubled vacancy.  ``rigged`` builds the
+    Configs of enumerated rigged configurations off their groups, without
+    this constructor.  Nothing writes into a Config once it is built, so
+    Configs may share their parts and outlive their cell.
     """
 
     __slots__ = ("at", "L", "rc", "nu", "by", "p2")
@@ -161,19 +164,20 @@ class Config:
         self.rc = rc = tuple([tuple(sorted(node, reverse=True))
                               for node in rc])
         self.nu = nu = config_of(rc)
-        self.by, self.p2 = [], []
+        bys, p2s = [], []
         total = 2 * L  # node 1's part of the vacancy
         for node, row in zip(rc, at._vacancy_table[1]):
             by, p2 = {}, {}
             for ln, rg in node:
                 if ln in by:
-                    by[ln].append(rg)
+                    by[ln] += (rg,)
                 else:  # no lattice check: validate_config reports that
-                    by[ln] = [rg]
+                    by[ln] = (rg,)
                     p2[ln] = _row_vacancy(row, total, nu, ln)
-            self.by.append(by)
-            self.p2.append(p2)
+            bys.append(by)
+            p2s.append(p2)
             total = 0
+        self.by, self.p2 = tuple(bys), tuple(p2s)
 
     def complement(self):
         """rc with every rigging complemented in its box: p2 - rg."""
@@ -289,7 +293,7 @@ def rigged(at: AffineType, L: int, configs):
     groups.  Each Config is read off the groups and a rigging multiset per
     group, longest group and largest rigging first, so rc is in normal
     form.  Those of a configuration share its nu and p2, and a node's by
-    with all that pick its riggings alike; all of them are read-only.
+    with all that pick its riggings alike, riggings as tuples.
     """
     n, new, out, no_strings = at.n, object.__new__, [], [((), {})]
     for _x, groups in configs:
@@ -297,16 +301,15 @@ def rigged(at: AffineType, L: int, configs):
         for a, i2, m, p, bx in groups:  # (strings, by) of each node's picks
             a -= 1
             picks[a] = [(s + tuple([(i2, rg) for rg in rigs]),
-                         {**by, i2: list(rigs)})
+                         {**by, i2: rigs})
                         for s, by in picks[a] for rigs in _multisets(bx, m)]
             nu[a] += (i2,) * m
             p2[a] = {**p2[a], i2: p}
-        nu = tuple(nu)
+        nu, p2 = tuple(nu), tuple(p2)
         for pick in product(*picks):
             cf = new(Config)
             cf.at, cf.L, cf.nu, cf.p2 = at, L, nu, p2
-            cf.rc = tuple([s for s, _by in pick])
-            cf.by = [by for _s, by in pick]
+            cf.rc, cf.by = zip(*pick)
             out.append(cf)
     return out
 

@@ -22,26 +22,29 @@ per configuration), and which its delta step and its complement
 checks run the code ``map`` runs.
 
 phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so the
-cells of a run share a table of the words certified at each (type, L).  A
-cell reads L - 1 and keeps only L - 1 and L, in any order of cells; in the
-order of ``cells_for`` each configuration then costs one delta step.
+cells of a run share a table of the words certified at each (type, L),
+each kept with its configuration's ``Config``.  A cell reads L - 1 and
+keeps only L - 1 and L, in any order of cells; in the order of
+``cells_for`` each configuration then costs one delta step.
 
 That step is checked once.  A smaller configuration found in the table
 is an enumerated configuration of its cell, which proves it valid; only
 one the table lacks is validated, and the recursion steps from the
 ``Config`` the validation built, as far as the first smaller
 configuration whose chain an earlier recursion checked (``at.tails``).
-The ``delta_inverse`` check compares the box addition with rc itself,
-which holds more than the image check of ``phi_inverse``: rc is
-enumerated, and its step is already in hand.  The ``phi_inverse`` check
-runs the code ``map --dir path2rc`` runs, which keeps each box addition
-that passed its checks on the type: it computes only the steps no earlier
-call took, and compares the configuration it ends on with rc.
+The ``delta_inverse`` check adds the boxes back onto that same smaller
+``Config``, the held one or the validated one, so it builds none.  It
+compares the box addition with rc itself, which holds more than the
+image check of ``phi_inverse``: rc is enumerated, and its step is already
+in hand.  The ``phi_inverse`` check runs the code ``map --dir path2rc``
+runs, which keeps each box addition that passed its checks on the type:
+it computes only the steps no earlier call took, and compares the
+configuration it ends on with rc.
 """
 
 from __future__ import annotations
 
-from .bijection import NoPreimage, _delta, _phi, delta_inverse, phi_inverse
+from .bijection import NoPreimage, _delta, _delta_inverse, _phi, phi_inverse
 from .cartan import AffineType, dominant_weights
 from .crystal import enumerate_highest
 from .energy import dbars
@@ -94,9 +97,12 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
     check runs over every configuration before the next begins.
 
     levels is the level table of this cell's run, {(type, L): {(weight,
-    rc): phi(rc)}}, or None for an empty one.  The cell drops every key
-    but (at, L - 1), where phi of each smaller configuration is looked up
-    (a miss is validated and recursed on), and (at, L), filled on a pass.
+    rc): (phi(rc), the Config of rc)}}, or None for an empty one.  The
+    cell drops every key but (at, L - 1), where phi and the Config of
+    each smaller configuration are looked up (a miss is validated and
+    recursed on), and (at, L), filled with rigged's Configs on a pass.
+    The delta_inverse check steps from the smaller Config the phi check
+    read.
     """
     if levels is None:
         levels = {}
@@ -127,7 +133,7 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
     below = levels.get((at, L - 1), {})
     unhit = {p: p for p in paths}  # each word maps to the enumerated tuple
     words = {}  # rc -> phi(rc)
-    steps = []  # (rc, its letter, the weight left, delta(rc))
+    steps = []  # (rc, its letter, the weight left, the Config of delta(rc))
     comps = []  # (rc, its complement off the Config delta read)
     rc = None
     try:
@@ -139,10 +145,12 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
             else:
                 b, rc_small, sc = _delta(cf, lam)
                 rho = sc.rho
-                steps.append((rc, b, rho, rc_small))
-                tail = below.get((rho, rc_small))
-                if tail is None:
-                    tail = _phi(validate_rc(at, rho, L - 1, rc_small), rho)
+                held = below.get((rho, rc_small))
+                if held is None:
+                    small = validate_rc(at, rho, L - 1, rc_small)
+                    held = _phi(small, rho), small
+                tail, small = held
+                steps.append((rc, b, rho, small))
                 word = (b,) + tail
             word = unhit.pop(word, None)
             if word is None:  # not a path, or the image of an earlier rc
@@ -157,8 +165,8 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
             if word is None or cc2 != energy2[word]:
                 return fail(check, rc)
         check = "delta_inverse"
-        for rc, b, rho, rc_small in steps:
-            if delta_inverse(at, b, rho, L - 1, rc_small) != rc:
+        for rc, b, rho, small in steps:
+            if _delta_inverse(small, b, rho) != rc:
                 return fail(check, rc)
         if cfs:
             check, rc = "phi_inverse", cfs[0].rc
@@ -168,5 +176,5 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
         # a map that gives up on a configuration fails the check it was in
         return fail(check, rc)
     levels.setdefault((at, L), {}).update(
-        ((lam, rc), word) for rc, word in words.items())
+        ((lam, cf.rc), (words[cf.rc], cf)) for cf in cfs)
     return True, row, None

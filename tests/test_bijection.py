@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -7,7 +8,17 @@ from conftest import GRID_TYPES, MAP_CELLS, empty_memos, out_of_box
 from rcbij import bijection
 from rcbij.cartan import AffineType, dominant_weights, is_dominant
 from rcbij.crystal import EMPTY, enumerate_highest, letter_str, wt_letter
-from rcbij.rc import INF, InvalidRC, complement, enumerate_rc, validate_rc
+from rcbij.rc import (
+    INF,
+    Config,
+    InvalidRC,
+    cc_configs,
+    complement,
+    enumerate_rc,
+    rigged,
+    validate_config,
+    validate_rc,
+)
 from rcbij.bijection import (
     DeltaTrace,
     NoPreimage,
@@ -217,6 +228,46 @@ def test_phi_inverse_round_trip():
                     trc = phi_inverse(at, lam, L,
                                       phi(at, lam, L, complement(at, L, rc)))
                     assert complement(at, L, trc) == rc
+
+
+def snapshot(cf):
+    """Every field of cf, copied deep; the type, which is interned, as it
+    is."""
+    return (cf.at,) + tuple(copy.deepcopy(getattr(cf, field))
+                            for field in ("L", "rc", "nu", "by", "p2"))
+
+
+def test_no_step_writes_into_a_config(battery):
+    """_delta, _delta_inverse, Config.complement, validate_config and _phi
+    leave every field of every Config of the battery cells to L = 5 as it
+    was built, the parts it shares with other Configs included.
+
+    The Configs are the ones rigged builds off each cell's admissible
+    pass, which share their nu and p2 and some of their by, and the ones
+    Config builds from each rc.  verify's level table holds the first kind
+    past their cell, and each delta_inverse check steps from one of them,
+    as here: the box addition onto the Config of delta(rc) gives rc back.
+    """
+    built = []  # (a Config, its snapshot)
+    held = {}  # (type, L, weight, rc) -> the Config rigged built
+    for at, lam, L in battery:
+        if L > 5:
+            continue
+        cfs = rigged(at, L, cc_configs(at, lam, L))
+        fresh = [Config(at, L, cf.rc) for cf in cfs]
+        built += [(cf, snapshot(cf)) for cf in cfs + fresh]
+        held.update(((at, L, lam, cf.rc), cf) for cf in cfs)
+        for cf in cfs + fresh:
+            validate_config(cf, lam)
+            cf.complement()
+            bijection._phi(cf, lam)
+            if L:
+                b, small, sc = bijection._delta(cf, lam)
+                below = held[at, L - 1, sc.rho, small]
+                assert bijection._delta_inverse(below, b, sc.rho) == cf.rc
+    assert len(built) > 4000
+    for cf, before in built:
+        assert snapshot(cf) == before, before
 
 
 # five configurations, each leaving strings after its first step

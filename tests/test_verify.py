@@ -62,7 +62,10 @@ def complement_out_of_box(f):
 # check, so a wrong dbar or a lost path now fails Xbar first, and a lost
 # rigged configuration is what |rc|=|paths| is left to catch.  The path
 # energies come off the path memo, so their fault is planted in dbars,
-# which reads them, with the id of the fault in dbar it replaces.
+# which reads them, with the id of the fault in dbar it replaces.  The
+# delta_inverse check steps from the smaller Config the phi check read,
+# so its faults are planted in _delta_inverse, with the ids of the faults
+# in the public delta_inverse they replace.
 PLANTED = [
     pytest.param("rigged_cc2", lambda f: lambda *a: f(*a) + [0],
                  "xbar=rc_genfun", id="rc_genfun-<lambda>-xbar=rc_genfun"),
@@ -77,9 +80,10 @@ PLANTED = [
                  "xbar=rc_genfun", id="dbar-<lambda>-xbar=rc_genfun"),
     pytest.param("Config.complement", complement_out_of_box, "cc=2dbar",
                  id="complement-<lambda>-cc=2dbar"),
-    ("delta_inverse", lambda f: lambda *a: (), "delta_inverse"),
+    pytest.param("_delta_inverse", lambda f: lambda *a: (), "delta_inverse",
+                 id="delta_inverse-<lambda>-delta_inverse"),
     ("phi_inverse", lambda f: lambda *a: (), "phi_inverse"),
-    pytest.param("delta_inverse", raising(NoPreimage("planted")),
+    pytest.param("_delta_inverse", raising(NoPreimage("planted")),
                  "delta_inverse", id="delta_inverse-raises-delta_inverse"),
     pytest.param("_phi", raising(InvalidRC("planted")), "phi",
                  id="phi-raises-phi"),
@@ -274,11 +278,12 @@ def test_one_pass_per_cell(monkeypatch, cell):
     rigged builds off that pass (not through Config.__init__), and which
     its delta step and its complement both read; with an empty level
     table each smaller configuration is validated into one Config, which
-    phi steps from (L - 1 more).  One Config for each delta_inverse check,
-    and L + 1 inside phi_inverse.  The type's memos start empty, so a
-    pass or a box addition an earlier test kept does not stand in for
-    this one, and the table of checked phi steps is emptied before each
-    recursion, so each one runs cold.
+    phi steps from (L - 1 more).  None for the delta_inverse checks, each
+    of which steps from the very Config its configuration's smaller one
+    was validated into, and L + 1 inside phi_inverse.  The type's memos
+    start empty, so a pass or a box addition an earlier test kept does
+    not stand in for this one, and the table of checked phi steps is
+    emptied before each recursion, so each one runs cold.
 
     Warm, once a certificate of the cell has filled the type's tables,
     each recursion meets the rest of its word after one delta step and
@@ -299,7 +304,8 @@ def test_one_pass_per_cell(monkeypatch, cell):
     paths = enumerate_highest(*cell)
     calls = Counter()
     configs_in = []  # (the map, the Configs built in it)
-    read = {"_delta": [], "complement": []}  # the Configs each one read
+    # the Configs each one read
+    read = {"_delta": [], "complement": [], "_delta_inverse": []}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -340,11 +346,19 @@ def test_one_pass_per_cell(monkeypatch, cell):
         return out
 
     monkeypatch.setattr(verify, "rigged", rigged)
+    real_validate = verify.validate_rc
+    validated = []  # the Configs validate_rc built
+
+    def validate_rc(*args):
+        validated.append(real_validate(*args))
+        return validated[-1]
+
+    monkeypatch.setattr(verify, "validate_rc", validate_rc)
     monkeypatch.setattr(Config, "complement",
                         reading("complement", Config.complement))
-    monkeypatch.setattr(verify, "_delta",
-                        reading("_delta", verify._delta))
-    for name in ("_phi", "validate_rc", "phi_inverse", "delta_inverse",
+    for name in ("_delta", "_delta_inverse"):
+        monkeypatch.setattr(verify, name, reading(name, getattr(verify, name)))
+    for name in ("_phi", "validate_rc", "phi_inverse", "_delta_inverse",
                  "_delta"):
         monkeypatch.setattr(verify, name,
                             configs_built(name, getattr(verify, name)))
@@ -360,8 +374,13 @@ def test_one_pass_per_cell(monkeypatch, cell):
     for name, k in configs_in:
         per_map.setdefault(name, []).append(k)
     assert per_map == {"_delta": [0] * nrc, "validate_rc": [1] * nrc,
-                       "_phi": [L - 1] * nrc, "delta_inverse": [1] * nrc,
+                       "_phi": [L - 1] * nrc, "_delta_inverse": [0] * nrc,
                        "phi_inverse": [L + 1]}
+    # each delta_inverse check read the Config its smaller configuration
+    # was validated into, the table being empty
+    assert len(validated) == nrc
+    assert all(a is b for a, b in zip(read["_delta_inverse"], validated,
+                                      strict=True))
     # the rest were built by rigged, one per configuration, and none by
     # verify_cell itself
     assert calls["Config"] - sum(k for _name, k in configs_in) == 0
@@ -377,15 +396,63 @@ def test_one_pass_per_cell(monkeypatch, cell):
     configs_in.clear()
     calls.clear()
     from_groups.clear()
+    validated.clear()
+    read["_delta_inverse"].clear()
     assert verify.verify_cell(*cell) == (ok, row, None)
     per_map = {}
     for name, k in configs_in:
         per_map.setdefault(name, []).append(k)
     assert per_map == {"_delta": [0] * nrc, "validate_rc": [1] * nrc,
-                       "_phi": [0] * nrc, "delta_inverse": [1] * nrc,
+                       "_phi": [0] * nrc, "_delta_inverse": [0] * nrc,
                        "phi_inverse": [1]}
     assert calls["Config"] - sum(k for _name, k in configs_in) == 0
     assert len(from_groups) == nrc
+    assert all(a is b for a, b in zip(read["_delta_inverse"], validated,
+                                      strict=True))
+
+
+@pytest.mark.parametrize("cell", PINNED, ids=str)
+def test_delta_inverse_reads_the_held_config(monkeypatch, cell):
+    """In a level run, each delta_inverse check steps from the very Config
+    the level table holds for its smaller configuration, or on a miss from
+    the one validate_rc built.  After a run to L = 5 the table holds
+    levels 4 and 5 only, each Config under the key of its own rc and L.
+    """
+    at = cell[0]
+    real_validate, real_inverse = verify.validate_rc, verify._delta_inverse
+    validated, read = [], []  # the Configs validate_rc built; each check's
+
+    def validate_rc(*args):
+        validated.append(real_validate(*args))
+        return validated[-1]
+
+    monkeypatch.setattr(verify, "validate_rc", validate_rc)
+    monkeypatch.setattr(verify, "_delta_inverse", lambda cf, b, rho: (
+        read.append((cf, rho)) or real_inverse(cf, b, rho)))
+    levels = {}
+    hits = 0
+    for c in verify.cells_for(at, 5):
+        L = c[2]
+        below = dict(levels.get((at, L - 1), {}))
+        validated.clear()
+        read.clear()
+        assert verify.verify_cell(*c, levels)[0]
+        missed = iter(validated)
+        for cf, rho in read:
+            held = below.get((rho, cf.rc))
+            if held is None:
+                assert cf is next(missed)
+            else:
+                assert cf is held[1]
+                hits += 1
+        assert next(missed, None) is None
+        assert len(read) == (L > 0) * len(enumerate_rc(*c))
+    assert hits > 0
+    assert set(levels) == {(at, 4), (at, 5)}
+    for (at1, L), table in levels.items():
+        for (lam, rc), (word, cf) in table.items():
+            assert (cf.at, cf.L, cf.rc) == (at1, L, rc)
+            assert len(word) == L
 
 
 @pytest.mark.parametrize("cell", PINNED, ids=str)
@@ -418,6 +485,63 @@ def test_out_of_box_rigging_in_a_group_built_config(monkeypatch, cell):
     ok, _row, failure = verify.verify_cell(*cell, levels)
     assert not ok and failure["check"] == "phi"
     assert rc_from_json(failure["rc"]) == cell + (planted[0],)
+
+
+def shift_a_held_vacancy(levels, cell):
+    """The first rc of the cell whose box addition changes when one
+    vacancy of the held Config of its smaller configuration is two
+    higher; that Config's p2 is left replaced whole by the shifted one,
+    and its siblings keep the p2 they share.
+    """
+    at, lam, L = cell
+    below = levels[(at, L - 1)]
+    for rc in enumerate_rc(*cell):
+        b, rc_small, sc = bijection._delta(Config(at, L, rc), lam)
+        _word, held = below[(sc.rho, rc_small)]
+        kept = held.p2
+        for a, p2 in enumerate(kept):
+            for i2 in p2:
+                held.p2 = kept[:a] + ({**p2, i2: p2[i2] + 2},) + kept[a + 1:]
+                try:
+                    if bijection._delta_inverse(held, b, sc.rho) != rc:
+                        return rc
+                except NoPreimage:
+                    return rc
+        held.p2 = kept
+    raise AssertionError("no vacancy shift changes a box addition")
+
+
+# CELL's box additions take no string of the smaller configuration, so
+# no vacancy of its held Configs is read
+@pytest.mark.parametrize("cell,fault", [
+    pytest.param(cell, fault, id="%s-%s" % (cell, fault))
+    for fault, cells in (("_delta_inverse", PINNED), ("held p2", PINNED[1:]))
+    for cell in cells])
+def test_planted_fault_on_the_held_path(monkeypatch, cell, fault):
+    """A fault on the path the delta_inverse check runs in a level run
+    fails that check and names a configuration of the cell.
+
+    The level table of the cells below is filled, so every smaller
+    configuration is a hit (none is validated) and the check steps from
+    the held Config.  The fault is a _delta_inverse that adds no boxes,
+    or a held Config of level L - 1 whose p2 has one vacancy shifted; the
+    phi check reads the held word, so only the delta_inverse check can
+    see that.
+    """
+    at, lam, L = cell
+    levels = {}
+    for below in verify.cells_for(at, L - 1):
+        assert verify.verify_cell(*below, levels)[0]
+    monkeypatch.setattr(verify, "validate_rc",
+                        lambda *a: pytest.fail("a miss in a filled table"))
+    if fault == "_delta_inverse":
+        plant(monkeypatch, "_delta_inverse", lambda f: lambda *a: ())
+        named = enumerate_rc(*cell)[0]
+    else:
+        named = shift_a_held_vacancy(levels, cell)
+    ok, _row, failure = verify.verify_cell(*cell, levels)
+    assert not ok and failure["check"] == "delta_inverse"
+    assert rc_from_json(failure["rc"]) == cell + (named,)
 
 
 def test_verify_takes_each_phi_inverse_step_once(monkeypatch):
