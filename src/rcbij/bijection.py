@@ -14,13 +14,12 @@ a Config's rc is in normal form, so the result is too.  Iterating delta
 gives the bijection onto classically restricted paths; composing with
 rigging complementation gives the statistic-preserving variant.
 
-Neither step re-checks its result: phi and phi_inverse check each step,
-and ``rcbij.verify`` each one its level table of certified configurations
-lacks.  phi and phi_inverse build one ``Config`` per configuration, which
-the step, its check and the next step all read; ``rcbij.verify`` steps
-from the Configs ``rc.rigged`` builds and ``rcbij map`` from the one it
-validated, through ``_delta`` and ``_phi``, and verify adds the boxes
-back onto the smaller Config its phi check read (``_delta_inverse``).
+Both steps read a ``Config`` and build only the result's rc.  The scan
+of ``_delta`` yields the letter, which it takes off the weight
+(``crystal.rest_weight``); ``_delta_inverse`` is given the letter and
+only adds boxes.  The weight is the path's side: that b is a letter that
+can come off rho + wt(b) is one rule, ``_grown_weight``.  Neither step
+re-checks its result; phi and phi_inverse check each step they take.
 phi_inverse adds the boxes one letter at a time from the right, so the
 words of a type share their first steps: each step that passes its
 checks is kept on the type (``at.grown``), keyed by the suffix of the
@@ -469,6 +468,20 @@ def _outward(fs, first, stop):
     return hi, outward
 
 
+def _grown_weight(at: AffineType, b, rho):
+    """rho + wt(b), the weight a path of weight rho has with b in front.
+
+    Raises NoPreimage unless b is a letter that can come off that weight
+    and leave rho: then no rc of rank b steps to one of weight rho.
+    """
+    if b not in at.letters:
+        raise NoPreimage("%r is not a letter of %s" % (b, at))
+    lam = tuple([x + y for x, y in zip(rho, wt_letter(at, b))])
+    if not is_dominant(at, lam) or rest_weight(at, lam, b) is None:
+        raise NoPreimage("letter %s cannot come off the weight %r" % (b, lam))
+    return lam
+
+
 def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
     """The rc with rank b that delta maps to rc_small, by box addition.
 
@@ -476,21 +489,18 @@ def delta_inverse(at: AffineType, b, rho, L_small: int, rc_small):
     the longest singular string of rc_small within the bound the previous
     node set, or a new string, with delta's S, Q, QS and P cases mirrored,
     and lengthens the chosen strings.  Raises NoPreimage when b is not a
-    letter or cannot come off the larger weight.  The result is not
-    checked: when (b, rc_small) is no image of delta it need not be valid
-    or map back, which phi_inverse checks.
+    letter or cannot come off rho + wt(b) (``_grown_weight``).  The result
+    is not checked: when (b, rc_small) is no image of delta it need not be
+    valid or map back, which phi_inverse checks.
     """
-    return _delta_inverse(Config(at, L_small, rc_small), b, rho)
+    _grown_weight(at, b, rho)
+    return _delta_inverse(Config(at, L_small, rc_small), b)
 
 
-def _delta_inverse(cf, b, rho):
-    """delta_inverse onto cf.rc at the weight rho, reading cf's vacancies."""
+def _delta_inverse(cf, b):
+    """The boxes of the letter b added onto cf.rc, reading cf's vacancies;
+    b is a letter that can come off the larger weight."""
     at = cf.at
-    if b not in at.letters:
-        raise NoPreimage("%r is not a letter of %s" % (b, at))
-    lam = tuple([x + y for x, y in zip(rho, wt_letter(at, b))])
-    if not is_dominant(at, lam) or rest_weight(at, lam, b) is None:
-        raise NoPreimage("letter %s cannot come off the weight %r" % (b, lam))
     fs = _Fill(cf)
     if 0 < b < EMPTY:  # the forward scan stopped at node b
         fs.chain(range(b - 1, 0, -1), INF)
@@ -512,7 +522,8 @@ def phi_inverse(at: AffineType, lam, L: int, word):
     its checks is kept on the type with its grown Config and weight
     (``at.grown``, keyed by that suffix), and a later word with the same
     suffix reads it there: each distinct step is taken and checked once.
-    The word's weight is checked on every call.
+    A non-letter raises NoPreimage before any suffix holding it is looked
+    up, and the word's weight is checked on every call.
     """
     word = tuple(word)
     if len(word) != L:
@@ -521,12 +532,12 @@ def phi_inverse(at: AffineType, lam, L: int, word):
     cf = Config(at, 0, tuple(tuple() for _ in range(at.n)))
     rho = tuple([0] * at.weight_len)
     for j in range(L - 1, -1, -1):
-        suffix = word[j:]
-        step = grown.get(suffix)
+        b, suffix = word[j], word[j:]
+        # a non-letter is looked up in no memo: a list would not hash
+        step = grown.get(suffix) if b in at.letters else None
         if step is None:
-            b = word[j]
-            big = Config(at, L - j, _delta_inverse(cf, b, rho))
-            big_rho = tuple([x + y for x, y in zip(rho, wt_letter(at, b))])
+            big_rho = _grown_weight(at, b, rho)
+            big = Config(at, L - j, _delta_inverse(cf, b))
             try:
                 validate_config(big, big_rho)
                 image = _delta(big, big_rho)[:2]

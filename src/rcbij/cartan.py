@@ -182,12 +182,6 @@ def root_entries(at: AffineType) -> tuple:
     return tuple(e[0] + e[1] for e in nz)
 
 
-@per_type
-def roots_sum_zero(at: AffineType) -> bool:
-    """Every gbar simple root sums to 0 (type A), so all of their span."""
-    return not any(map(sum, simple_root_vectors(at)))
-
-
 class KacData(namedtuple("KacData", "a a_vee t t_vee up2 t_lat")):
     """Kac labels and the scaling constants derived from them.
 
@@ -342,7 +336,7 @@ def iota2(at: AffineType, lam, L: int):
         raise ValueError("L must be nonnegative")
     v = [-x for x in lam]
     v[0] += L
-    if at.roots_sum_zero and sum(v):
+    if at.weight_len > at.n and sum(v):  # type A: its roots sum to 0
         return None
     return tuple(_root_coords(at.g0bar, v, at.n))
 
@@ -362,7 +356,7 @@ def dominant_weights(at: AffineType, L: int):
     A, whose weights with one have no paths, and dominance keeps it in D."""
     n = at.weight_len
     signed = any(x > (k == 0) for k, x in enumerate(theta0(at)))
-    sized = at.roots_sum_zero
+    sized = at.weight_len > at.n  # type A: its roots sum to 0
     out = []
     for head in combinations_with_replacement(range(L, -1, -1), n - 1):
         hi = head[-1] if head else L

@@ -30,11 +30,11 @@ from .rc import (
     _json_int,
     cc_configs,
     complement,
+    enumerate_rc,
     fermionic_m,
     rc_from_json,
     rc_genfun,
     rc_to_json,
-    rigged,
     rigged_cc2,
     validate_rc,
 )
@@ -107,9 +107,8 @@ def cmd_f(args) -> int:
 
 def cmd_rc_enum(args) -> int:
     at, lam, L = _cell_from_args(args)
-    configs = cc_configs(at, lam, L)
-    rcs = [cf.rc for cf in rigged(at, L, configs)]
-    for rc, cc2 in sorted(zip(rcs, rigged_cc2(at, configs))):
+    rcs = enumerate_rc(at, lam, L)  # its pass, which rigged_cc2 reads too
+    for rc, cc2 in sorted(zip(rcs, rigged_cc2(at, cc_configs(at, lam, L)))):
         if args.json:
             print(json.dumps(rc_to_json(at, lam, L, rc), sort_keys=True))
         else:

@@ -25,11 +25,12 @@ EMPTY = 10 ** 6  # the letter usually written phi
 def letters(at: AffineType) -> tuple:
     """All letters, in the displayed chain order (phi last where present).
 
-    Type A (its roots sum to 0) has 1..n+1; the others 1..n, then 0 where
-    eps_n is a simple root (B), then -n..-1, then phi where theta_0 = eps_1.
+    Type A (weights of n+1 coordinates) has 1..n+1; the others 1..n, then
+    0 where eps_n is a simple root (B), then -n..-1, then phi where
+    theta_0 = eps_1.
     """
     n = at.n
-    if at.roots_sum_zero:
+    if at.weight_len > n:
         return tuple(range(1, n + 2))
     zero = (0,) if (n - 1, 1, 0, 0) in at.root_entries else ()
     empty = (EMPTY,) if theta0(at) == wt_letter(at, 1) else ()

@@ -5,21 +5,15 @@ runs the checks of ``CHECKS`` in order, with exact arithmetic, and reports
 the first that fails with the configuration it failed on, as JSON that
 ``rcbij map --dir rc2path`` reads.
 
-Each side of the cell is built once.  The path side enumerates the
-highest paths and reads their dbar off the path memo, which built them
-with the paths (``energy.dbars``); Xbar and the ``cc=2dbar`` check read
-those energies, and nothing of the rc side.  The rc side is
-one admissible pass (``rc.cc_configs``), which reads each configuration's
-cc off its vacancies: the rigged configurations, each one's cc, the
-rigged-configuration sum and the closed fermionic sum all read its tuple.
-These are the functions ``xbar``, ``enumerate_rc``, ``rc_genfun`` and
-``fermionic_m`` read too (the last three share the pass the type keeps),
-so ``rcbij x``, ``rc-enum``, ``f`` and ``m`` print what it certifies.
-Each configuration gets one ``Config``, which ``rc.rigged`` reads off
-the pass's groups and its picks of riggings (no sort and no vacancy pass
-per configuration), and which its delta step and its complement
-(``Config.complement``, what ``map --tilde`` prints) both read: the
-checks run the code ``map`` runs.
+Each side of the cell is built once.  The path side is the highest paths
+with their dbar, read off the path memo (``energy.dbars``); Xbar and the
+``cc=2dbar`` check read those energies, and nothing of the rc side.  The
+rc side is one admissible pass (``rc.cc_configs``): the rigged
+configurations, one ``Config`` each (``rc.rigged``), their cc, the
+rigged-configuration sum and the closed fermionic sum all read it.  So
+a cell certifies what ``xbar``, ``enumerate_rc``, ``rc_genfun`` and
+``fermionic_m`` return, and each Config's delta step and complement
+(``Config.complement``) are the ones ``rcbij map`` takes.
 
 phi is defined by recursion on L, phi(rc) = b . phi(delta(rc)), so the
 cells of a run share a table of the words certified at each (type, L),
@@ -32,14 +26,12 @@ is an enumerated configuration of its cell, which proves it valid; only
 one the table lacks is validated, and the recursion steps from the
 ``Config`` the validation built, as far as the first smaller
 configuration whose chain an earlier recursion checked (``at.tails``).
-The ``delta_inverse`` check adds the boxes back onto that same smaller
-``Config``, the held one or the validated one, so it builds none.  It
-compares the box addition with rc itself, which holds more than the
-image check of ``phi_inverse``: rc is enumerated, and its step is already
-in hand.  The ``phi_inverse`` check runs the code ``map --dir path2rc``
-runs, which keeps each box addition that passed its checks on the type:
-it computes only the steps no earlier call took, and compares the
-configuration it ends on with rc.
+The ``delta_inverse`` check adds the letter's boxes back onto that
+smaller ``Config`` and compares the result with rc itself, which holds
+more than the image check of ``phi_inverse``.  It reads no weight: delta
+took the letter off the cell's own.  The ``phi_inverse`` check folds the
+first configuration's word back, taking only the box additions no
+earlier fold kept on the type, and compares its end with rc.
 """
 
 from __future__ import annotations
@@ -133,7 +125,7 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
     below = levels.get((at, L - 1), {})
     unhit = {p: p for p in paths}  # each word maps to the enumerated tuple
     words = {}  # rc -> phi(rc)
-    steps = []  # (rc, its letter, the weight left, the Config of delta(rc))
+    steps = []  # (rc, its letter, the Config of delta(rc))
     comps = []  # (rc, its complement off the Config delta read)
     rc = None
     try:
@@ -150,7 +142,7 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
                     small = validate_rc(at, rho, L - 1, rc_small)
                     held = _phi(small, rho), small
                 tail, small = held
-                steps.append((rc, b, rho, small))
+                steps.append((rc, b, small))
                 word = (b,) + tail
             word = unhit.pop(word, None)
             if word is None:  # not a path, or the image of an earlier rc
@@ -165,8 +157,8 @@ def verify_cell(at: AffineType, lam, L: int, levels=None):
             if word is None or cc2 != energy2[word]:
                 return fail(check, rc)
         check = "delta_inverse"
-        for rc, b, rho, small in steps:
-            if _delta_inverse(small, b, rho) != rc:
+        for rc, b, small in steps:
+            if _delta_inverse(small, b) != rc:
                 return fail(check, rc)
         if cfs:
             check, rc = "phi_inverse", cfs[0].rc

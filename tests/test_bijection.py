@@ -199,7 +199,10 @@ def test_delta_refuses_bad_input(lam, L, exc, why):
 @pytest.mark.parametrize("lam,L,word,exc,why", [
     ((1, 0), 1, (), ValueError, "word of length 0, expected 1"),
     ((1, 1), 2, (1, 1), NoPreimage, r"weight is not \(1, 1\)"),
-], ids=("wrong-length", "wrong-weight"))
+    # no letter, before a lookup of a suffix holding it (a list: TypeError)
+    ((1, 0), 1, [[1]], NoPreimage, r"\[1\] is not a letter"),
+    ((2, 0), 2, [[1], 1], NoPreimage, r"\[1\] is not a letter"),
+], ids=("wrong-length", "wrong-weight", "list", "list-after-a-letter"))
 def test_phi_inverse_refuses_bad_words(lam, L, word, exc, why):
     with pytest.raises(exc, match=why):
         phi_inverse(AffineType("C1", 2), lam, L, word)
@@ -264,7 +267,7 @@ def test_no_step_writes_into_a_config(battery):
             if L:
                 b, small, sc = bijection._delta(cf, lam)
                 below = held[at, L - 1, sc.rho, small]
-                assert bijection._delta_inverse(below, b, sc.rho) == cf.rc
+                assert bijection._delta_inverse(below, b) == cf.rc
     assert len(built) > 4000
     for cf, before in built:
         assert snapshot(cf) == before, before
@@ -314,8 +317,8 @@ def test_phi_inverse_checks_each_box_addition(monkeypatch, breaker, why):
     words = [phi(at, lam, L, rc) for rc in enumerate_rc(*FIVE)]
     real = bijection._delta_inverse
 
-    def wrong(cf, b, rho):
-        return breaker(cf.at, cf.L + 1, real(cf, b, rho))
+    def wrong(cf, b):
+        return breaker(cf.at, cf.L + 1, real(cf, b))
 
     monkeypatch.setattr(bijection, "_delta_inverse", wrong)
     for word in words:
@@ -398,8 +401,8 @@ def test_phi_inverse_keeps_no_failed_step(monkeypatch):
     kept = dict(at.grown)
     longer = [(1,) + word for word in words]
     real = bijection._delta_inverse
-    monkeypatch.setattr(bijection, "_delta_inverse", lambda cf, b, rho:
-                        out_of_box(cf.at, cf.L + 1, real(cf, b, rho)))
+    monkeypatch.setattr(bijection, "_delta_inverse", lambda cf, b:
+                        out_of_box(cf.at, cf.L + 1, real(cf, b)))
     for word in longer:
         with pytest.raises(NoPreimage, match="rigging out of box"):
             phi_inverse(at, (lam[0] + 1,) + lam[1:], L + 1, word)

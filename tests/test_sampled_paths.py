@@ -52,16 +52,22 @@ def draws():
             yield at, L
 
 
+def extensions(at, rho):
+    """(b, lam) for each letter b that a path of weight rho can take in
+    front, where lam = rho + wt(b) is the weight it then has."""
+    out = []
+    for b in letters(at):
+        lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
+        if is_dominant(at, lam) and rest_weight(at, lam, b) == rho:
+            out.append((b, lam))
+    return out
+
+
 def sample_path(at, L, rng):
     """A random classically restricted path of length L and its weight."""
     word, rho = (), (0,) * at.weight_len
     for _ in range(L):
-        choices = []
-        for b in letters(at):
-            lam = tuple(x + y for x, y in zip(rho, wt_letter(at, b)))
-            if is_dominant(at, lam) and rest_weight(at, lam, b) == rho:
-                choices.append((b, lam))
-        b, rho = rng.choice(choices)
+        b, rho = rng.choice(extensions(at, rho))
         word = (b,) + word
     return rho, word
 

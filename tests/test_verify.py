@@ -16,7 +16,7 @@ from rcbij import bijection, energy, rc as rc_mod, verify
 from rcbij.bijection import NoPreimage
 from rcbij.cartan import AffineType, dominant_weights
 from rcbij.cli import main
-from rcbij.crystal import enumerate_highest
+from rcbij.crystal import enumerate_highest, rest_weight
 from rcbij.energy import xbar
 from rcbij.qpoly import QPoly
 from rcbij.rc import (
@@ -427,8 +427,8 @@ def test_delta_inverse_reads_the_held_config(monkeypatch, cell):
         return validated[-1]
 
     monkeypatch.setattr(verify, "validate_rc", validate_rc)
-    monkeypatch.setattr(verify, "_delta_inverse", lambda cf, b, rho: (
-        read.append((cf, rho)) or real_inverse(cf, b, rho)))
+    monkeypatch.setattr(verify, "_delta_inverse", lambda cf, b: (
+        read.append((cf, b)) or real_inverse(cf, b)))
     levels = {}
     hits = 0
     for c in verify.cells_for(at, 5):
@@ -438,8 +438,9 @@ def test_delta_inverse_reads_the_held_config(monkeypatch, cell):
         read.clear()
         assert verify.verify_cell(*c, levels)[0]
         missed = iter(validated)
-        for cf, rho in read:
-            held = below.get((rho, cf.rc))
+        for cf, b in read:
+            # the smaller configuration's weight: the letter off the cell's
+            held = below.get((rest_weight(at, c[1], b), cf.rc))
             if held is None:
                 assert cf is next(missed)
             else:
@@ -453,6 +454,33 @@ def test_delta_inverse_reads_the_held_config(monkeypatch, cell):
         for (lam, rc), (word, cf) in table.items():
             assert (cf.at, cf.L, cf.rc) == (at1, L, rc)
             assert len(word) == L
+
+
+def test_delta_inverse_check_reads_no_weight(monkeypatch):
+    """verify's delta_inverse check only adds boxes: while it runs, no
+    letter's weight is built and neither dominance nor rest_weight is
+    read, though the delta steps of the same cells read rest_weight."""
+    inside, calls = [], {"inside": [], "outside": []}
+    real = verify._delta_inverse
+
+    def check(cf, b):
+        inside.append(b)
+        try:
+            return real(cf, b)
+        finally:
+            inside.pop()
+
+    def counted(name, fn):
+        return lambda *a: (calls["inside" if inside else "outside"]
+                           .append(name) or fn(*a))
+
+    monkeypatch.setattr(verify, "_delta_inverse", check)
+    for name in ("wt_letter", "is_dominant", "rest_weight"):
+        monkeypatch.setattr(bijection, name,
+                            counted(name, getattr(bijection, name)))
+    for cell in PINNED:
+        assert verify.verify_cell(*cell)[0]
+    assert not calls["inside"] and "rest_weight" in calls["outside"]
 
 
 @pytest.mark.parametrize("cell", PINNED, ids=str)
@@ -503,7 +531,7 @@ def shift_a_held_vacancy(levels, cell):
             for i2 in p2:
                 held.p2 = kept[:a] + ({**p2, i2: p2[i2] + 2},) + kept[a + 1:]
                 try:
-                    if bijection._delta_inverse(held, b, sc.rho) != rc:
+                    if bijection._delta_inverse(held, b) != rc:
                         return rc
                 except NoPreimage:
                     return rc
