@@ -24,11 +24,12 @@ phi_inverse adds the boxes one letter at a time from the right, so the
 words of a type share their first steps: each step that passes its
 checks is kept on the type (``at.grown``), keyed by the suffix of the
 word it has added, and is taken and checked once per process.  phi removes
-them from the left, and phi(rc) = b . phi(delta(rc)): each smaller
-configuration whose chain passed is kept with the rest of its word
-(``at.tails``), and a later chain stops at the first one it meets.
-Neither reads the other's memo, so a round trip checks both directions,
-and each memo is cleared when it holds ``MEMO_CAP`` entries.  Only the public
+them from the left, and phi(rc) = b . phi(delta(rc)): each configuration
+whose chain passed, a checked box addition too, is kept with the rest of
+its word (``at.tails``), and phi stops at the first one it meets.  One
+way only: phi_inverse reads no ``at.tails``, and phi, which adds no boxes,
+writes no ``at.grown``, or verify's phi_inverse check would read back
+what phi computed.  A memo is cleared at ``MEMO_CAP`` entries.  Only the public
 delta builds a ``DeltaTrace``, off its ``_Scan``.  A trace records the
 selected lengths (doubled, INF when undefined) and the case flags, in
 which the change-of-vacancy and change-of-statistic identities are stated
@@ -45,7 +46,7 @@ from .rc import INF, Config, InvalidRC, box, vacancy2, validate_config
 
 # A step memo on the type (at.grown, at.tails) that holds this many entries
 # is cleared before the next goes in, so a process that maps many long
-# words stays bounded; the map benchmark keeps 681, a deep verify 124.
+# words stays bounded; each keeps 681 on map, 124 on A2 n=2 up to L = 9.
 MEMO_CAP = 8192
 
 
@@ -355,7 +356,7 @@ def phi(at: AffineType, lam, L: int, rc):
 
     rc itself is taken as valid; each smaller configuration delta steps
     to is validated, so a faulty step raises InvalidRC.  Each checked
-    step is taken once per process (``_phi``).
+    step is taken once per process, none after phi_inverse (``_phi``).
     """
     return _phi(Config(at, L, rc), lam)
 
@@ -366,13 +367,15 @@ def _phi(cf, lam):
     phi(rc) = b . phi(delta(rc)), so the rest of the word depends only on
     the smaller configuration, its weight and its length: each one whose
     whole chain passed (every smaller Config validated and the weight used
-    up) is kept in ``at.tails`` with the rest of its word, and the walk
-    stops at the first smaller configuration found there.  cf itself,
-    taken as valid without a check, is never kept, and a chain that
-    raises keeps nothing.
+    up) is kept in ``at.tails`` with the rest of its word, as phi_inverse
+    keeps each one it grows, and the walk stops at the first found there,
+    cf included.  cf itself, taken as valid without a check, is never
+    kept, a chain that raises keeps nothing, and at.grown is not written.
     """
     at, word, cur_lam = cf.at, [], tuple(lam)
     tails, passed, tail = at.tails, [], ()
+    if (cf.L, cur_lam, cf.rc) in tails:  # cf's own chain was checked
+        return tails[cf.L, cur_lam, cf.rc]
     for step in range(cf.L, 0, -1):
         b, small, sc = _delta(cf, cur_lam)
         word.append(b)
@@ -468,13 +471,18 @@ def _outward(fs, first, stop):
     return hi, outward
 
 
+def _is_letter(at: AffineType, b):
+    """b is an int of at.letters: True and 1.0 equal 1 but are no letter."""
+    return type(b) is int and b in at.letters
+
+
 def _grown_weight(at: AffineType, b, rho):
     """rho + wt(b), the weight a path of weight rho has with b in front.
 
     Raises NoPreimage unless b is a letter that can come off that weight
     and leave rho: then no rc of rank b steps to one of weight rho.
     """
-    if b not in at.letters:
+    if not _is_letter(at, b):
         raise NoPreimage("%r is not a letter of %s" % (b, at))
     lam = tuple([x + y for x, y in zip(rho, wt_letter(at, b))])
     if not is_dominant(at, lam) or rest_weight(at, lam, b) is None:
@@ -522,8 +530,9 @@ def phi_inverse(at: AffineType, lam, L: int, word):
     its checks is kept on the type with its grown Config and weight
     (``at.grown``, keyed by that suffix), and a later word with the same
     suffix reads it there: each distinct step is taken and checked once.
-    A non-letter raises NoPreimage before any suffix holding it is looked
-    up, and the word's weight is checked on every call.
+    It keeps the suffix for phi too (``at.tails``), but never reads that.
+    A non-letter (no int of at.letters) raises NoPreimage before any suffix
+    holding it is looked up, and the word's weight is checked on every call.
     """
     word = tuple(word)
     if len(word) != L:
@@ -533,8 +542,8 @@ def phi_inverse(at: AffineType, lam, L: int, word):
     rho = tuple([0] * at.weight_len)
     for j in range(L - 1, -1, -1):
         b, suffix = word[j], word[j:]
-        # a non-letter is looked up in no memo: a list would not hash
-        step = grown.get(suffix) if b in at.letters else None
+        # no memo is read for a non-letter: a list would not hash, True is 1
+        step = grown.get(suffix) if _is_letter(at, b) else None
         if step is None:
             big_rho = _grown_weight(at, b, rho)
             big = Config(at, L - j, _delta_inverse(cf, b))
@@ -547,6 +556,7 @@ def phi_inverse(at: AffineType, lam, L: int, word):
                 raise NoPreimage("box addition does not invert delta")
             step = big, big_rho
             _keep(grown, suffix, step)
+            _keep(at.tails, (L - j, big_rho, big.rc), suffix)
         cf, rho = step
     if rho != tuple(lam):
         raise NoPreimage("the word's weight is not %r" % (tuple(lam),))

@@ -130,7 +130,7 @@ class AffineType:
             # then the memos of rc.normalized_sizes, crystal.rest_weight,
             # crystal.enumerate_highest, rc.cc_configs (its last cell),
             # bijection.phi_inverse (its checked box additions) and
-            # bijection.phi (the rest of each word it checked)
+            # bijection.phi (the rest of each word it or phi_inverse checked)
             gbar = _ROOT_DATUM[family][0]
             vars(at).update(family=family, n=n, gbar=gbar,
                             g0bar="B" if family == "A2" else gbar,

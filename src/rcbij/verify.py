@@ -24,14 +24,14 @@ keeps only L - 1 and L, in any order of cells; in the order of
 That step is checked once.  A smaller configuration found in the table
 is an enumerated configuration of its cell, which proves it valid; only
 one the table lacks is validated, and the recursion steps from the
-``Config`` the validation built, as far as the first smaller
-configuration whose chain an earlier recursion checked (``at.tails``).
+``Config`` the validation built, as far as the first configuration
+whose chain an earlier recursion or fold checked (``at.tails``).
 The ``delta_inverse`` check adds the letter's boxes back onto that
 smaller ``Config`` and compares the result with rc itself, which holds
 more than the image check of ``phi_inverse``.  It reads no weight: delta
 took the letter off the cell's own.  The ``phi_inverse`` check folds the
-first configuration's word back, taking only the box additions no
-earlier fold kept on the type, and compares its end with rc.
+first configuration's word back by box additions, none off phi's chains,
+taking only those no earlier fold kept (``at.grown``): it must end at rc.
 """
 
 from __future__ import annotations

@@ -208,6 +208,26 @@ def test_phi_inverse_refuses_bad_words(lam, L, word, exc, why):
         phi_inverse(AffineType("C1", 2), lam, L, word)
 
 
+@pytest.mark.parametrize("b", [1.0, True, "1"], ids=repr)
+def test_letters_are_ints(monkeypatch, b):
+    """A value equal to the letter 1, or its string, is no letter.
+
+    phi_inverse refuses it cold and warm: 1.0 and True hash as 1, so the
+    memo would answer for (1, 1).  delta_inverse refuses it too, and no
+    memo keeps a word holding it.
+    """
+    at = AffineType("A2", 2)
+    empty_memos(monkeypatch, at)
+    for _warm in range(2):
+        with pytest.raises(NoPreimage, match="is not a letter"):
+            phi_inverse(at, (2, 0), 2, (b, 1))
+        assert phi_inverse(at, (2, 0), 2, (1, 1)) == empty_rc(at)
+    with pytest.raises(NoPreimage, match="is not a letter"):
+        delta_inverse(at, b, (1, 0), 1, empty_rc(at))
+    kept = list(at.grown) + list(at.tails.values())
+    assert all(type(x) is int for word in kept for x in word)
+
+
 def test_fork_bound_round_trip():
     """delta_inverse undoes delta on D1 n=4, lam = (1, 1, 0, 0), L = 6.
 
@@ -477,7 +497,8 @@ def test_phi_keys_the_rest_by_length(monkeypatch):
 
     phi takes its rc as valid, so an empty rc given at too short a length
     steps to the empty configuration the chain of (3, 0) at L = 3 kept at
-    weight (2, 0).  Warm as cold it is validated there and refused.
+    weight (2, 0).  Warm as cold it is validated there and refused.  So is
+    an empty rc that steps to one phi_inverse kept at a shorter length.
     """
     at = AffineType("C1", 2)
     empty_memos(monkeypatch, at)
@@ -486,6 +507,50 @@ def test_phi_keys_the_rest_by_length(monkeypatch):
         monkeypatch.setitem(vars(at), "tails", table)
         with pytest.raises(InvalidRC, match="no configurations exist"):
             phi(at, (3, 0), 2, empty_rc(at))
+    # a chain phi_inverse kept: the empty rc of weight (1, 0) at L = 1,
+    # which the empty rc of (2, 0) at L = 3 steps to at L = 2
+    empty_memos(monkeypatch, at)
+    phi_inverse(at, (1, 0), 1, (1,))
+    with pytest.raises(InvalidRC, match="no configurations exist"):
+        phi(at, (2, 0), 3, empty_rc(at))
+
+
+class Poisoned(dict):
+    """A memo that takes writes but fails the test on every read."""
+
+    def get(self, *a):
+        pytest.fail("a read of a poisoned memo")
+
+    __getitem__ = __contains__ = get
+
+
+@pytest.mark.parametrize("cell", MAP_CELLS, ids=str)
+def test_step_memos_go_one_way(monkeypatch, cell):
+    """phi reads the chains phi_inverse kept, and never the other way.
+
+    With every entry of at.tails given a wrong word and each read of it
+    failing, a cold fold still gives every configuration of the cell.
+    phi, over those configurations and their complements, leaves at.grown
+    as the fold of half the cell's words left it.
+    """
+    at, _lam, L = cell
+    rcs = enumerate_rc(*cell)
+    words = [phi(*cell, rc) for rc in rcs]
+    empty_memos(monkeypatch, at)
+    for word in words:
+        phi_inverse(*cell, word)
+    monkeypatch.setitem(vars(at), "tails", Poisoned(
+        (key, (EMPTY,) * key[0]) for key in at.tails))
+    at.grown.clear()
+    assert [phi_inverse(*cell, word) for word in words] == rcs
+    monkeypatch.setitem(vars(at), "tails", {})
+    at.grown.clear()
+    for word in words[::2]:
+        phi_inverse(*cell, word)
+    kept = dict(at.grown)
+    for rc in rcs + [complement(at, L, rc) for rc in rcs]:
+        phi(*cell, rc)
+    assert at.grown == kept
 
 
 def map_sample(seed):
@@ -503,25 +568,41 @@ def map_sample(seed):
 
 
 def test_phi_steps_each_distinct_suffix_once(monkeypatch):
-    """Over the map benchmark's seed-0 sample, rc2path takes one delta step
-    per distinct suffix of the drawn words (the whole word included, the
-    empty one not): 681 of the 1,327 steps a cold table takes."""
+    """Over the map benchmark's seed-0 sample, path2rc takes one delta
+    check per distinct suffix of the drawn words (the whole word included,
+    the empty one not): 681 of their 1,327 steps.  rc2path after it reads
+    each word off the chain path2rc kept: no delta step, and no Config
+    but the one validate_rc builds per call.  rc2path alone, on empty
+    memos, steps once per distinct suffix too."""
     sample = map_sample(0)
-    for at in {cell[0] for cell in MAP_CELLS}:
-        empty_memos(monkeypatch, at)
+    types = {cell[0] for cell in MAP_CELLS}
+    empty_memos(monkeypatch, *types)
+    fresh = counting_steps(monkeypatch, "_delta")
     trips = []
     for cell, w in sample:
         known = {letter_str(b): b for b in cell[0].letters}
         word = tuple(known[s] for s in w)
         trips.append((cell, word, phi_inverse(*cell, word)))
-    fresh = counting_steps(monkeypatch, "_delta")
-    for cell, word, rc in trips:
-        assert phi(*cell, rc) == word
     suffixes = {(cell[0], word[j:]) for cell, word, _rc in trips
                 for j in range(cell[2])}
     assert len(sample) == 199
     assert sum(cell[2] for cell, _w, _rc in trips) == 1327
     assert len(fresh) == len(suffixes) == 681
+    built = []
+    real_init = Config.__init__
+    monkeypatch.setattr(Config, "__init__", lambda cf, *a: (
+        built.append(a) or real_init(cf, *a)))
+
+    def rc2path():  # as cli.cmd_map runs it
+        for cell, word, rc in trips:
+            assert bijection._phi(validate_rc(*cell, rc), cell[1]) == word
+
+    fresh.clear()
+    rc2path()
+    assert not fresh and len(built) == len(trips)
+    empty_memos(monkeypatch, *types)
+    rc2path()
+    assert len(fresh) == 681
 
 
 def test_step_memos_stay_under_their_cap(monkeypatch):

@@ -20,9 +20,10 @@ too; the shortest faults of the diagram's ends (the D fork, first at
 L = 6) need the length.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import EXTENDED, GRID_TYPES
+from conftest import EXTENDED, GRID_TYPES, empty_memos
 from rcbij.bijection import NoPreimage, phi, phi_inverse
 from rcbij.rc import InvalidRC
 from test_sampled_paths import (
@@ -82,6 +83,13 @@ def test_drawn_paths(at, L, rng):
     lam, word = sample_path(at, L, rng)
     fault = path_fault(at, lam, L, word)
     assert fault is None, "%s %r %r: %s" % (at, lam, word, fault)
+    with pytest.MonkeyPatch.context() as mp:
+        # warm, phi reads the chain the fold kept; cold, it steps down
+        empty_memos(mp, at)
+        rc = phi_inverse(at, lam, L, word)
+        assert (L, lam, rc) in at.tails and phi(at, lam, L, rc) == word
+        empty_memos(mp, at)
+        assert phi(at, lam, L, rc) == word
     branch = branch_fault(at, word)
     assert branch is None, "%s %r: %r" % (at, word, branch)
 

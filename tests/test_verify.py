@@ -600,6 +600,24 @@ def test_verify_takes_each_phi_inverse_step_once(monkeypatch):
         assert sum(folded) == 653 and len(fresh) == taken
 
 
+def test_warm_phi_inverse_check_takes_box_additions(monkeypatch):
+    """verify's phi_inverse check folds its word by box additions, never
+    off the chains phi kept: with at.tails warm from a passing run and
+    phi of every configuration and complement of the cell, and the box
+    additions untaken, a _delta_inverse that adds no boxes fails that
+    check, and only it."""
+    at, _lam, L = CELL
+    empty_memos(monkeypatch, at)
+    assert verify.verify_cell(*CELL)[0]
+    for rc in enumerate_rc(*CELL):
+        bijection.phi(*CELL, rc)
+        bijection.phi(*CELL, complement(at, L, rc))
+    at.grown.clear()
+    monkeypatch.setattr(bijection, "_delta_inverse", lambda cf, b: cf.rc)
+    ok, _row, failure = verify.verify_cell(*CELL)
+    assert not ok and failure["check"] == "phi_inverse"
+
+
 def test_no_trace_on_the_hot_path(monkeypatch):
     """Only the public delta builds a DeltaTrace: phi, phi_inverse and
     verify_cell step without one."""

@@ -62,9 +62,6 @@ EQUIVALENT = [
     ("bijection.py", "MEMO_CAP = 8192", "8192 -> 8193",
      "the cap bounds the step memos and changes no answer; a memo reaches "
      "it only after thousands of distinct steps, which no test takes"),
-    ("bijection.py", "key = step - 1, cur_lam, small", "1 -> 2",
-     "the key's length is compared only with keys made by the same line, "
-     "so shifting every key's length by one keeps the same keys apart"),
     ("bijection.py", "quasi if 0 in bs else 0", "0 -> 1",
      "where 0 is no letter (C1, A2) the doubled riggings and vacancies at "
      "node n are even, so no string sits 1 below its vacancy"),
