@@ -353,15 +353,20 @@ def dominant_weights(at: AffineType, L: int):
     """The dominant lam with entries at most L and L*eps_1 - lam in the
     root span (in type A, of size L), sorted.  The last entry may go
     negative only where eps_1 - theta_0 has a negative entry: never in type
-    A, whose weights with one have no paths, and dominance keeps it in D."""
+    A, whose weights with one have no paths, and dominance keeps it in D.
+
+    A head is weakly decreasing, so it holds each root eps_a - eps_{a+1}
+    inside it; only the roots touching the last entry are paired."""
     n = at.weight_len
     signed = any(x > (k == 0) for k, x in enumerate(theta0(at)))
     sized = at.weight_len > at.n  # type A: its roots sum to 0
+    last = [(i, c, j, d) for i, c, j, d in at.root_entries if n - 1 in (i, j)]
     out = []
     for head in combinations_with_replacement(range(L, -1, -1), n - 1):
         hi = head[-1] if head else L
         for v in range(-hi if signed else 0, hi + 1):
             lam = head + (v,)
-            if is_dominant(at, lam) and (sum(lam) == L or not sized):
+            if all(c * lam[i] + d * lam[j] >= 0 for i, c, j, d in last) \
+                    and (sum(lam) == L or not sized):
                 out.append(lam)
     return sorted(out)

@@ -246,6 +246,18 @@ def test_weight_space_matches_hand_rules():
     assert cells == 17274
 
 
+@pytest.mark.parametrize("n", [20, 40])
+def test_dominant_weights_at_high_rank(n):
+    """dominant_weights pairs only the roots touching a weight's last
+    entry; at ranks 20 and 40, L <= 3, it still gives the hand rule's
+    weights for every family."""
+    for fam in FAMILIES:
+        at = AffineType(fam, n)
+        for L in range(4):
+            weights = dominant_weights(at, L)
+            assert weights == dominant_weights_by_family(at, L), (at, L)
+
+
 def test_normalized_sizes_build_no_fraction(monkeypatch):
     # the column sums are doubled ints: a cell without configurations is
     # found by parity or sign, and no Fraction is built on the way

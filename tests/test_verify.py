@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EXTENDED, empty_memos, out_of_box
+from conftest import EXTENDED, GRID_TYPES, empty_memos, out_of_box
 import oracles
 from oracles import cc2_total_by_form
 from rcbij import bijection, energy, rc as rc_mod, verify
@@ -109,6 +109,59 @@ def test_planted_fault_names_its_check(monkeypatch, layer, breaker, check):
     # every planted fault breaks the cell's first configuration
     assert rc == enumerate_rc(*CELL)[0]
     assert rc_to_json(at, lam, L, rc) == failure["rc"]
+
+
+def test_empty_cell_runs_only_its_emptiness_checks(monkeypatch):
+    """An empty cell, with no path and no configuration, builds both sides
+    once and passes on that alone: no energy, Config, sum or map is read
+    or built for it.  The battery has 403 of them to L = 4."""
+    cells = [cell for at in GRID_TYPES for cell in verify.cells_for(at, 4)
+             if not enumerate_highest(*cell) and not cc_configs(*cell)]
+    assert len(cells) == 403
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *a: calls.update([name]) or fn(*a)
+
+    for name in ("enumerate_highest", "cc_configs", "dbars", "rigged",
+                 "rigged_cc2", "fermionic", "_delta", "_phi", "validate_rc",
+                 "_delta_inverse", "phi_inverse"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    monkeypatch.setattr(QPoly, "count",
+                        staticmethod(counted("QPoly.count", QPoly.count)))
+    for cell in cells:
+        calls.clear()
+        assert verify.verify_cell(*cell) == (True, (0, 0, "0", "0"), None)
+        assert calls == Counter(enumerate_highest=1, cc_configs=1), cell
+
+
+# three empty cells, each at a type and length where another cell is not
+EMPTY = [
+    (AffineType("C1", 2), (0, 0), 1),
+    (AffineType("A2", 2), (2, 1), 2),
+    (AffineType("D1", 4), (1, 1, 1, -1), 1),
+]
+
+
+@pytest.mark.parametrize("side", ["paths", "configs"])
+@pytest.mark.parametrize("cell", EMPTY, ids=str)
+def test_one_empty_side_still_fails(monkeypatch, cell, side):
+    """An empty cell with a path planted on its path side, or another
+    cell's configurations on its rc side, fails Xbar: only a cell with
+    both sides empty passes unchecked."""
+    at, lam, L = cell
+    assert not enumerate_highest(*cell) and not cc_configs(*cell)
+    if side == "paths":
+        monkeypatch.setattr(verify, "enumerate_highest",
+                            lambda *a: [(1,) * L])
+        monkeypatch.setattr(verify, "dbars", lambda *a: [0])
+    else:
+        configs = next(c for c in (cc_configs(at, mu, L)
+                                   for mu in dominant_weights(at, L)) if c)
+        monkeypatch.setattr(verify, "cc_configs", lambda *a: configs)
+    ok, _row, failure = verify.verify_cell(*cell)
+    assert not ok
+    assert failure == {"check": "xbar=rc_genfun", "rc": None}
 
 
 def test_planted_faults_cover_every_check():
